@@ -1,19 +1,31 @@
 """Monte Carlo experiment runner and result tabulation.
 
-For every scenario cell the harness runs R replications of the full
-pipeline (generate, per-context estimate, both heterogeneity tests,
-trend test) and tabulates the fraction of replications in which each
-test rejected at the chosen alpha level.
+The experiment runs replication-major: for each replication the harness
+draws the data once and runs every cell of the plan on it (per-context
+estimates, both heterogeneity tests, trend test). It then tabulates, per
+cell, the fraction of replications in which each test rejected at the
+chosen alpha level.
 
-Determinism contract: replication r of any cell draws its data from
-streams keyed by (master_seed, r, context index) only, and results are
-reduced in replication order, so the tabulated numbers are identical
-for any worker count. A consequence of the keying is that cells sharing
-a master seed also share their underlying draws (common random numbers
-across effect shapes and grids), mirroring how simulation studies
-usually recycle noise across scenarios.
+Shared draws: replication r draws context k from the stream keyed by
+(master_seed, r, k) alone, so every cell with the same draw key
+(contexts, per_context_n, maf) sees the same (g, u, e_x, e_y): common
+random numbers across effect shapes and grids. One draw serves all those
+cells (one for the whole default plan), and they differ only in the
+shifts alpha_k and the effect f. The instrument-exposure slope bx does
+not depend on alpha_k, so it is fitted once per draw key and exposure
+coefficients; the instrument-outcome slope by is fitted once per cell.
+Both are closed-form simple least squares computed row-wise on (K, n)
+blocks, with no Dataset, no context partition and no QR; they agree
+with the general ``context_iv`` fits to rounding.
 
-Replications that fail (non-convergence of an iterative fit) are
+Scheduling: with more than one worker a single process pool serves the
+whole experiment. Each task is one replication and returns one outcome
+per cell. Outcomes are reduced in replication order, so the tabulated
+numbers are identical for any worker count. The worker count is capped
+at the CPU count and at the number of replications.
+
+Failures (for example non-convergence of an iterative fit) are recorded
+for the failing cell of the replication only. Failed replications are
 excluded from the denominators and counted; more than 1% failures in a
 cell aborts the experiment.
 """
@@ -22,23 +34,33 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .datamodel import partition_by_context
 from .errors import ConfigError, CtxMRError, ExperimentError
 from .heterogeneity import q_first_order, q_modified_second_order
-from .ivcore import context_iv
+from .ivcore import ContextResult
 from .metareg import trend_test
-from .regress import RegressionSpec
-from .simulate import EffectFunction, SimScenario, alpha_grid, generate_dataset
+from .simulate import (
+    EffectFunction,
+    SimScenario,
+    alpha_grid,
+    context_blocks,
+    draw_contexts,
+    draw_key,
+)
 
-_EXPOSURE_SPEC = RegressionSpec(response="exposure", predictor="instrument")
-_OUTCOME_SPEC = RegressionSpec(response="outcome", predictor="instrument")
+# The general estimation path stays reachable under these names, which
+# perfbench/tracing.py wraps; the engine below does not call them.
+from .datamodel import partition_by_context  # noqa: F401
+from .ivcore import context_iv  # noqa: F401
+from .simulate import generate_dataset  # noqa: F401
 
 _MAX_FAILURE_RATE = 0.01
 
@@ -124,42 +146,112 @@ def default_plan(
     )
 
 
+class _InstrumentRows:
+    """Simple least squares of (K, n) responses on the instrument, row by row."""
+
+    def __init__(self, g: np.ndarray):
+        self.gc = g - g.mean(axis=1, keepdims=True)
+        self.sgg = np.einsum("kn,kn->k", self.gc, self.gc)
+        self.df = g.shape[1] - 2
+
+    def fit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes and classical standard errors, residual variance RSS / (n - 2)."""
+        vc = v - v.mean(axis=1, keepdims=True)
+        sgv = np.einsum("kn,kn->k", self.gc, vc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = sgv / self.sgg
+            rss = np.einsum("kn,kn->k", vc, vc) - beta * sgv
+            se = np.sqrt(np.maximum(rss, 0.0) / (self.df * self.sgg))
+        return beta, se
+
+
+class SharedReplication:
+    """One replication's draws and exposure fits, shared by the cells that use them."""
+
+    def __init__(self, master_seed: int, replication: int):
+        self.master_seed = master_seed
+        self.replication = replication
+        self._draws: dict = {}
+        self._exposure_fits: dict = {}
+
+    def context_results(self, scenario: SimScenario) -> list[ContextResult]:
+        """Per-context results of one cell, ordered as ``partition_by_context`` orders them.
+
+        That is by mean exposure, with the context label breaking ties.
+        """
+        key = draw_key(scenario)
+        if key not in self._draws:
+            draws = draw_contexts(self.master_seed, self.replication, *key)
+            self._draws[key] = draws, _InstrumentRows(draws.g)
+        draws, rows = self._draws[key]
+        # alpha_k shifts a context's exposure by a constant, which leaves its
+        # slope on g unchanged, so bx is fitted once without the shifts.
+        exposure_key = (
+            key, scenario.instrument_effect, scenario.confounder_effect_on_exposure
+        )
+        if exposure_key not in self._exposure_fits:
+            self._exposure_fits[exposure_key] = rows.fit(
+                scenario.instrument_effect * draws.g
+                + scenario.confounder_effect_on_exposure * draws.u
+                + draws.e_x
+            )
+        bx, bx_se = self._exposure_fits[exposure_key]
+        x, y = context_blocks(scenario, draws)
+        by, by_se = rows.fit(y)
+        means = x.mean(axis=1)
+        labels = [str(k + 1) for k in range(scenario.contexts)]
+        order = sorted(range(scenario.contexts), key=lambda k: (means[k], labels[k]))
+        return [
+            ContextResult.from_summary_stats(
+                labels[k],
+                float(bx[k]),
+                float(bx_se[k]),
+                float(by[k]),
+                float(by_se[k]),
+                float(means[k]),
+                scenario.per_context_n,
+            )
+            for k in order
+        ]
+
+
+def run_cells(
+    scenarios, master_seed: int, replication: int, tau2_method: str = "reml"
+) -> tuple[ReplicationOutcome, ...]:
+    """One replication of every scenario on shared draws; one outcome per scenario.
+
+    A failure is recorded in the outcome of the scenario that raised it.
+    """
+    shared = SharedReplication(master_seed, replication)
+    outcomes = []
+    for scenario in scenarios:
+        try:
+            results = shared.context_results(scenario)
+            p1 = q_first_order(results).p
+            p2 = q_modified_second_order(results).p
+            p3 = trend_test(results, method=tau2_method).slope_p
+        except (CtxMRError, np.linalg.LinAlgError) as err:
+            outcomes.append(ReplicationOutcome(replication=replication, error=str(err)))
+        else:
+            outcomes.append(
+                ReplicationOutcome(
+                    replication=replication, p_q_first=p1, p_q_mod2=p2, p_trend=p3
+                )
+            )
+    return tuple(outcomes)
+
+
 def run_replication(
     scenario: SimScenario, master_seed: int, replication: int, tau2_method: str = "reml"
 ) -> ReplicationOutcome:
     """One generate-estimate-test pass; failures come back as a record."""
-    try:
-        ds = generate_dataset(scenario, master_seed, replication)
-        part = partition_by_context(ds, min_n=2)
-        results = [
-            context_iv(label, sub, _EXPOSURE_SPEC, _OUTCOME_SPEC)
-            for label, sub in part.contexts
-        ]
-        p1 = q_first_order(results).p
-        p2 = q_modified_second_order(results).p
-        p3 = trend_test(results, method=tau2_method).slope_p
-    except (CtxMRError, np.linalg.LinAlgError) as err:
-        return ReplicationOutcome(replication=replication, error=str(err))
-    return ReplicationOutcome(
-        replication=replication, p_q_first=p1, p_q_mod2=p2, p_trend=p3
-    )
+    (outcome,) = run_cells((scenario,), master_seed, replication, tau2_method)
+    return outcome
 
 
-def _worker(task) -> ReplicationOutcome:
-    scenario, master_seed, replication, tau2_method = task
-    return run_replication(scenario, master_seed, replication, tau2_method)
-
-
-def _run_cell(scenario: SimScenario, plan: ExperimentPlan) -> list[ReplicationOutcome]:
-    tasks = [
-        (scenario, plan.master_seed, rep, plan.tau2_method)
-        for rep in range(plan.replications)
-    ]
-    if plan.workers == 1:
-        return [_worker(task) for task in tasks]
-    chunk = max(1, plan.replications // (plan.workers * 8))
-    with multiprocessing.Pool(processes=plan.workers) as pool:
-        return list(pool.imap(_worker, tasks, chunksize=chunk))
+def worker_count(requested: int, replications: int) -> int:
+    """Worker processes to start: at most the CPU count and the replications."""
+    return max(1, min(requested, os.cpu_count() or 1, replications))
 
 
 def _summarize_cell(
@@ -198,12 +290,20 @@ def _summarize_cell(
 
 def run_experiment(plan: ExperimentPlan) -> list[CellResult]:
     """Run every cell of the plan; deterministic given the master seed."""
-    results = []
-    for scenario in plan.scenarios:
-        outcomes = _run_cell(scenario, plan)
-        outcomes.sort(key=lambda o: o.replication)
-        results.append(_summarize_cell(scenario, outcomes, plan.alpha_level))
-    return results
+    task = partial(run_cells, plan.scenarios, plan.master_seed, tau2_method=plan.tau2_method)
+    workers = worker_count(plan.workers, plan.replications)
+    if workers == 1:
+        per_replication = [task(rep) for rep in range(plan.replications)]
+    else:
+        chunk = max(1, plan.replications // (workers * 8))
+        with multiprocessing.Pool(processes=workers) as pool:
+            per_replication = pool.map(task, range(plan.replications), chunksize=chunk)
+    return [
+        _summarize_cell(
+            scenario, [outcomes[j] for outcomes in per_replication], plan.alpha_level
+        )
+        for j, scenario in enumerate(plan.scenarios)
+    ]
 
 
 @dataclass(frozen=True)
@@ -252,16 +352,7 @@ def plan_manifest(plan: ExperimentPlan, results: list[CellResult], wall_seconds:
             "master_seed": plan.master_seed,
             "workers": plan.workers,
             "tau2_method": plan.tau2_method,
-            "scenarios": [
-                {
-                    "effect": asdict(s.effect),
-                    "alphas": list(s.alphas),
-                    "per_context_n": s.per_context_n,
-                    "instrument_effect": s.instrument_effect,
-                    "maf": s.maf,
-                }
-                for s in plan.scenarios
-            ],
+            "scenarios": [{**asdict(s), "grid": s.grid_name} for s in plan.scenarios],
         },
         "results": [asdict(c) for c in results],
         "versions": {

@@ -12,10 +12,12 @@ a chi-square with K - 1 degrees of freedom:
 * modified second-order weights: the per-context variance becomes
   v_k(b) = (se(by_k)^2 + b^2 se(bx_k)^2) / bx_k^2, which depends on the
   pooled value b itself. The pooled value is obtained by iterating the
-  inverse-variance update to its fixed point, then tightening with a
-  bracketed golden-section minimization of Q(b), whose minimizer the
-  fixed point approximates closely but not exactly. Q is evaluated at
-  the resulting b*.
+  inverse-variance update to its fixed point, which approximates the
+  minimizer of Q(b) closely but not exactly, then polishing it by
+  derivative bisection: a bracket around the fixed point is widened
+  until dQ/db changes sign and then bisected to machine precision. Q is
+  evaluated at the best of the polished point, the fixed point and the
+  IVW start.
 
 Both statistics are computed in the numerically safe "radial" form
 (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2), which avoids dividing

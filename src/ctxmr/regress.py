@@ -143,8 +143,10 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
     Starts from all-zero coefficients; a candidate step that increases the
     deviance is halved back toward the previous iterate. Convergence is
     declared when no coefficient moves by more than 1e-10. Divergence of
-    the coefficients (any |coef| > 15 on the working scale) is treated as
-    separation and raised as such.
+    the coefficients is treated as separation and raised as such. It is
+    judged free of each column's location and scale: a slope times its
+    column's standard deviation, or the linear predictor at the column
+    means, beyond 15 in absolute value.
     """
     if spec.family != "logistic":
         raise DomainError(f"fit_logistic requires family='logistic', got {spec.family!r}")
@@ -155,6 +157,14 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
         raise DomainError(f"logistic response must be coded 0/1, found values {levels}")
     if levels.size < 2:
         raise EstimationError("logistic response has a single class; no fit possible")
+
+    # Divergence is judged on coefficients per column sd and on the
+    # intercept at the column means, so a covariate's units or offset
+    # (age in years, say) cannot make a valid fit look separated.
+    # Column by column: a 1-D reduction over a strided column is several
+    # times faster than an axis-0 reduction over the (n, p - 1) block.
+    center = np.array([col.mean() for col in X.T[1:]])
+    spread = np.array([col.std() for col in X.T[1:]])
 
     coef = np.zeros(p)
     eta = X @ coef
@@ -183,10 +193,14 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
         moved = float(np.abs(step).max())
         coef, eta, dev = candidate, new_eta, new_dev
         trace.append(dev)
-        if np.abs(coef).max() > _SEPARATION_COEF:
+        if (
+            abs(coef[0] + coef[1:] @ center) > _SEPARATION_COEF
+            or np.abs(coef[1:] * spread).max() > _SEPARATION_COEF
+        ):
             raise SeparationError(
                 "logistic coefficients diverged (|coef| > "
-                f"{_SEPARATION_COEF:g}); data are separated or nearly so"
+                f"{_SEPARATION_COEF:g} per column sd, or at the column means); "
+                "data are separated or nearly so"
             )
         if moved < _IRLS_TOL:
             break

@@ -5,14 +5,15 @@ individual i in context k:
 
     g ~ Binomial(2, maf)                     (allele count)
     u, e_x, e_y ~ Normal(0, 1) independent   (confounder and noise)
-    x = alpha_k + instrument_effect * g + u + e_x
-    y = f(x) - u + e_y
+    x = alpha_k + instrument_effect * g + c_x * u + e_x
+    y = f(x) + c_y * u + e_y
 
-with f one of three effect shapes: linear (slope 0.8), quadratic
-(coefficient 0.04), or threshold (slope 0.25 above a knot at 10,
-continuous at the knot). The context shifts alpha_k come from one of two
-built-in grids ("larger": 8.0, 8.2, ..., 9.8; "smaller": 9.0, 9.1, ...,
-9.9) or a custom list.
+with confounder effects c_x = 1 and c_y = -1 by default and f one of
+three effect shapes: linear (slope 0.8), quadratic (coefficient 0.04),
+or threshold (slope 0.25 above a knot at 10, continuous at the knot).
+The context shifts alpha_k come from one of two built-in grids
+("larger": 8.0, 8.2, ..., 9.8; "smaller": 9.0, 9.1, ..., 9.9) or a
+custom list.
 
 Randomness is counter-based and splittable: each (replication, context)
 pair derives its own Philox stream from (master_seed, replication,
@@ -20,6 +21,13 @@ context index), so datasets are bit-identical for a given seed no matter
 how the surrounding experiment is scheduled. Within a stream the draw
 order is fixed (two Bernoulli vectors for the allele count, then the
 three normal vectors, sampled by numpy's ziggurat method).
+
+The draws depend on the scenario only through (contexts, per_context_n,
+maf), its ``draw_key``; the effect shape, the shifts alpha_k and the
+coefficients act afterwards. ``draw_contexts`` therefore draws a whole
+replication once as (K, n) arrays, ``context_blocks`` turns them into one
+scenario's exposure and outcome, and ``generate_dataset`` flattens those
+blocks into a Dataset.
 """
 
 from __future__ import annotations
@@ -131,38 +139,64 @@ def _context_rng(master_seed: int, replication: int, context_index: int):
     return np.random.Generator(np.random.Philox(seq))
 
 
+@dataclass(frozen=True, eq=False)
+class ContextDraws:
+    """One replication's random draws, one row per context: shape (K, n) each."""
+
+    g: np.ndarray
+    u: np.ndarray
+    e_x: np.ndarray
+    e_y: np.ndarray
+
+
+def draw_key(scenario: SimScenario) -> tuple[int, int, float]:
+    """The scenario fields that determine its draws (see ``draw_contexts``)."""
+    return scenario.contexts, scenario.per_context_n, scenario.maf
+
+
+def draw_contexts(
+    master_seed: int, replication: int, contexts: int, per_context_n: int, maf: float
+) -> ContextDraws:
+    """Draw (g, u, e_x, e_y) for every context of one replication.
+
+    Row k comes from the stream of (master_seed, replication, k) alone, so
+    scenarios with the same ``draw_key`` see the same draws.
+    """
+    shape = (contexts, per_context_n)
+    g, u, e_x, e_y = (np.empty(shape) for _ in range(4))
+    for k in range(contexts):
+        rng = _context_rng(master_seed, replication, k)
+        g[k] = rng.random(per_context_n) < maf
+        g[k] += rng.random(per_context_n) < maf
+        for out in (u, e_x, e_y):
+            rng.standard_normal(out=out[k])
+    return ContextDraws(g=g, u=u, e_x=e_x, e_y=e_y)
+
+
+def context_blocks(scenario: SimScenario, draws: ContextDraws) -> tuple[np.ndarray, np.ndarray]:
+    """Exposure and outcome of every context as (K, n) blocks."""
+    x = np.asarray(scenario.alphas)[:, None] + scenario.instrument_effect * draws.g
+    x += scenario.confounder_effect_on_exposure * draws.u + draws.e_x
+    y = effect_value(scenario.effect, x)
+    y += scenario.confounder_effect_on_outcome * draws.u + draws.e_y
+    return x, y
+
+
 def generate_dataset(
     scenario: SimScenario, master_seed: int, replication: int = 0
 ) -> Dataset:
     """Draw one simulated dataset; bit-identical for a given (seed, rep)."""
-    n = scenario.per_context_n
-    total = n * scenario.contexts
-    instrument = np.empty(total)
-    exposure = np.empty(total)
-    outcome = np.empty(total)
-    context = np.repeat(
-        np.array([str(k + 1) for k in range(scenario.contexts)]), n
-    )
-    for k, alpha in enumerate(scenario.alphas):
-        rng = _context_rng(master_seed, replication, k)
-        g = (rng.random(n) < scenario.maf).astype(float)
-        g += rng.random(n) < scenario.maf
-        u = rng.standard_normal(n)
-        e_x = rng.standard_normal(n)
-        e_y = rng.standard_normal(n)
-        x = alpha + scenario.instrument_effect * g
-        x += scenario.confounder_effect_on_exposure * u + e_x
-        y = effect_value(scenario.effect, x)
-        y += scenario.confounder_effect_on_outcome * u + e_y
-        block = slice(k * n, (k + 1) * n)
-        instrument[block] = g
-        exposure[block] = x
-        outcome[block] = y
+    draws = draw_contexts(master_seed, replication, *draw_key(scenario))
+    x, y = context_blocks(scenario, draws)
+    total = x.size
     return Dataset(
-        instrument=instrument,
-        exposure=exposure,
-        outcome=outcome,
-        context=context,
+        instrument=draws.g.ravel(),
+        exposure=x.ravel(),
+        outcome=y.ravel(),
+        context=np.repeat(
+            np.array([str(k + 1) for k in range(scenario.contexts)]),
+            scenario.per_context_n,
+        ),
         covariates=np.empty((total, 0)),
     )
 
@@ -206,6 +240,9 @@ def parse_scenario_config(text: str) -> SimScenario:
     (larger|smaller|comma-separated numbers), contexts, per_context_n,
     instrument_effect, maf, linear_slope, quadratic_coefficient,
     threshold_slope, threshold_knot. Lines starting with '#' are comments.
+    A value that does not parse (an integer for contexts and per_context_n,
+    a finite number for the other numeric keys) raises ConfigError naming
+    the key and the value.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -217,29 +254,41 @@ def parse_scenario_config(text: str) -> SimScenario:
         key, value = (part.strip() for part in line.split("=", 1))
         entries[key] = value
 
-    def pop(key, default=None):
-        return entries.pop(key, default)
+    def convert(key, raw, kind=float):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if value is None or not np.isfinite(value):
+            expected = "an integer" if kind is int else "a finite number"
+            raise ConfigError(f"scenario config key {key!r}: {raw!r} is not {expected}")
+        return value
 
-    kind = pop("effect", "linear")
+    def number(key, default, kind=float):
+        return convert(key, entries.pop(key), kind) if key in entries else default
+
+    kind = entries.pop("effect", "linear")
     effect = EffectFunction(
         kind=kind,
-        slope=float(pop("threshold_slope", 0.25)) if kind == "threshold"
-        else float(pop("linear_slope", 0.8)),
-        coefficient=float(pop("quadratic_coefficient", 0.04)),
-        knot=float(pop("threshold_knot", 10.0)),
+        slope=number("threshold_slope", 0.25) if kind == "threshold"
+        else number("linear_slope", 0.8),
+        coefficient=number("quadratic_coefficient", 0.04),
+        knot=number("threshold_knot", 10.0),
     )
-    contexts = int(pop("contexts", 10))
-    grid_spec = pop("alpha_grid", "larger")
-    if grid_spec in _GRID_NAMES or grid_spec in ("larger", "smaller"):
+    contexts = number("contexts", 10, int)
+    grid_spec = entries.pop("alpha_grid", "larger")
+    if grid_spec in _GRID_NAMES:
         alphas = alpha_grid(grid_spec, contexts)
     else:
-        alphas = alpha_grid([v for v in grid_spec.split(",") if v.strip()])
+        alphas = tuple(
+            convert("alpha_grid", v.strip()) for v in grid_spec.split(",") if v.strip()
+        )
     scenario = SimScenario(
         effect=effect,
         alphas=alphas,
-        per_context_n=int(pop("per_context_n", 10_000)),
-        instrument_effect=float(pop("instrument_effect", 0.5)),
-        maf=float(pop("maf", 0.3)),
+        per_context_n=number("per_context_n", 10_000, int),
+        instrument_effect=number("instrument_effect", 0.5),
+        maf=number("maf", 0.3),
     )
     # Unused effect-parameter keys are fine; anything else is a typo.
     leftovers = set(entries) - {"linear_slope", "quadratic_coefficient",

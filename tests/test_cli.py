@@ -162,6 +162,21 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("maf = abc", "maf"), ("contexts = 2.5", "contexts"),
+         ("alpha_grid = 8.0, nine", "alpha_grid")],
+    )
+    def test_malformed_config_value_is_config_error(self, tmp_path, capsys, line, key):
+        config = tmp_path / "cell.cfg"
+        config.write_text(f"effect = linear\n{line}\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--reps", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert repr(key) in err
+        assert repr(line.split("=")[1].split(",")[-1].strip()) in err
+
 
 class TestPlotdata:
     def test_emits_both_files(self, cohort_csv, tmp_path, capsys):

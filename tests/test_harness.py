@@ -6,19 +6,25 @@ import json
 
 import pytest
 
+from ctxmr.datamodel import partition_by_context
 from ctxmr.errors import ConfigError, ExperimentError
 from ctxmr.harness import (
     CellResult,
     ExperimentPlan,
     ReplicationOutcome,
+    SharedReplication,
     _summarize_cell,
     default_plan,
     emit_table,
     plan_manifest,
+    run_cells,
     run_experiment,
     run_replication,
+    worker_count,
 )
-from ctxmr.simulate import EffectFunction, SimScenario
+from ctxmr.ivcore import context_iv
+from ctxmr.regress import RegressionSpec
+from ctxmr.simulate import EffectFunction, SimScenario, generate_dataset
 
 
 def small_plan(**overrides):
@@ -108,6 +114,88 @@ class TestRunExperiment:
         assert cell.rej_q_first == 1.0
 
 
+class TestWorkerCount:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(count):
+            monkeypatch.setattr("ctxmr.harness.os.cpu_count", lambda: count)
+        return set_cpus
+
+    def test_capped_by_cpus(self, cpus):
+        cpus(2)
+        assert worker_count(100_000, replications=1000) == 2
+
+    def test_capped_by_replications(self, cpus):
+        cpus(16)
+        assert worker_count(8, replications=3) == 3
+
+    def test_request_below_caps_is_kept(self, cpus):
+        cpus(16)
+        assert worker_count(3, replications=1000) == 3
+        assert worker_count(1, replications=1000) == 1
+
+    def test_unknown_cpu_count_means_one(self, cpus):
+        cpus(None)
+        assert worker_count(4, replications=1000) == 1
+
+
+CUSTOM = SimScenario(
+    effect=EffectFunction.threshold(knot=8.5),
+    alphas=(7.5, 8.0, 8.5, 9.5),
+    per_context_n=700,
+    maf=0.2,
+)
+# Same draws as CUSTOM, different exposure coefficients: its bx is its own.
+CUSTOM_SHIFTED = SimScenario(
+    effect=EffectFunction.quadratic(),
+    alphas=(9.0, 8.0, 10.0, 8.5),
+    per_context_n=700,
+    maf=0.2,
+    instrument_effect=0.8,
+    confounder_effect_on_exposure=0.5,
+    confounder_effect_on_outcome=0.7,
+)
+
+
+class TestSharedDraws:
+    """The replication-major engine against the general per-context path."""
+
+    @pytest.mark.parametrize("replication", [0, 3])
+    def test_engine_matches_context_iv_on_generated_dataset(self, replication):
+        exposure = RegressionSpec(response="exposure", predictor="instrument")
+        outcome = RegressionSpec(response="outcome", predictor="instrument")
+        scenarios = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
+        shared = SharedReplication(master_seed=11, replication=replication)
+        for scenario in scenarios:
+            fast = shared.context_results(scenario)
+            part = partition_by_context(generate_dataset(scenario, 11, replication), min_n=2)
+            general = [context_iv(label, sub, exposure, outcome) for label, sub in part.contexts]
+            assert [r.context for r in fast] == [r.context for r in general]
+            for a, b in zip(fast, general):
+                for got, want in (
+                    (a.bx.beta, b.bx.beta), (a.bx.se, b.bx.se),
+                    (a.by.beta, b.by.beta), (a.by.se, b.by.se),
+                    (a.summary.exposure_mean, b.summary.exposure_mean),
+                ):
+                    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+                assert a.bx.n == b.bx.n == scenario.per_context_n
+
+    def test_cell_outcome_does_not_depend_on_the_other_cells(self):
+        alone = [run_replication(s, 4, 2) for s in (CUSTOM, CUSTOM_SHIFTED)]
+        assert list(run_cells((CUSTOM, CUSTOM_SHIFTED), 4, 2)) == alone
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_is_recorded_for_its_cell_only(self):
+        overflow = SimScenario(
+            effect=EffectFunction.quadratic(coefficient=1e308), per_context_n=300
+        )
+        good = SimScenario(per_context_n=300)
+        first, bad, last = run_cells((good, overflow, good), master_seed=5, replication=1)
+        assert bad.error is not None
+        assert first == last == run_replication(good, 5, 1)
+        assert first.error is None
+
+
 class TestEmitTable:
     def test_empty_results_give_header_only_csv(self):
         table = emit_table([])
@@ -193,3 +281,21 @@ def test_manifest_contents():
     assert manifest["versions"]["ctxmr"]
     assert manifest["wall_seconds"] == 1.5
     json.dumps(manifest)  # must be serializable as written
+
+
+def test_manifest_rebuilds_every_scenario():
+    scenarios = default_plan().scenarios + (CUSTOM_SHIFTED,)
+    plan = ExperimentPlan(scenarios=scenarios, replications=1)
+    manifest = json.loads(json.dumps(plan_manifest(plan, [], wall_seconds=0.0)))
+    grids = [entry["grid"] for entry in manifest["plan"]["scenarios"]]
+    assert grids == ["larger"] * 3 + ["smaller"] * 3 + ["custom"]
+    rebuilt = []
+    for entry in manifest["plan"]["scenarios"]:
+        grid = entry.pop("grid")
+        scenario = SimScenario(
+            **{**entry, "effect": EffectFunction(**entry["effect"]),
+               "alphas": tuple(entry["alphas"])}
+        )
+        assert scenario.grid_name == grid
+        rebuilt.append(scenario)
+    assert tuple(rebuilt) == scenarios

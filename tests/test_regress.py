@@ -121,6 +121,23 @@ class TestFitLogistic:
         with pytest.raises(SeparationError):
             fit_logistic({"y": y, "g": g}, LOGISTIC)
 
+    def test_covariate_with_large_mean_is_not_separation(self):
+        # Age in years puts the raw intercept near -19 on valid data; the
+        # fit must agree with the one on centred age, not raise.
+        rng = np.random.default_rng(14)
+        n = 20_000
+        g = rng.binomial(2, 0.3, n).astype(float)
+        age = rng.normal(60.0, 5.0, n)
+        logit = -19.0 + 0.3 * age + 0.2 * g
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
+        spec = RegressionSpec(response="y", predictor="g", covariates=("age",),
+                              family="logistic")
+        raw = fit_logistic_detail({"y": y, "g": g, "age": age}, spec)
+        centred = fit_logistic_detail({"y": y, "g": g, "age": age - 60.0}, spec)
+        assert raw.coef[0] < -15.0
+        assert raw.coef[1:] == pytest.approx(centred.coef[1:], rel=1e-8)
+        assert abs(raw.coef[2] - 0.3) < 4.0 * np.sqrt(raw.cov[2, 2])
+
     def test_single_class_raises(self):
         with pytest.raises(EstimationError, match="single class"):
             fit_logistic({"y": np.zeros(20), "g": np.arange(20.0)}, LOGISTIC)

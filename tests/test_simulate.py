@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,35 @@ class TestGenerate:
                 ds.exposure[ds.context == str(k + 1)].mean() for k in range(10)
             ]
             assert all(a < b for a, b in zip(means, means[1:])), seed
+
+
+def _digest(ds) -> str:
+    h = hashlib.sha256()
+    for column in (ds.instrument, ds.exposure, ds.outcome):
+        h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
+    h.update("|".join(map(str, ds.context)).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of generate_dataset(scenario, master_seed=7, replication=3): the
+# instrument, exposure and outcome as little-endian float64 bytes, then the
+# context labels joined by "|". A change to the draw order, the stream
+# keying or the arithmetic of x and y changes these.
+GOLDEN_DATASETS = [
+    (SimScenario(effect=EffectFunction.threshold(), per_context_n=200),
+     "d8febf53db8be60a83fe21584a3c26aa6df6436dbe0b1fe0a1a3320da97f2743"),
+    (SimScenario(effect=EffectFunction.quadratic(), alphas=alpha_grid("smaller", 4),
+                 per_context_n=150, maf=0.2, instrument_effect=0.7,
+                 confounder_effect_on_exposure=0.5, confounder_effect_on_outcome=0.3),
+     "85df77f056de2f7ccb6c9a11fd1cce16b3840920683340edc44ced32287fefda"),
+    (SimScenario(per_context_n=300),
+     "32518c310ca9f9fc8c35763ebec70cdab19da2213eea5c3606a10715809a281c"),
+]
+
+
+@pytest.mark.parametrize("scenario, digest", GOLDEN_DATASETS)
+def test_generate_dataset_golden_digest(scenario, digest):
+    assert _digest(generate_dataset(scenario, master_seed=7, replication=3)) == digest
 
 
 class TestInstrumentStrength:
