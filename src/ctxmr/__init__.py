@@ -12,7 +12,6 @@ from .datamodel import (
     ColumnMap,
     ContextSummary,
     Dataset,
-    IndividualRecord,
     load_csv,
     partition_by_context,
     summarize_context,
@@ -64,7 +63,6 @@ __all__ = [
     "EffectFunction",
     "ExperimentPlan",
     "HeterogeneityResult",
-    "IndividualRecord",
     "MetaRegResult",
     "PooledEstimate",
     "RegressionSpec",

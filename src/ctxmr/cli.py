@@ -17,12 +17,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .datamodel import ColumnMap, load_csv
 from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError, IngestError
-from .harness import ExperimentPlan, default_plan, emit_table, plan_manifest, run_experiment
+from .harness import default_plan, emit_table, plan_manifest, run_experiment
 from .metareg import TAU2_METHODS
 from .report import (
     AnalysisOptions,
@@ -166,32 +167,16 @@ def cmd_meta(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    plan = default_plan(
+        replications=args.reps,
+        master_seed=args.seed,
+        workers=args.workers,
+        tau2_method=args.tau2,
+    )
+    plan = replace(plan, alpha_level=args.alpha)
     if args.config:
         scenario = parse_scenario_config(Path(args.config).read_text(encoding="utf-8"))
-        plan = ExperimentPlan(
-            scenarios=(scenario,),
-            replications=args.reps,
-            alpha_level=args.alpha,
-            master_seed=args.seed,
-            workers=args.workers,
-            tau2_method=args.tau2,
-        )
-    else:
-        plan = default_plan(
-            replications=args.reps,
-            master_seed=args.seed,
-            workers=args.workers,
-            tau2_method=args.tau2,
-        )
-        if args.alpha != 0.05:
-            plan = ExperimentPlan(
-                scenarios=plan.scenarios,
-                replications=plan.replications,
-                alpha_level=args.alpha,
-                master_seed=plan.master_seed,
-                workers=plan.workers,
-                tau2_method=plan.tau2_method,
-            )
+        plan = replace(plan, scenarios=(scenario,))
     start = time.perf_counter()
     results = run_experiment(plan)
     wall = time.perf_counter() - start
@@ -234,7 +219,7 @@ def main(argv=None) -> int:
     except (EstimationError, ExperimentError) as err:
         print(f"estimation error: {err}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except FileNotFoundError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"ingestion error: {err}", file=sys.stderr)
         return EXIT_INGEST
     except CtxMRError as err:

@@ -1,16 +1,14 @@
 """Individual-level dataset: CSV ingestion, context partition, summaries.
 
-The dataset is stored columnwise (numpy arrays) for speed; a record view
-is available for row-oriented access. Ingestion is complete-case: rows
-with a missing or unparseable mapped field are dropped and counted, so
-downstream fits always see finite values.
+The dataset is stored columnwise (numpy arrays) for speed. Ingestion is
+complete-case: rows with a missing or unparseable mapped field are
+dropped and counted, so downstream fits always see finite values.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -31,15 +29,6 @@ class ColumnMap:
     outcome: str
     context: str
     covariates: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class IndividualRecord:
-    instrument: float
-    exposure: float
-    outcome: float
-    context: str
-    covariates: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +82,6 @@ class Dataset:
             cols[name] = self.covariates[:, j]
         return cols
 
-    def records(self) -> Iterator[IndividualRecord]:
-        for i in range(len(self)):
-            yield IndividualRecord(
-                instrument=float(self.instrument[i]),
-                exposure=float(self.exposure[i]),
-                outcome=float(self.outcome[i]),
-                context=str(self.context[i]),
-                covariates=tuple(self.covariates[i]),
-            )
-
 
 @dataclass(frozen=True)
 class ContextSummary:
@@ -147,6 +126,25 @@ def _parse_value(token: str) -> float | None:
     return value
 
 
+def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
+    """Read a CSV header row; return it (stripped) and each needed column's index.
+
+    Raises IngestError for an empty file, and one naming the needed
+    columns that are missing or appear more than once.
+    """
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise IngestError(f"{path}: empty file; a header row is required") from None
+    missing = [name for name in needed if name not in header]
+    if missing:
+        raise IngestError(f"{path}: columns {missing} not found in header {header}")
+    repeated = [name for name in needed if header.count(name) > 1]
+    if repeated:
+        raise IngestError(f"{path}: columns {repeated} appear more than once in header {header}")
+    return header, {name: header.index(name) for name in needed}
+
+
 def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dataset:
     """Read a header-ed CSV into a Dataset.
 
@@ -159,12 +157,6 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
         raise ConfigError(f"unknown outcome family {outcome_family!r}")
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file; a header row is required") from None
-        header = [h.strip() for h in header]
-        index = {name: i for i, name in enumerate(header)}
         needed = [
             column_map.instrument,
             column_map.exposure,
@@ -172,10 +164,7 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
             column_map.context,
             *column_map.covariates,
         ]
-        for name in needed:
-            if name not in index:
-                raise IngestError(f"{path}: column {name!r} not found in header {header}")
-
+        header, index = read_header(reader, path, needed)
         numeric_cols = [
             index[column_map.instrument],
             index[column_map.exposure],

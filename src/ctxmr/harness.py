@@ -48,6 +48,7 @@ from .heterogeneity import q_first_order, q_modified_second_order
 from .ivcore import ContextResult
 from .metareg import trend_test
 from .simulate import (
+    ALPHA_GRIDS,
     EffectFunction,
     SimScenario,
     alpha_grid,
@@ -130,7 +131,7 @@ def default_plan(
     """The six-cell design: three effect shapes by two alpha grids."""
     scenarios = [
         SimScenario(effect=effect, alphas=alpha_grid(grid_name, 10))
-        for grid_name in ("larger", "smaller")
+        for grid_name in ALPHA_GRIDS
         for effect in (
             EffectFunction.linear(),
             EffectFunction.quadratic(),

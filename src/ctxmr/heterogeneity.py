@@ -11,13 +11,11 @@ a chi-square with K - 1 degrees of freedom:
 
 * modified second-order weights: the per-context variance becomes
   v_k(b) = (se(by_k)^2 + b^2 se(bx_k)^2) / bx_k^2, which depends on the
-  pooled value b itself. The pooled value is obtained by iterating the
-  inverse-variance update to its fixed point, which approximates the
-  minimizer of Q(b) closely but not exactly, then polishing it by
-  derivative bisection: a bracket around the fixed point is widened
-  until dQ/db changes sign and then bisected to machine precision. Q is
-  evaluated at the best of the polished point, the fixed point and the
-  IVW start.
+  pooled value b itself, and Q is the minimum over b of the resulting
+  sum (Bowden et al. 2019, IJE). Q(b) can have several local minima,
+  and the global one can lie outside the range of the ratio estimates,
+  so one solver does both jobs: a scan of the whole real line picks the
+  basin, and a safeguarded Newton iteration on dQ/db finds its minimum.
 
 Both statistics are computed in the numerically safe "radial" form
 (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2), which avoids dividing
@@ -31,12 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 from .ivcore import INSTRUMENT_FLOOR, ContextResult, ivw_pool
 from .numerics import chi_square_sf
 
-_FP_TOL = 1e-10
-_FP_MAX_ITER = 100
+#: The modified-Q scan evaluates Q(b) at b = c + h tan(phi), for this many
+#: angles phi spaced uniformly inside (-pi/2, pi/2), c and h being the
+#: centre and half-width of the range of the ratio estimates. The middle
+#: angle is 0 (b = c); the outermost reach c +- 81.5 h.
+_SCAN_ANGLES = 255
+_SCAN_TAN = np.tan(np.linspace(-0.5 * np.pi, 0.5 * np.pi, _SCAN_ANGLES + 2)[1:-1])
+#: Cap on the Newton/bisection steps; bisection alone reaches a few ulp
+#: of b from a scan bracket in well under this many steps.
+_NEWTON_MAX_ITER = 100
 
 FIRST_ORDER = "first_order"
 MODIFIED_SECOND_ORDER = "modified_second_order"
@@ -84,46 +89,21 @@ def q_first_order(results) -> HeterogeneityResult:
     )
 
 
-def _bisect_stationary_point(dq, center: float) -> float | None:
-    """Root of dq (the derivative of Q) near ``center`` by sign bisection.
-
-    Expands a bracket around ``center`` until the derivative changes sign,
-    then bisects to machine precision. Returns None if no sign change is
-    found, in which case the caller keeps its current point.
-    """
-    width = 1e-6 * (1.0 + abs(center))
-    lo, hi = center - width, center + width
-    for _ in range(120):
-        d_lo, d_hi = dq(lo), dq(hi)
-        if d_lo <= 0.0 <= d_hi:
-            break
-        if d_lo > 0.0:
-            lo -= hi - lo
-        else:
-            hi += hi - lo
-    else:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if dq(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def q_modified_second_order(results) -> HeterogeneityResult:
     """Cochran's Q with modified second-order weights.
 
-    The pooled value is the minimizer of
+    Q is the global minimum over b of
     Q(b) = sum_k (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2),
-    located by the inverse-variance fixed-point iteration (started at the
-    first-order IVW estimate, absolute tolerance 1e-10, at most 100
-    iterations) followed by a derivative-bisection refinement around it.
-    When every se(bx_k) is zero the weights lose their b-dependence and
-    the statistic reduces exactly to the first-order version.
+    and ``pooled_beta`` the b where it is attained. Q(b) is first
+    evaluated on the whole-line scan described at ``_SCAN_ANGLES``; the
+    best scan point is then refined by Newton's method on dQ/db, with
+    analytic first and second derivatives, inside the bracket of its two
+    scan neighbours, until a step is below four ulp of b. A step that
+    leaves the bracket, or one taken where the curvature is not positive,
+    becomes a bisection step; ``iterations`` counts all steps. The scan
+    is covariant under a common scaling of by and se(by), so Q is
+    invariant to it. When every se(bx_k) is zero, Q(b) is the
+    first-order quadratic and the result equals the first-order version.
     """
     kept, dropped = _usable(results)
     bx = np.array([r.bx.beta for r in kept])
@@ -131,48 +111,43 @@ def q_modified_second_order(results) -> HeterogeneityResult:
     by_var = np.array([r.by.se for r in kept]) ** 2
     bx_var = np.array([r.bx.se for r in kept]) ** 2
 
-    def q_at(b: float) -> float:
-        return float(np.sum((by - b * bx) ** 2 / (by_var + b * b * bx_var)))
+    def q_at(b):
+        b = np.asarray(b)[..., None]
+        return np.sum((by - b * bx) ** 2 / (by_var + b * b * bx_var), axis=-1)
 
-    beta0 = ivw_pool(kept).beta
-    beta = beta0
-    trace = [beta]
-    for iteration in range(1, _FP_MAX_ITER + 1):
+    ratios = by / bx
+    centre = 0.5 * float(ratios.max() + ratios.min())
+    half_width = 0.5 * float(ratios.max() - ratios.min()) or abs(centre) or 1.0
+    grid = centre + half_width * _SCAN_TAN
+    i = int(np.argmin(q_at(grid)))
+    beta = float(grid[i])
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        resid = by - beta * bx
         denom = by_var + beta * beta * bx_var
-        new = float(np.sum(by * bx / denom) / np.sum(bx * bx / denom))
-        trace.append(new)
-        moved = abs(new - beta)
-        beta = new
-        if moved < _FP_TOL:
+        t = beta * bx_var * resid / denom
+        dq = -2.0 * float(np.sum(resid * (bx + t) / denom))
+        d2q = 2.0 * float(np.sum(((bx + 2.0 * t) ** 2 - bx_var * resid**2 / denom) / denom))
+        if dq == 0.0:
             break
-    else:
-        raise ConvergenceError(
-            f"modified-weights fixed point did not converge in {_FP_MAX_ITER} iterations",
-            trace=tuple(trace),
-        )
+        lo, hi = (lo, beta) if dq > 0.0 else (beta, hi)
+        if d2q > 0.0 and lo <= beta - dq / d2q <= hi:
+            new = beta - dq / d2q
+        else:
+            new = 0.5 * (lo + hi)
+        step, beta = abs(new - beta), new
+        if step <= 4.0 * np.spacing(abs(beta)):
+            break
 
-    # The fixed point solves sum (r_k - b)/v_k(b) = 0, which is close to but
-    # not exactly the stationarity condition of Q(b); polish to the true
-    # minimizer so Q is the actual minimum of the objective.
-    def dq_at(b: float) -> float:
-        resid = by - b * bx
-        denom = by_var + b * b * bx_var
-        return float(
-            -2.0 * np.sum(resid * (bx * denom + resid * b * bx_var) / denom**2)
-        )
-
-    polished = _bisect_stationary_point(dq_at, beta)
-    candidates = (beta, beta0) if polished is None else (polished, beta, beta0)
-    # Never return a worse point than the candidates already in hand.
-    best = min(candidates, key=q_at)
-    q = q_at(best)
+    q = float(q_at(beta))
     df = len(kept) - 1
     return HeterogeneityResult(
         scheme=MODIFIED_SECOND_ORDER,
         q=q,
         df=df,
         p=chi_square_sf(q, df),
-        pooled_beta=best,
-        iterations=iteration,
+        pooled_beta=beta,
+        iterations=iterations,
         excluded=dropped,
     )

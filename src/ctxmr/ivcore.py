@@ -140,8 +140,8 @@ def ivw_pool(results: list[ContextResult] | tuple[ContextResult, ...]) -> Pooled
     return PooledEstimate(beta=beta, se=denom**-0.5, k=len(results))
 
 
-def rescale_estimate(estimate, factor: float):
-    """Express an estimate per ``factor`` exposure units.
+def rescale_estimate(estimate: ContextResult, factor: float) -> ContextResult:
+    """Express a context result per ``factor`` exposure units.
 
     Multiplies the outcome-side quantities (and hence the ratio and its
     standard error) by ``factor``. Heterogeneity statistics computed
@@ -149,13 +149,9 @@ def rescale_estimate(estimate, factor: float):
     """
     if not np.isfinite(factor) or factor <= 0:
         raise DomainError(f"scale factor must be positive, got {factor}")
-    if isinstance(estimate, PooledEstimate):
-        return replace(estimate, beta=estimate.beta * factor, se=estimate.se * factor)
-    if isinstance(estimate, ContextResult):
-        return replace(
-            estimate,
-            by=replace(estimate.by, beta=estimate.by.beta * factor, se=estimate.by.se * factor),
-            ratio=estimate.ratio * factor,
-            ratio_se_first_order=estimate.ratio_se_first_order * factor,
-        )
-    raise DomainError(f"cannot rescale object of type {type(estimate).__name__}")
+    return replace(
+        estimate,
+        by=replace(estimate.by, beta=estimate.by.beta * factor, se=estimate.by.se * factor),
+        ratio=estimate.ratio * factor,
+        ratio_se_first_order=estimate.ratio_se_first_order * factor,
+    )

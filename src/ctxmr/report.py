@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .datamodel import Dataset, partition_by_context
+from .datamodel import Dataset, partition_by_context, read_header
 from .errors import ConfigError, CtxMRError, IngestError
 from .heterogeneity import (
     HeterogeneityResult,
@@ -221,19 +221,12 @@ def load_summary_csv(path) -> list[ContextResult]:
     """Per-context summary statistics from CSV.
 
     The header must carry the columns context, bx, bx_se, by, by_se,
-    xmean, n (any order). Malformed rows are reported with their line
-    number.
+    xmean, n, each once and in any order. Malformed rows are reported
+    with their line number.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise IngestError(f"{path}: empty file; a header row is required") from None
-        missing = [c for c in SUMMARY_CSV_COLUMNS if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing summary columns {missing}")
-        at = {c: header.index(c) for c in SUMMARY_CSV_COLUMNS}
+        _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
         results = []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):

@@ -39,27 +39,25 @@ import numpy as np
 from .datamodel import Dataset
 from .errors import ConfigError, DomainError
 
-LARGER_GRID = tuple(round(8.0 + 0.2 * j, 10) for j in range(10))
-SMALLER_GRID = tuple(round(9.0 + 0.1 * j, 10) for j in range(10))
-
-_GRID_NAMES = {"larger": LARGER_GRID, "smaller": SMALLER_GRID}
+#: The named exposure-shift grids: alpha_j = start + step * j.
+ALPHA_GRIDS = {"larger": (8.0, 0.2), "smaller": (9.0, 0.1)}
 
 #: R-squared this close to 1 makes the F statistic meaningless; cap it.
 _F_CAP_R2 = 1.0 - 1e-12
 
 
 def alpha_grid(name_or_values, contexts: int = 10) -> tuple[float, ...]:
-    """Resolve a grid name ("larger"/"smaller") or explicit value list."""
-    if isinstance(name_or_values, str):
-        if name_or_values == "larger":
-            start, step = 8.0, 0.2
-        elif name_or_values == "smaller":
-            start, step = 9.0, 0.1
-        else:
-            raise ConfigError(f"unknown alpha grid {name_or_values!r}")
-        return tuple(round(start + step * j, 10) for j in range(contexts))
-    values = tuple(float(a) for a in name_or_values)
-    return values
+    """Resolve a grid name (a key of ALPHA_GRIDS) or explicit value list."""
+    if not isinstance(name_or_values, str):
+        return tuple(float(a) for a in name_or_values)
+    if name_or_values not in ALPHA_GRIDS:
+        raise ConfigError(f"unknown alpha grid {name_or_values!r}")
+    start, step = ALPHA_GRIDS[name_or_values]
+    return tuple(round(start + step * j, 10) for j in range(contexts))
+
+
+LARGER_GRID = alpha_grid("larger")
+SMALLER_GRID = alpha_grid("smaller")
 
 
 @dataclass(frozen=True)
@@ -128,10 +126,8 @@ class SimScenario:
 
     @property
     def grid_name(self) -> str:
-        for name, grid in _GRID_NAMES.items():
-            if self.alphas == grid:
-                return name
-        return "custom"
+        """The ALPHA_GRIDS name of the ten-context grid this is, else "custom"."""
+        return next((name for name in ALPHA_GRIDS if self.alphas == alpha_grid(name)), "custom")
 
 
 def _context_rng(master_seed: int, replication: int, context_index: int):
@@ -277,7 +273,7 @@ def parse_scenario_config(text: str) -> SimScenario:
     )
     contexts = number("contexts", 10, int)
     grid_spec = entries.pop("alpha_grid", "larger")
-    if grid_spec in _GRID_NAMES:
+    if grid_spec in ALPHA_GRIDS:
         alphas = alpha_grid(grid_spec, contexts)
     else:
         alphas = tuple(

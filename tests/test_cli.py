@@ -178,6 +178,40 @@ class TestSimulate:
         assert repr(line.split("=")[1].split(",")[-1].strip()) in err
 
 
+class TestUnreadableInput:
+    """Input files that cannot be read as UTF-8 text exit 3, not with a traceback."""
+
+    def test_non_utf8_data(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"score,vitd,chd,centre\n1,50,0,caf\xe9\n")
+        assert main(analyze_args(path, tmp_path)) == EXIT_INGEST
+        assert "ingestion error" in capsys.readouterr().err
+
+    def test_non_utf8_summary(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"context,bx,bx_se,by,by_se,xmean,n\n"
+            b"caf\xe9,1.0,0.0,1.0,1.0,50.0,1000\n"
+            b"b,1.0,0.0,2.0,1.0,52.0,1000\n"
+        )
+        code = main(["meta", "--summary", str(path), "--out-dir", str(tmp_path)])
+        assert code == EXIT_INGEST
+        assert "ingestion error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "meta", "simulate", "plotdata"])
+    def test_directory_as_input_file(self, tmp_path, capsys, command):
+        out = str(tmp_path / "out")
+        argv = {
+            "analyze": analyze_args(tmp_path, out),
+            "meta": ["meta", "--summary", str(tmp_path), "--out-dir", out],
+            "simulate": ["simulate", "--config", str(tmp_path), "--reps", "1",
+                         "--out-dir", out],
+            "plotdata": ["plotdata", "--report", str(tmp_path), "--out-dir", out],
+        }[command]
+        assert main(argv) == EXIT_INGEST
+        assert "ingestion error" in capsys.readouterr().err
+
+
 class TestPlotdata:
     def test_emits_both_files(self, cohort_csv, tmp_path, capsys):
         assert main(analyze_args(cohort_csv, tmp_path)) == EXIT_OK

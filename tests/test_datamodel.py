@@ -55,6 +55,14 @@ class TestLoadCsv:
         with pytest.raises(IngestError, match="'vitd'"):
             load_csv(path, CMAP)
 
+    def test_repeated_needed_column_is_named(self, tmp_path):
+        path = _write(tmp_path, "score,vitd,chd,centre,vitd\n1,50,0,a,51\n")
+        with pytest.raises(IngestError, match="'vitd'.*more than once"):
+            load_csv(path, CMAP)
+        # A repeated column the map does not use is harmless.
+        path = _write(tmp_path, "score,vitd,chd,centre,note,note\n1,50,0,a,x,y\n")
+        assert load_csv(path, CMAP).exposure[0] == 50.0
+
     def test_non_binary_outcome_rejected_under_logistic(self, tmp_path):
         path = _write(tmp_path, "score,vitd,chd,centre\n1,50,0,a\n1,51,2,a\n")
         with pytest.raises(IngestError, match="not 0/1"):
@@ -160,10 +168,3 @@ class TestSummarize:
         assert a.exposure_mean == pytest.approx(b.exposure_mean, abs=1e-12)
         assert a.exposure_sd == pytest.approx(b.exposure_sd, abs=1e-12)
         assert a.exposure_median == b.exposure_median
-
-
-def test_record_view_round_trips():
-    ds = _dataset([1.0, 2.0], [3.0, 4.0], [0.0, 1.0], ["a", "b"])
-    recs = list(ds.records())
-    assert recs[1].exposure == 4.0
-    assert recs[0].context == "a"

@@ -179,3 +179,48 @@ class TestModifiedSecondOrder:
         rs = random_instance(np.random.default_rng(7))
         het = q_modified_second_order(rs)
         assert het.p == pytest.approx(chi_square_sf(het.q, het.df), abs=1e-15)
+
+
+# Twenty contexts with strong heterogeneity and imprecise bx (|bx|/se(bx)
+# near 5) on which Q(b) has a local minimum near the IVW estimate and its
+# global minimum (b = 0.1716) beyond the largest ratio estimate (0.148).
+K20_BX = [
+    0.3125038911120691, 0.46619699965787154, 0.5199607013953917, 0.38863597470150113,
+    0.33450267350030854, 0.5144808234840045, 0.5419578270632456, 0.44645114937941405,
+    0.399522120472338, 0.5138523720324181, 0.42378010368662394, 0.4776242790978038,
+    0.43191134761147687, 0.4601809010587198, 0.32555694279784514, 0.5241359681546107,
+    0.4707239195936295, 0.45890016919036125, 0.39551364233191155, 0.5902140343774112,
+]
+K20_BX_SE = [
+    0.0678114570282759, 0.06900544907162645, 0.10387051050485832, 0.06940947704631585,
+    0.06172851021995145, 0.06744256164716175, 0.06808733137622508, 0.08520606637644845,
+    0.09775868573190655, 0.09057802775808382, 0.06284768936394819, 0.08811241749280921,
+    0.06890706128888503, 0.08821075051796365, 0.10208441152655282, 0.09346493594530436,
+    0.06548562404136235, 0.11649549621871172, 0.09260851049909125, 0.07443268002473966,
+]
+K20_BY = [
+    0.018776588699670936, -0.05255832938948477, -0.11789968692564107, -0.017605217375358584,
+    -0.009484186911460434, 0.06307989566284233, 0.0543921933975487, -0.08238421274772109,
+    0.010658753489487704, -0.026410733869570747, 0.002248643160795349, 0.057290679682770726,
+    0.03383806606350565, 0.007780430631991191, -0.004726299364922983, 0.03485731803559584,
+    0.032324341493290304, 0.06790365083069916, 0.030162234570270938, 0.07576567352926133,
+]
+K20_BY_SE = [
+    0.015772409893118046, 0.009124775828241005, 0.006582659758892434, 0.018981268964408635,
+    0.005148712954606842, 0.014078695135417468, 0.012740490530824104, 0.0055115706931785635,
+    0.007755859453993473, 0.018188035372955602, 0.006472178171752355, 0.012220207708998766,
+    0.0189275610419204, 0.006109013946158741, 0.010847285771661365, 0.015098012950126007,
+    0.009108173533186284, 0.009996643437926802, 0.01099274811416006, 0.013843423603399182,
+]
+
+
+def test_global_minimum_beyond_the_ratio_estimates():
+    rs = [
+        make_result(str(i), bx=bx, bx_se=bx_se, by=by, by_se=by_se)
+        for i, (bx, bx_se, by, by_se) in enumerate(zip(K20_BX, K20_BX_SE, K20_BY, K20_BY_SE))
+    ]
+    het = q_modified_second_order(rs)
+    assert het.q == pytest.approx(477.48735478912965, abs=1e-6)
+    assert het.pooled_beta > max(r.ratio for r in rs)
+    _, q_grid = modified_q_grid_min(K20_BX, K20_BX_SE, K20_BY, K20_BY_SE, lo=-1.0, hi=1.0)
+    assert het.q <= q_grid + 1e-9

@@ -8,7 +8,7 @@ import pytest
 from ctxmr.datamodel import Dataset
 from ctxmr.errors import ConfigError, DomainError, EstimationError
 from ctxmr.heterogeneity import q_first_order
-from ctxmr.ivcore import ContextResult, PooledEstimate, context_iv, ivw_pool, rescale_estimate
+from ctxmr.ivcore import ContextResult, context_iv, ivw_pool, rescale_estimate
 from ctxmr.regress import RegressionSpec
 
 EXPOSURE_SPEC = RegressionSpec(response="exposure", predictor="instrument")
@@ -121,10 +121,13 @@ class TestIvwPool:
 
 class TestRescale:
     def test_per_ten_unit_scaling(self):
-        pooled = PooledEstimate(beta=0.02, se=0.005, k=2)
-        scaled = rescale_estimate(pooled, 10.0)
-        assert scaled.beta == pytest.approx(0.2)
-        assert scaled.se == pytest.approx(0.05)
+        r = make_result("a", bx=0.5, bx_se=0.01, by=0.02, by_se=0.005)
+        scaled = rescale_estimate(r, 10.0)
+        assert scaled.by.beta == pytest.approx(0.2)
+        assert scaled.by.se == pytest.approx(0.05)
+        assert scaled.ratio == pytest.approx(0.4)
+        assert scaled.ratio_se_first_order == pytest.approx(0.1)
+        assert scaled.bx == r.bx
 
     def test_identity(self):
         r = make_result("a", bx=0.5, bx_se=0.01, by=0.4, by_se=0.1)
@@ -132,7 +135,7 @@ class TestRescale:
 
     def test_nonpositive_factor_rejected(self):
         with pytest.raises(DomainError):
-            rescale_estimate(PooledEstimate(0.1, 0.1, 2), 0.0)
+            rescale_estimate(make_result("a", bx=0.5, bx_se=0.01, by=0.1, by_se=0.1), 0.0)
 
     def test_first_order_q_invariant_under_rescaling(self):
         rng = np.random.default_rng(5)

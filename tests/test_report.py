@@ -152,6 +152,17 @@ class TestSummaryCsv:
         with pytest.raises(IngestError, match="bx_se"):
             load_summary_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n,by\n"
+            "a,1.0,0.0,1.0,1.0,50.0,1000,9.0\n"
+            "b,1.0,0.0,2.0,1.0,52.0,1200,9.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="'by'.*more than once"):
+            load_summary_csv(path)
+
 
 class TestSerialization:
     def test_json_round_trip_is_exact(self, cohort_report):
