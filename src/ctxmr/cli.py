@@ -7,8 +7,14 @@ Four subcommands:
 * ``simulate`` - the Monte Carlo rejection-rate experiment;
 * ``plotdata`` - scatter-plot CSVs from a saved analysis report.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 ingestion error,
-4 estimation or experiment error.
+Exit codes:
+
+* 0 - success;
+* 2 - configuration or usage error, including output path errors (an
+  ``--out-dir`` that cannot be created or written);
+* 3 - ingestion error (an input file that is missing, unreadable or
+  malformed);
+* 4 - estimation or experiment error.
 """
 
 from __future__ import annotations
@@ -122,16 +128,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(report, out_dir: str, stdout_format: str) -> None:
+def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
+    """Write each named file into ``out_dir``, creating it if needed.
+
+    A failure is a usage error about ``--out-dir``, not an input error.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            (out / name).write_text(content, encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"cannot write output to {out_dir}: {err}") from None
+
+
+def _write_report(report, out_dir: str, stdout_format: str) -> None:
     artifacts = {
         "report.json": report_to_json(report),
         "report.txt": render_text(report),
         "report.csv": context_table_csv(report),
     }
-    for name, content in artifacts.items():
-        (out / name).write_text(content, encoding="utf-8")
+    _write_outputs(out_dir, artifacts)
     chosen = {"text": "report.txt", "json": "report.json", "csv": "report.csv"}
     sys.stdout.write(artifacts[chosen[stdout_format]])
 
@@ -181,15 +198,13 @@ def cmd_simulate(args) -> int:
     results = run_experiment(plan)
     wall = time.perf_counter() - start
     table = emit_table(results)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "table.txt").write_text(table.text, encoding="utf-8")
-    (out / "table.csv").write_text(table.csv, encoding="utf-8")
-    (out / "table.json").write_text(table.json, encoding="utf-8")
     manifest = plan_manifest(plan, results, wall_seconds=wall)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_outputs(args.out_dir, {
+        "table.txt": table.text,
+        "table.csv": table.csv,
+        "table.json": table.json,
+        "manifest.json": json.dumps(manifest, indent=2) + "\n",
+    })
     chosen = {"text": table.text, "json": table.json, "csv": table.csv}
     sys.stdout.write(chosen[args.format])
     return EXIT_OK
@@ -198,10 +213,7 @@ def cmd_simulate(args) -> int:
 def cmd_plotdata(args) -> int:
     report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
     unscaled, scaled = plot_data(report)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "plot_unscaled.csv").write_text(unscaled, encoding="utf-8")
-    (out / "plot_scaled.csv").write_text(scaled, encoding="utf-8")
+    _write_outputs(args.out_dir, {"plot_unscaled.csv": unscaled, "plot_scaled.csv": scaled})
     return EXIT_OK
 
 

@@ -3,12 +3,20 @@
 The dataset is stored columnwise (numpy arrays) for speed. Ingestion is
 complete-case: rows with a missing or unparseable mapped field are
 dropped and counted, so downstream fits always see finite values.
+``load_csv`` reads CHUNK_ROWS rows at a time and converts each mapped
+column of a chunk with one numpy call (numpy parses a ``str`` exactly as
+``float`` does); only a column chunk holding a token that ``float``
+rejects is parsed cell by cell. The cyclic garbage collector is paused
+while the file is read, since it would otherwise walk every row list.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 from dataclasses import dataclass, replace
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -16,6 +24,10 @@ from .errors import ConfigError, DomainError, IngestError
 
 #: Cell contents treated as missing in input CSVs.
 MISSING_TOKENS = frozenset({"", "NA"})
+_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
+
+#: Rows ``load_csv`` reads and converts at a time; bounds its memory.
+CHUNK_ROWS = 1024
 
 DEFAULT_MIN_CONTEXT_SIZE = 100
 
@@ -113,17 +125,23 @@ class PartitionResult:
     excluded: tuple[ExcludedContext, ...] = ()
 
 
-def _parse_value(token: str) -> float | None:
-    token = token.strip()
-    if token in MISSING_TOKENS:
-        return None
+def _to_floats(cells: tuple[str, ...]) -> np.ndarray:
+    """One column chunk as floats, NaN where a cell is missing or unparseable."""
     try:
-        value = float(token)
+        return np.array(list(map(_AS_NAN.get, cells, cells)), dtype=float)
+    except ValueError:  # a token float() rejects, such as " NA " or "57..2"
+        return np.array([_float_or_nan(cell) for cell in cells], dtype=float)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
     except ValueError:
-        return None
-    if not np.isfinite(value):
-        return None
-    return value
+        return np.nan
+
+
+def _blank(row: list[str]) -> bool:
+    return not any(cell.strip() for cell in row)
 
 
 def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
@@ -155,57 +173,51 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
     """
     if outcome_family not in ("linear", "logistic"):
         raise ConfigError(f"unknown outcome family {outcome_family!r}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        needed = [
-            column_map.instrument,
-            column_map.exposure,
-            column_map.outcome,
-            column_map.context,
-            *column_map.covariates,
-        ]
-        header, index = read_header(reader, path, needed)
-        numeric_cols = [
-            index[column_map.instrument],
-            index[column_map.exposure],
-            index[column_map.outcome],
-            *(index[c] for c in column_map.covariates),
-        ]
-        context_col = index[column_map.context]
+    needed = [column_map.instrument, column_map.exposure, column_map.outcome,
+              column_map.context, *column_map.covariates]
+    blocks: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
+    dropped, lineno = 0, 2
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the cyclic collector would walk every fresh row list
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header, index = read_header(reader, path, needed)
+            pick = itemgetter(*(index[name] for name in needed))
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                full = [row for row in chunk if len(row) >= len(header)]
+                if len(full) < len(chunk):
+                    dropped += sum(len(row) < len(header) and not _blank(row) for row in chunk)
+                cells = list(zip(*map(pick, full))) or [()] * len(needed)
+                label = np.array(list(map(str.strip, cells[3])), dtype=object)
+                values = np.array([_to_floats(c) for c in cells[:3] + cells[4:]]).T
+                keep = np.isfinite(values).all(axis=1)
+                keep &= np.array([lab not in MISSING_TOKENS for lab in label], dtype=bool)
+                dropped += sum(not _blank(full[j]) for j in np.flatnonzero(~keep))
+                y = values[:, 2]
+                bad = np.flatnonzero(keep & (y != 0) & (y != 1))
+                if outcome_family == "logistic" and bad.size:
+                    at = next(i for i, row in enumerate(chunk) if row is full[bad[0]])
+                    raise IngestError(
+                        f"outcome value {float(y[bad[0]])!r} is not 0/1 under the logistic family",
+                        line=lineno + at,
+                    )
+                blocks.append(values[keep])
+                labels.append(label[keep])
+                lineno += len(chunk)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
-        rows: list[list[float]] = []
-        contexts: list[str] = []
-        dropped = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                dropped += 1
-                continue
-            label = row[context_col].strip()
-            if label in MISSING_TOKENS:
-                dropped += 1
-                continue
-            values = [_parse_value(row[i]) for i in numeric_cols]
-            if any(v is None for v in values):
-                dropped += 1
-                continue
-            if outcome_family == "logistic" and values[2] not in (0.0, 1.0):
-                raise IngestError(
-                    f"outcome value {values[2]!r} is not 0/1 under the logistic family",
-                    line=lineno,
-                )
-            rows.append(values)  # type: ignore[arg-type]
-            contexts.append(label)
-
-    if not rows:
+    if not sum(map(len, labels)):
         raise IngestError(f"{path}: no usable rows after filtering ({dropped} dropped)")
-    data = np.asarray(rows, dtype=float)
+    data = np.concatenate(blocks)
     return Dataset(
         instrument=data[:, 0],
         exposure=data[:, 1],
         outcome=data[:, 2],
-        context=np.asarray(contexts, dtype=object),
+        context=np.concatenate(labels),
         covariates=data[:, 3:],
         covariate_names=column_map.covariates,
         outcome_family=outcome_family,

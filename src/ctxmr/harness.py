@@ -97,6 +97,8 @@ class ExperimentPlan:
             raise ConfigError(f"alpha level must be in (0, 1), got {self.alpha_level}")
         if self.workers < 1:
             raise ConfigError(f"worker count must be >= 1, got {self.workers}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

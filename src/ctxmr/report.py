@@ -221,13 +221,14 @@ def load_summary_csv(path) -> list[ContextResult]:
     """Per-context summary statistics from CSV.
 
     The header must carry the columns context, bx, bx_se, by, by_se,
-    xmean, n, each once and in any order. Malformed rows are reported
-    with their line number.
+    xmean, n, each once and in any order. Malformed rows, and a context
+    label given twice, are reported with their line number.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
         results = []
+        first_line: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -248,6 +249,13 @@ def load_summary_csv(path) -> list[ContextResult]:
                 raise IngestError(str(err), line=lineno) from None
             except CtxMRError as err:
                 raise IngestError(str(err), line=lineno) from None
+            if result.context in first_line:
+                raise IngestError(
+                    f"context label {result.context!r} already given on line "
+                    f"{first_line[result.context]}",
+                    line=lineno,
+                )
+            first_line[result.context] = lineno
             results.append(result)
     if len(results) < 2:
         raise IngestError(f"{path}: need at least 2 summary rows, got {len(results)}")

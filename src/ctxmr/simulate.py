@@ -126,8 +126,11 @@ class SimScenario:
 
     @property
     def grid_name(self) -> str:
-        """The ALPHA_GRIDS name of the ten-context grid this is, else "custom"."""
-        return next((name for name in ALPHA_GRIDS if self.alphas == alpha_grid(name)), "custom")
+        """The ALPHA_GRIDS name whose grid of this length this is, else "custom"."""
+        return next(
+            (name for name in ALPHA_GRIDS if self.alphas == alpha_grid(name, len(self.alphas))),
+            "custom",
+        )
 
 
 def _context_rng(master_seed: int, replication: int, context_index: int):

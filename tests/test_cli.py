@@ -178,6 +178,39 @@ class TestSimulate:
         assert repr(line.split("=")[1].split(",")[-1].strip()) in err
 
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--seed", "-1", "--reps", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "master seed must be >= 0" in err
+
+
+class TestOutputPath:
+    """An --out-dir that cannot be created or written is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["analyze", "meta"])
+    def test_out_dir_is_a_file(self, cohort_csv, tmp_path, capsys, command):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n\n"
+            "a,1.0,0.0,1.0,1.0,50.0,1000\n"
+            "b,1.0,0.0,2.0,1.0,52.0,1000\n",
+            encoding="utf-8",
+        )
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        argv = {
+            "analyze": analyze_args(cohort_csv, blocker),
+            "meta": ["meta", "--summary", str(summary), "--out-dir", str(blocker)],
+        }[command]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"configuration error: cannot write output to {blocker}")
+
+
 class TestUnreadableInput:
     """Input files that cannot be read as UTF-8 text exit 3, not with a traceback."""
 

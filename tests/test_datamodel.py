@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from ctxmr import datamodel
 from ctxmr.datamodel import (
     ColumnMap,
     Dataset,
@@ -67,6 +70,31 @@ class TestLoadCsv:
         path = _write(tmp_path, "score,vitd,chd,centre\n1,50,0,a\n1,51,2,a\n")
         with pytest.raises(IngestError, match="not 0/1"):
             load_csv(path, CMAP, outcome_family="logistic")
+
+    def test_non_binary_outcome_in_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(datamodel, "CHUNK_ROWS", 3)
+        path = _write(
+            tmp_path,
+            "score,vitd,chd,centre\n"  # line 1
+            "1,50,0,a\n1,51,1,a\n1,52,0,a\n"  # lines 2-4: first chunk
+            "1,53\n\n1,NA,7,a\n"  # lines 5-7: short, blank, dropped
+            "1,54,1,a\n1,55,2,a\n1,56,3,a\n",  # lines 8-10: line 9 is the first bad one
+        )
+        with pytest.raises(IngestError, match=r"^line 9: outcome value 2\.0 is not 0/1") as err:
+            load_csv(path, CMAP, outcome_family="logistic")
+        assert err.value.line == 9
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored_after_error(self, tmp_path, enabled):
+        path = _write(tmp_path, "score,vitd,chd,centre\n1,50,0,a\n1,51,2,a\n")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(IngestError, match="not 0/1"):
+                load_csv(path, CMAP, outcome_family="logistic")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_continuous_outcome_fine_under_linear(self, tmp_path):
         path = _write(tmp_path, "score,vitd,chd,centre\n1,50,2.5,a\n")

@@ -146,6 +146,18 @@ class TestSummaryCsv:
         with pytest.raises(IngestError, match="line 3"):
             load_summary_csv(path)
 
+    def test_repeated_context_label_names_both_lines(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n\n"
+            "a,1.0,0.0,1.0,1.0,50.0,1000\n"
+            "b,1.0,0.0,2.0,1.0,52.0,1200\n"
+            " a ,1.0,0.0,3.0,1.0,54.0,1100\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="line 4: context label 'a' already given on line 2"):
+            load_summary_csv(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "summary.csv"
         path.write_text("context,bx,by,by_se,xmean,n\na,1,1,1,50,100\n", encoding="utf-8")

@@ -224,6 +224,13 @@ class TestScenarioConfig:
         assert s.per_context_n == 500
         assert s.maf == 0.25
 
+    def test_prefix_of_named_grid_keeps_its_name(self):
+        s = parse_scenario_config("effect = linear\nalpha_grid = larger\ncontexts = 5\n")
+        assert s.alphas == LARGER_GRID[:5]
+        assert s.grid_name == "larger"
+        assert SimScenario(alphas=SMALLER_GRID[:3]).grid_name == "smaller"
+        assert SimScenario(alphas=LARGER_GRID[1:6]).grid_name == "custom"
+
     def test_custom_alpha_list_and_effect_params(self):
         s = parse_scenario_config(
             "effect = threshold\nalpha_grid = 8.0, 9.0, 10.0\nthreshold_knot = 9.5\n"
