@@ -194,6 +194,7 @@ def cmd_simulate(args) -> int:
     if args.config:
         scenario = parse_scenario_config(Path(args.config).read_text(encoding="utf-8"))
         plan = replace(plan, scenarios=(scenario,))
+    _write_outputs(args.out_dir, {})  # a bad --out-dir fails before the experiment runs
     start = time.perf_counter()
     results = run_experiment(plan)
     wall = time.perf_counter() - start

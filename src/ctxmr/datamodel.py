@@ -144,6 +144,19 @@ def _blank(row: list[str]) -> bool:
     return not any(cell.strip() for cell in row)
 
 
+def _start_line(path, record: int) -> int:
+    """The physical line on which CSV record ``record`` (0 is the header) starts.
+
+    A quoted field can hold newlines, so records and lines differ; the
+    file is read again, which only an error report needs.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        for _ in islice(reader, record):
+            pass
+        return reader.line_num + 1
+
+
 def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
     """Read a CSV header row; return it (stripped) and each needed column's index.
 
@@ -177,7 +190,7 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
               column_map.context, *column_map.covariates]
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    dropped, lineno = 0, 2
+    dropped, record = 0, 1
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the cyclic collector would walk every fresh row list
     try:
@@ -201,11 +214,11 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
                     at = next(i for i, row in enumerate(chunk) if row is full[bad[0]])
                     raise IngestError(
                         f"outcome value {float(y[bad[0]])!r} is not 0/1 under the logistic family",
-                        line=lineno + at,
+                        line=_start_line(path, record + at),
                     )
                 blocks.append(values[keep])
                 labels.append(label[keep])
-                lineno += len(chunk)
+                record += len(chunk)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ivcore import INSTRUMENT_FLOOR, ContextResult, ivw_pool
-from .numerics import chi_square_sf
+from .numerics import chi_square_sf, newton_in_bracket
 
 #: The modified-Q scan evaluates Q(b) at b = c + h tan(phi), for this many
 #: angles phi spaced uniformly inside (-pi/2, pi/2), c and h being the
@@ -39,9 +39,6 @@ from .numerics import chi_square_sf
 #: angle is 0 (b = c); the outermost reach c +- 81.5 h.
 _SCAN_ANGLES = 255
 _SCAN_TAN = np.tan(np.linspace(-0.5 * np.pi, 0.5 * np.pi, _SCAN_ANGLES + 2)[1:-1])
-#: Cap on the Newton/bisection steps; bisection alone reaches a few ulp
-#: of b from a scan bracket in well under this many steps.
-_NEWTON_MAX_ITER = 100
 
 FIRST_ORDER = "first_order"
 MODIFIED_SECOND_ORDER = "modified_second_order"
@@ -96,14 +93,13 @@ def q_modified_second_order(results) -> HeterogeneityResult:
     Q(b) = sum_k (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2),
     and ``pooled_beta`` the b where it is attained. Q(b) is first
     evaluated on the whole-line scan described at ``_SCAN_ANGLES``; the
-    best scan point is then refined by Newton's method on dQ/db, with
-    analytic first and second derivatives, inside the bracket of its two
-    scan neighbours, until a step is below four ulp of b. A step that
-    leaves the bracket, or one taken where the curvature is not positive,
-    becomes a bisection step; ``iterations`` counts all steps. The scan
-    is covariant under a common scaling of by and se(by), so Q is
-    invariant to it. When every se(bx_k) is zero, Q(b) is the
-    first-order quadratic and the result equals the first-order version.
+    best scan point is then refined by ``numerics.newton_in_bracket`` on
+    dQ/db, with analytic first and second derivatives, inside the bracket
+    of its two scan neighbours; ``iterations`` counts its Newton and
+    bisection steps. The scan is covariant under a common scaling of by
+    and se(by), so Q is invariant to it. When every se(bx_k) is zero,
+    Q(b) is the first-order quadratic and the result equals the
+    first-order version.
     """
     kept, dropped = _usable(results)
     bx = np.array([r.bx.beta for r in kept])
@@ -120,26 +116,16 @@ def q_modified_second_order(results) -> HeterogeneityResult:
     half_width = 0.5 * float(ratios.max() - ratios.min()) or abs(centre) or 1.0
     grid = centre + half_width * _SCAN_TAN
     i = int(np.argmin(q_at(grid)))
-    beta = float(grid[i])
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
 
-    for iterations in range(1, _NEWTON_MAX_ITER + 1):
-        resid = by - beta * bx
-        denom = by_var + beta * beta * bx_var
-        t = beta * bx_var * resid / denom
-        dq = -2.0 * float(np.sum(resid * (bx + t) / denom))
-        d2q = 2.0 * float(np.sum(((bx + 2.0 * t) ** 2 - bx_var * resid**2 / denom) / denom))
-        if dq == 0.0:
-            break
-        lo, hi = (lo, beta) if dq > 0.0 else (beta, hi)
-        if d2q > 0.0 and lo <= beta - dq / d2q <= hi:
-            new = beta - dq / d2q
-        else:
-            new = 0.5 * (lo + hi)
-        step, beta = abs(new - beta), new
-        if step <= 4.0 * np.spacing(abs(beta)):
-            break
+    def derivatives(b):
+        resid = by - b * bx
+        denom = by_var + b * b * bx_var
+        t = b * bx_var * resid / denom
+        return (-2.0 * float(np.sum(resid * (bx + t) / denom)),
+                2.0 * float(np.sum(((bx + 2.0 * t) ** 2 - bx_var * resid**2 / denom) / denom)))
 
+    beta, iterations = newton_in_bracket(derivatives, lo, hi, float(grid[i]))
     q = float(q_at(beta))
     df = len(kept) - 1
     return HeterogeneityResult(

@@ -6,11 +6,14 @@ The model is
     Var(e_k) = v_k (known),  Var(u_k) = tau2 (estimated),
 
 fit by weighted least squares with weights 1 / (v_k + tau2). The slope
-p-value is the two-sided z-test 2 * normal_sf(|slope / se|). Three
-between-context variance estimators are available:
+p-value is the two-sided z-test 2 * normal_sf(|slope / se|). Every fit is
+closed form: with the means and estimates centred at their weighted
+means, X'WX is diagonal. Three between-context variance estimators are
+available:
 
-* ``reml``: restricted maximum likelihood by Fisher scoring (the default,
-  matching standard meta-regression software);
+* ``reml``: restricted maximum likelihood (the default, matching standard
+  meta-regression software), found by a scan of the restricted likelihood
+  and the package's one 1-D refinement, ``numerics.newton_in_bracket``;
 * ``dl``: the DerSimonian-Laird moment estimator generalized to a
   regression design, max(0, (Q_res - (K - 2)) / tr(P));
 * ``fixed``: tau2 = 0.
@@ -22,14 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError
-from .heterogeneity import MODIFIED_SECOND_ORDER, q_modified_second_order
-from .numerics import normal_sf, wls_solve
+from .errors import ConfigError, DomainError
+from .numerics import newton_in_bracket, normal_sf
 
-# Tighter than strictly needed for the tau2 estimate itself so that the
-# fitted slope is stable to ~1e-10 under reparameterizations of the design.
-_REML_TOL = 1e-12
-_REML_MAX_ITER = 200
+# Not called here: the benchmark's tracer wraps these names where this
+# module would look them up. Drop them with the next benchmark change.
+from .heterogeneity import q_modified_second_order  # noqa: F401
+from .numerics import wls_solve  # noqa: F401
+
+#: REML scan points as fractions of the bound on tau2, denser near 0.
+_REML_SCAN = np.linspace(0.0, 1.0, 64) ** 2
 
 TAU2_METHODS = ("reml", "dl", "fixed")
 
@@ -67,73 +72,70 @@ def _validate(estimates, variances, means):
     return y, v, x, k
 
 
-def _gls(X, y, w):
-    coef, cov = wls_solve(X, y, w)
-    resid = y - X @ coef
-    return coef, cov, resid
+def _gls(tau2, y, v, x):
+    """GLS fit of y on [1, x] with weights w = 1 / (v + tau2), in closed form.
 
-
-def _restricted_ll(tau2, X, y, v):
-    w = 1.0 / (v + tau2)
-    coef, _, resid = _gls(X, y, w)
-    xtwx = X.T @ (X * w[:, None])
-    sign, logdet = np.linalg.slogdet(xtwx)
-    if sign <= 0:
-        raise ConfigError("meta-regression design is singular")
-    return -0.5 * (np.log(v + tau2).sum() + logdet + float(w @ resid**2))
-
-
-def _dl_tau2(X, y, v, k, p):
-    w0 = 1.0 / v
-    _, cov, resid = _gls(X, y, w0)
-    q_res = float(w0 @ resid**2)
-    a2 = X.T @ (X * (w0**2)[:, None])
-    tr_p = float(w0.sum() - np.trace(cov @ a2))
-    return max(0.0, (q_res - (k - p)) / tr_p)
-
-
-def _reml_tau2(X, y, v, k):
-    """Fisher scoring on the restricted likelihood, clamped at zero.
-
-    Score and information use the standard projection identities: with
-    P = W - WX(X'WX)^{-1}X'W one has Py = W r, so
-
-        score = -tr(P)/2 + ||W r||^2 / 2,    info = tr(P^2) / 2,
-
-    and tr(P^m) reduces to traces of small p x p products.
+    x and y are centred at their weighted means, so X'WX is the diagonal
+    diag(s0, s2) with s0 = sum(w) and s2 = sum(w xc^2). ``tau2`` may be an
+    array; the contexts then lie on the last axis. Returns
+    (w, xc, r, slope, s2), r being the residuals.
     """
-    tau2 = _dl_tau2(X, y, v, k, X.shape[1])
-    ll = _restricted_ll(tau2, X, y, v)
-    trace = [tau2]
-    for iteration in range(1, _REML_MAX_ITER + 1):
-        w = 1.0 / (v + tau2)
-        _, cov, resid = _gls(X, y, w)
-        wr = w * resid
-        a2 = X.T @ (X * (w**2)[:, None])
-        a3 = X.T @ (X * (w**3)[:, None])
-        m = cov @ a2
-        tr_p = float(w.sum() - np.trace(m))
-        tr_p2 = float((w**2).sum() - 2.0 * np.trace(cov @ a3) + np.trace(m @ m))
-        score = -0.5 * tr_p + 0.5 * float(wr @ wr)
-        if tau2 == 0.0 and score <= 0.0:
-            return tau2, iteration
-        info = 0.5 * tr_p2
-        candidate = max(0.0, tau2 + score / info)
-        new_ll = _restricted_ll(candidate, X, y, v)
-        halvings = 0
-        while new_ll < ll - 1e-13 and halvings < 30:
-            candidate = 0.5 * (candidate + tau2)
-            new_ll = _restricted_ll(candidate, X, y, v)
-            halvings += 1
-        moved = abs(candidate - tau2)
-        tau2, ll = candidate, new_ll
-        trace.append(tau2)
-        if moved < _REML_TOL:
-            return tau2, iteration
-    raise ConvergenceError(
-        f"REML scoring did not converge in {_REML_MAX_ITER} iterations",
-        trace=tuple(trace),
-    )
+    w = 1.0 / (v + np.asarray(tau2)[..., None])
+    s0 = w.sum(axis=-1)
+    xc = x - (w @ x / s0)[..., None]
+    yc = y - (w @ y / s0)[..., None]
+    s2 = (w * xc * xc).sum(axis=-1)
+    slope = (w * xc * yc).sum(axis=-1) / s2
+    return w, xc, yc - slope[..., None] * xc, slope, s2
+
+
+def _projection(w, xc, s2):
+    """(a, b, tr P) with P = W - WX(X'WX)^{-1}X'W = W - a a' - b b'."""
+    s0 = w.sum()
+    a, b = w / np.sqrt(s0), w * xc / np.sqrt(s2)
+    return a, b, s0 - a @ a - b @ b
+
+
+def _dl_tau2(y, v, x, k):
+    w, xc, r, _, s2 = _gls(0.0, y, v, x)
+    return max(0.0, (w @ (r * r) - (k - 2)) / _projection(w, xc, s2)[2])
+
+
+def _reml_tau2(y, v, x, k):
+    """Maximize the restricted likelihood over tau2 >= 0.
+
+    Minus the restricted log-likelihood is, up to a constant,
+    f = [sum log(v + tau2) + log s0 + log s2 + sum w r^2] / 2. With
+    u = W r = P y and dP/dtau2 = -P^2 its derivatives are
+
+        f' = (tr P - u'u) / 2,    f'' = u'P u - tr(P^2) / 2.
+
+    Every root of f' lies below RSS / (K - 2) + max v, RSS being the
+    unweighted OLS residual sum of squares, because tr P >= (K - 2) /
+    (max v + tau2) and u'u <= RSS / (min v + tau2)^2. f is scanned at
+    ``_REML_SCAN`` points of [0, that bound], and the best point refined
+    by ``numerics.newton_in_bracket`` between its scan neighbours.
+    Returns (tau2, steps).
+    """
+
+    def f(tau2):
+        w, _, r, _, s2 = _gls(tau2, y, v, x)
+        return 0.5 * (np.log(w.sum(axis=-1) * s2) - np.log(w).sum(axis=-1)
+                      + (w * r * r).sum(axis=-1))
+
+    def derivatives(tau2):
+        w, xc, r, _, s2 = _gls(tau2, y, v, x)
+        a, b, tr_p = _projection(w, xc, s2)
+        u = w * r
+        tr_p2 = (w @ w - 2.0 * (a @ (w * a) + b @ (w * b))
+                 + (a @ a) ** 2 + (b @ b) ** 2 + 2.0 * (a @ b) ** 2)
+        return 0.5 * (tr_p - u @ u), u @ (w * u) - (a @ u) ** 2 - (b @ u) ** 2 - 0.5 * tr_p2
+
+    r_ols = _gls(0.0, y, np.ones(k), x)[2]
+    grid = (r_ols @ r_ols / (k - 2) + v.max()) * _REML_SCAN
+    i = int(np.argmin(f(grid)))
+    return newton_in_bracket(derivatives, grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)],
+                             grid[i])
 
 
 def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegResult:
@@ -142,28 +144,23 @@ def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegRe
     ``variances`` are the within-context sampling variances of the
     estimates (first-order, unless the caller chose otherwise). The
     returned covariance of the coefficients is the GLS one, (X'WX)^{-1},
-    with no residual rescaling.
+    with no residual rescaling. ``iterations`` counts the REML Newton and
+    bisection steps (1 for DL, 0 for fixed).
     """
     if method not in TAU2_METHODS:
         raise ConfigError(f"unknown tau2 method {method!r}; choose from {TAU2_METHODS}")
     y, v, x, k = _validate(estimates, variances, means)
-    # Center the regressor: the slope is unchanged and the fit stays well
-    # conditioned however large the mean exposure is relative to its spread.
-    center = float(x.mean())
-    X = np.column_stack([np.ones(k), x - center])
     iterations = 0
     if method == "fixed":
         tau2 = 0.0
     elif method == "dl":
-        tau2 = _dl_tau2(X, y, v, k, X.shape[1])
-        iterations = 1
+        tau2, iterations = _dl_tau2(y, v, x, k), 1
     else:
-        tau2, iterations = _reml_tau2(X, y, v, k)
-    coef, cov, _ = _gls(X, y, 1.0 / (v + tau2))
-    slope = float(coef[1])
-    slope_se = float(np.sqrt(cov[1, 1]))
+        tau2, iterations = _reml_tau2(y, v, x, k)
+    w, _, _, slope, s2 = _gls(tau2, y, v, x)
+    slope, slope_se = float(slope), float(1.0 / np.sqrt(s2))
     return MetaRegResult(
-        intercept=float(coef[0]) - slope * center,
+        intercept=float(w @ (y - slope * x) / w.sum()),
         slope=slope,
         slope_se=slope_se,
         tau2=float(tau2),
@@ -174,27 +171,16 @@ def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegRe
     )
 
 
-def trend_test(
-    results,
-    method: str = "reml",
-    variance_scheme: str = "first_order",
-) -> MetaRegResult:
+def trend_test(results, method: str = "reml") -> MetaRegResult:
     """Meta-regression of the per-context ratio estimates on mean exposure.
 
-    ``variance_scheme`` selects the within-context variances: first-order
-    (the default, matching the pooled IVW weighting) or modified
-    second-order evaluated at that scheme's pooled value.
+    The within-context variances are the first-order ones, matching the
+    pooled IVW weighting.
     """
     results = list(results)
-    estimates = [r.ratio for r in results]
-    means = [r.summary.exposure_mean for r in results]
-    if variance_scheme == "first_order":
-        variances = [r.ratio_se_first_order**2 for r in results]
-    elif variance_scheme == MODIFIED_SECOND_ORDER:
-        b = q_modified_second_order(results).pooled_beta
-        variances = [
-            (r.by.se**2 + b * b * r.bx.se**2) / r.bx.beta**2 for r in results
-        ]
-    else:
-        raise ConfigError(f"unknown variance scheme {variance_scheme!r}")
-    return meta_regress(estimates, variances, means, method=method)
+    return meta_regress(
+        [r.ratio for r in results],
+        [r.ratio_se_first_order**2 for r in results],
+        [r.summary.exposure_mean for r in results],
+        method=method,
+    )

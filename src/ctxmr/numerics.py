@@ -1,10 +1,11 @@
-"""Special functions and small dense weighted least squares.
+"""Special functions, small dense weighted least squares and a 1-D minimizer.
 
-The rest of the package needs exactly three numerical primitives: the
-chi-square survival function (for heterogeneity p-values), the normal
-survival function (for two-sided z-tests), and a weighted least-squares
-solver (the backbone of the linear, logistic and meta-regression fits).
-All functions here are pure and reentrant.
+The rest of the package needs four numerical primitives: the chi-square
+survival function (for heterogeneity p-values), the normal survival
+function (for two-sided z-tests), a weighted least-squares solver (the
+backbone of the linear and logistic fits) and a safeguarded Newton
+search inside a bracket (the one 1-D minimizer, shared by the modified
+Q and the REML trend test). All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ _MAX_TERMS = 500
 # rank deficient: deterministic, documented failure instead of silent
 # garbage from a nearly singular triangular solve.
 _PIVOT_RTOL = 1e-12
+
+#: Cap on the Newton/bisection steps of ``newton_in_bracket``; bisection
+#: alone reaches a few ulp of x from a scan bracket in well under this many.
+_NEWTON_MAX_ITER = 100
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -159,3 +164,33 @@ def wls_solve(
     r_inv = np.linalg.solve(R, np.eye(p))
     cov = r_inv @ r_inv.T
     return coef, cov
+
+
+def newton_in_bracket(derivatives, lo: float, hi: float, x: float) -> tuple[float, int]:
+    """Minimize a smooth 1-D function inside the bracket [lo, hi] from x in it.
+
+    ``derivatives(x)`` returns the first and second derivatives at x. Each
+    step first shrinks the bracket to the side the slope points down to,
+    then takes the Newton step. A step taken where the curvature is not
+    positive, or one that lands outside the bracket or on its far end,
+    becomes a bisection step: landing on the far end happens when rounding
+    noise in the slope exceeds the stopping tolerance, and would otherwise
+    cycle between the two ends. A zero step is kept. The search stops at a
+    zero slope or a step of at most four ulp of x, and after at most
+    ``_NEWTON_MAX_ITER`` steps. Returns (x, steps taken).
+
+    When x is an end of the bracket and the slope there points out of it,
+    the bracket collapses onto x and x is returned after one step.
+    """
+    for steps in range(1, _NEWTON_MAX_ITER + 1):
+        d1, d2 = derivatives(x)
+        if d1 == 0.0:
+            break
+        lo, hi = (lo, x) if d1 > 0.0 else (x, hi)
+        new = x - d1 / d2 if d2 > 0.0 else math.nan
+        if not (lo < new < hi or new == x):
+            new = 0.5 * (lo + hi)
+        step, x = abs(new - x), new
+        if step <= 4.0 * np.spacing(abs(x)):
+            break
+    return x, steps

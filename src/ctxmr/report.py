@@ -70,8 +70,8 @@ class AnalysisOptions:
             raise ConfigError(f"unknown outcome family {self.family!r}")
         if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
-        if not self.ci_z > 0:
-            raise ConfigError(f"confidence z must be positive, got {self.ci_z}")
+        if not 0 < self.ci_z < math.inf:
+            raise ConfigError(f"confidence z must be finite and positive, got {self.ci_z}")
 
 
 @dataclass(frozen=True)
@@ -221,29 +221,35 @@ def load_summary_csv(path) -> list[ContextResult]:
     """Per-context summary statistics from CSV.
 
     The header must carry the columns context, bx, bx_se, by, by_se,
-    xmean, n, each once and in any order. Malformed rows, and a context
-    label given twice, are reported with their line number.
+    xmean, n, each once and in any order. Malformed rows, numbers that
+    are not finite, and a context label given twice, are reported with
+    the physical line on which the row starts.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
         results = []
         first_line: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                n_float = float(row[at["n"]])
-                if n_float != int(n_float):
+                value = {name: float(row[at[name]]) for name in SUMMARY_CSV_COLUMNS[1:]}
+                for name, number in value.items():
+                    if not math.isfinite(number):
+                        raise ValueError(f"{name} must be finite, got {row[at[name]]!r}")
+                if value["n"] != int(value["n"]):
                     raise ValueError(f"n must be an integer, got {row[at['n']]!r}")
                 result = ContextResult.from_summary_stats(
                     context=row[at["context"]].strip(),
-                    bx=float(row[at["bx"]]),
-                    bx_se=float(row[at["bx_se"]]),
-                    by=float(row[at["by"]]),
-                    by_se=float(row[at["by_se"]]),
-                    exposure_mean=float(row[at["xmean"]]),
-                    n=int(n_float),
+                    bx=value["bx"],
+                    bx_se=value["bx_se"],
+                    by=value["by"],
+                    by_se=value["by_se"],
+                    exposure_mean=value["xmean"],
+                    n=int(value["n"]),
                 )
             except (ValueError, IndexError) as err:
                 raise IngestError(str(err), line=lineno) from None

@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
+from ctxmr import cli
 from ctxmr.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_INGEST, EXIT_OK, main
 
 from fixtures import small_sizes, synthetic_cohort, write_cohort_csv
+from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,42 @@ class TestMeta:
         assert "line 3" in capsys.readouterr().err
 
 
+    def test_eleven_context_set_reaches_the_reml_maximum(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(ELEVEN_CONTEXT_SUMMARY_CSV, encoding="utf-8")
+        code = main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path),
+                     "--format", "json"])
+        assert code == EXIT_OK
+        trend = json.loads(capsys.readouterr().out)["trend"]
+        assert trend["tau2"] == pytest.approx(0.0033979816, abs=1e-6)
+        assert trend["slope"] == pytest.approx(0.0588366543, abs=1e-6)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_mean_is_ingest_error(self, tmp_path, capsys, cell):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n\n"
+            "a,1.0,0.0,1.0,1.0,50.0,1000\n"
+            f"b,1.0,0.0,2.0,1.0,{cell},1000\n",
+            encoding="utf-8",
+        )
+        code = main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path)])
+        assert code == EXIT_INGEST
+        assert capsys.readouterr().err == (
+            f"ingestion error: line 3: xmean must be finite, got '{cell}'\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
+    def test_infinite_ci_z_is_config_error(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(ELEVEN_CONTEXT_SUMMARY_CSV, encoding="utf-8")
+        code = main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path),
+                     "--ci-z", "inf"])
+        assert code == EXIT_CONFIG
+        assert "confidence z must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestSimulate:
     def test_custom_cell_outputs_and_determinism(self, tmp_path, capsys):
         config = tmp_path / "cell.cfg"
@@ -188,6 +226,19 @@ class TestSimulate:
 
 class TestOutputPath:
     """An --out-dir that cannot be created or written is a usage error (exit 2)."""
+
+    def test_simulate_checks_out_dir_before_running(self, tmp_path, capsys, monkeypatch):
+        def no_run(plan):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        code = main(["simulate", "--reps", "20", "--out-dir", str(blocker)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot write output to {blocker}"
+        )
 
     @pytest.mark.parametrize("command", ["analyze", "meta"])
     def test_out_dir_is_a_file(self, cohort_csv, tmp_path, capsys, command):

@@ -84,6 +84,15 @@ class TestLoadCsv:
             load_csv(path, CMAP, outcome_family="logistic")
         assert err.value.line == 9
 
+    def test_error_names_the_physical_line_after_a_quoted_newline(self, tmp_path):
+        path = _write(
+            tmp_path,
+            'score,vitd,chd,centre\n1,50,0,"a\nb"\n1,51,0,a\n1,52,2,a\n',  # bad row on line 5
+        )
+        with pytest.raises(IngestError, match=r"^line 5: outcome value 2\.0") as err:
+            load_csv(path, CMAP, outcome_family="logistic")
+        assert err.value.line == 5
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_restored_after_error(self, tmp_path, enabled):
         path = _write(tmp_path, "score,vitd,chd,centre\n1,50,0,a\n1,51,2,a\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from ctxmr.errors import ConfigError, DomainError
 from ctxmr.ivcore import ContextResult
 from ctxmr.metareg import meta_regress, trend_test
 
-from oracles import reml_profile_grid
+from oracles import reml_loglik, reml_profile_grid
+from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
 
 
 def make_result(context, bx, bx_se, by, by_se, mean, n=1000):
@@ -56,6 +59,43 @@ class TestMetaRegress:
             tau2_grid, slope_grid = reml_profile_grid(y, v, x, hi=hi)
             assert res.tau2 == pytest.approx(tau2_grid, abs=1e-4)
             assert res.slope == pytest.approx(slope_grid, abs=1e-6)
+
+    def test_eleven_context_set_reaches_the_profile_maximum(self):
+        rows = [line.split(",") for line in ELEVEN_CONTEXT_SUMMARY_CSV.splitlines()[1:]]
+        bx, by, by_se, x = (np.array([float(r[i]) for r in rows]) for i in (1, 3, 4, 5))
+        res = meta_regress(by / bx, (by_se / bx) ** 2, x, method="reml")
+        assert res.tau2 == pytest.approx(0.0033979816, abs=1e-6)
+        assert res.slope == pytest.approx(0.0588366543, abs=1e-6)
+
+    def test_interior_maximum_found_past_a_local_one_at_zero(self):
+        # The restricted likelihood falls from tau2 = 0 but peaks higher near
+        # tau2 = 0.0071, so a search that stops at the boundary misses it.
+        y = np.array([0.4694, 0.4085, 0.4144, 0.6144, 0.5376, 0.3971, 0.9434, 1.0032, 0.2272,
+                      0.6415, 0.4282, 0.6436, 0.6071, 0.8062, 1.1382, 0.4034, 0.6633])
+        v = np.array([0.02461, 0.03782, 0.04777, 0.00494, 0.03868, 0.02035, 0.03586, 0.03246,
+                      0.03073, 0.00132, 0.01849, 0.035, 0.03291, 0.02828, 0.0279, 0.01584,
+                      0.00817])
+        x = np.array([8.738, 8.1, 9.33, 8.858, 9.3, 8.178, 8.753, 9.051, 9.343, 8.776, 8.123,
+                      9.692, 8.078, 8.935, 9.906, 8.254, 8.615])
+        assert reml_loglik(1e-4, y, v, x) < reml_loglik(0.0, y, v, x)
+        res = meta_regress(y, v, x, method="reml")
+        tau2_grid, slope_grid = reml_profile_grid(y, v, x, hi=0.1, step=2.5e-4)
+        assert tau2_grid > 0.007
+        assert res.tau2 == pytest.approx(tau2_grid, abs=1e-6)
+        assert res.slope == pytest.approx(slope_grid, abs=1e-6)
+
+    def test_means_offset_by_a_million_match_exact_arithmetic(self):
+        rng = np.random.default_rng(27)
+        y, v, x = random_instance(rng)
+        x = x + 1e6
+        w = [1 / Fraction(vk) for vk in v]
+        xs, ys = [Fraction(xk) for xk in x], [Fraction(yk) for yk in y]
+        s0, sx, sy = sum(w), sum(a * b for a, b in zip(w, xs)), sum(a * b for a, b in zip(w, ys))
+        sxx = sum(a * b * b for a, b in zip(w, xs))
+        sxy = sum(a * b * c for a, b, c in zip(w, xs, ys))
+        exact = (s0 * sxy - sx * sy) / (s0 * sxx - sx * sx)
+        res = meta_regress(y, v, x, method="fixed")
+        assert res.slope == pytest.approx(float(exact), rel=1e-12)
 
     def test_mean_shift_moves_intercept_only(self):
         rng = np.random.default_rng(22)
@@ -144,18 +184,3 @@ class TestTrendTest:
             if trend_test(rs).slope > 0:
                 positive += 1
         assert positive / reps > 0.95
-
-    def test_modified_variance_scheme_runs(self):
-        rng = np.random.default_rng(26)
-        means = np.linspace(50, 57, 10)
-        bx = rng.normal(0.5, 0.02, size=10)
-        by = 0.8 * bx + rng.normal(scale=0.02, size=10)
-        rs = [
-            make_result(str(i), bx=bx[i], bx_se=0.02, by=by[i], by_se=0.02,
-                        mean=float(means[i]))
-            for i in range(10)
-        ]
-        res = trend_test(rs, variance_scheme="modified_second_order")
-        assert res.k == 10
-        with pytest.raises(ConfigError):
-            trend_test(rs, variance_scheme="nope")

@@ -1,4 +1,4 @@
-"""Tests for the special functions and the weighted least-squares solver."""
+"""Tests for the special functions, the least-squares solver and the 1-D minimizer."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctxmr.errors import DomainError, RankDeficiencyError
-from ctxmr.numerics import chi_square_sf, normal_sf, wls_solve
+from ctxmr.numerics import chi_square_sf, newton_in_bracket, normal_sf, wls_solve
 
 from oracles import chi_square_sf_quadrature, normal_sf_series
 
@@ -132,3 +132,39 @@ class TestWlsSolve:
             wls_solve(np.ones((3, 1)), np.array([1.0, np.nan, 0.0]))
         with pytest.raises(DomainError):
             wls_solve(np.ones((3, 1)), np.zeros(3), np.array([1.0, -1.0, 1.0]))
+
+
+class TestNewtonInBracket:
+    def test_finds_the_minimum_of_a_smooth_function(self):
+        # f(x) = cosh(x - 0.3): minimum at 0.3, curvature positive everywhere.
+        x, steps = newton_in_bracket(
+            lambda x: (math.sinh(x - 0.3), math.cosh(x - 0.3)), -1.0, 2.0, 1.5
+        )
+        assert x == pytest.approx(0.3, abs=1e-15)
+        assert steps < 10
+
+    def test_slope_out_of_the_bracket_returns_its_end_in_one_step(self):
+        assert newton_in_bracket(lambda x: (1.0, 1.0), 0.0, 0.5, 0.0) == (0.0, 1)
+        assert newton_in_bracket(lambda x: (-1.0, 1.0), 0.0, 0.5, 0.5) == (0.5, 1)
+
+    def test_zero_step_is_kept(self):
+        # x - d1 / d2 rounds to x itself: stop there rather than bisect.
+        assert newton_in_bracket(lambda x: (1e-300, 1.0), 0.5, 2.0, 1.0) == (1.0, 1)
+
+    def test_negative_curvature_bisects(self):
+        # f(x) = -cos(x) on [-1, 3] from 2.5: concave there, so bisect first.
+        x, steps = newton_in_bracket(lambda x: (math.sin(x), math.cos(x)), -1.0, 3.0, 2.5)
+        assert x == pytest.approx(0.0, abs=1e-15)
+        assert steps < 20
+
+    def test_noisy_slope_does_not_cycle_between_the_bracket_ends(self):
+        # The slope flips sign about the midpoint of a bracket 11 ulp wide,
+        # with a magnitude that sends each Newton step onto the far end.
+        lo = 1.0
+        hi = lo + 11 * np.spacing(lo)
+        mid = 0.5 * (lo + hi)
+        x, steps = newton_in_bracket(
+            lambda x: (hi - lo if x > mid else lo - hi, 1.0), lo, hi, hi
+        )
+        assert lo <= x <= hi
+        assert steps < 10

@@ -146,6 +146,32 @@ class TestSummaryCsv:
         with pytest.raises(IngestError, match="line 3"):
             load_summary_csv(path)
 
+    def test_error_names_the_physical_line_after_a_quoted_newline(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n\n"
+            '"a\nb",1.0,0.0,1.0,1.0,50.0,1000\n'  # lines 2-3
+            "c,1.0,0.0,2.0,-1.0,52.0,1200\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match="^line 4: ") as err:
+            load_summary_csv(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "column, row",
+        [("bx_se", "b,1.0,inf,2.0,1.0,52.0,1200"), ("by", "b,1.0,0.0,nan,1.0,52.0,1200"),
+         ("n", "b,1.0,0.0,2.0,1.0,52.0,inf")],
+    )
+    def test_non_finite_number_names_its_line(self, tmp_path, column, row):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            f"context,bx,bx_se,by,by_se,xmean,n\na,1.0,0.0,1.0,1.0,50.0,1000\n{row}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match=f"^line 3: {column} must be finite"):
+            load_summary_csv(path)
+
     def test_repeated_context_label_names_both_lines(self, tmp_path):
         path = tmp_path / "summary.csv"
         path.write_text(
