@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .datamodel import (
     ColumnMap,
-    ContextSummary,
     Dataset,
     load_csv,
     partition_by_context,
@@ -28,7 +27,7 @@ from .heterogeneity import (
     q_first_order,
     q_modified_second_order,
 )
-from .ivcore import ContextResult, PooledEstimate, context_iv, ivw_pool, rescale_estimate
+from .ivcore import ContextResult, ContextTable, PooledEstimate, context_iv, ivw_pool
 from .metareg import MetaRegResult, meta_regress, trend_test
 from .numerics import chi_square_sf, normal_sf, wls_solve
 from .regress import AssocEstimate, RegressionSpec, fit_linear, fit_logistic
@@ -58,7 +57,7 @@ __all__ = [
     "CellResult",
     "ColumnMap",
     "ContextResult",
-    "ContextSummary",
+    "ContextTable",
     "Dataset",
     "EffectFunction",
     "ExperimentPlan",
@@ -90,7 +89,6 @@ __all__ = [
     "render_text",
     "report_from_json",
     "report_to_json",
-    "rescale_estimate",
     "run_experiment",
     "summarize_context",
     "trend_test",

@@ -96,21 +96,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ContextSummary:
-    """Distributional summary of the exposure within one context."""
-
-    context: str
-    n: int
-    exposure_mean: float
-    exposure_sd: float | None = None
-    exposure_median: float | None = None
-
-    def __post_init__(self):
-        if self.exposure_sd is not None and self.exposure_sd < 0:
-            raise DomainError("exposure sd cannot be negative")
-
-
-@dataclass(frozen=True)
 class ExcludedContext:
     """Warning record for a context dropped from the partition."""
 
@@ -238,19 +223,12 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
     )
 
 
-def summarize_context(label: str, ds: Dataset) -> ContextSummary:
-    """Mean, sd (n-1 denominator) and median of the exposure."""
+def summarize_context(label: str, ds: Dataset) -> tuple[int, float]:
+    """Size and mean exposure of one context's records."""
     n = len(ds)
     if n < 2:
         raise DomainError(f"context {label!r} has {n} records; need at least 2")
-    x = ds.exposure
-    return ContextSummary(
-        context=label,
-        n=n,
-        exposure_mean=float(x.mean()),
-        exposure_sd=float(x.std(ddof=1)),
-        exposure_median=float(np.median(x)),
-    )
+    return n, float(ds.exposure.mean())
 
 
 def partition_by_context(

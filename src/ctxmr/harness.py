@@ -16,7 +16,9 @@ not depend on alpha_k, so it is fitted once per draw key and exposure
 coefficients; the instrument-outcome slope by is fitted once per cell.
 Both are closed-form simple least squares computed row-wise on (K, n)
 blocks, with no Dataset, no context partition and no QR; they agree
-with the general ``context_iv`` fits to rounding.
+with the general ``context_iv`` fits to rounding. The row fits and the
+context means go straight into one ``ContextTable`` per cell, the input
+of all three tests.
 
 Scheduling: with more than one worker a single process pool serves the
 whole experiment. Each task is one replication and returns one outcome
@@ -45,7 +47,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, CtxMRError, ExperimentError
 from .heterogeneity import q_first_order, q_modified_second_order
-from .ivcore import ContextResult
+from .ivcore import ContextTable
 from .metareg import trend_test
 from .simulate import (
     ALPHA_GRIDS,
@@ -177,8 +179,8 @@ class SharedReplication:
         self._draws: dict = {}
         self._exposure_fits: dict = {}
 
-    def context_results(self, scenario: SimScenario) -> list[ContextResult]:
-        """Per-context results of one cell, ordered as ``partition_by_context`` orders them.
+    def context_table(self, scenario: SimScenario) -> ContextTable:
+        """The context table of one cell, its rows ordered as ``partition_by_context`` orders them.
 
         That is by mean exposure, with the context label breaking ties.
         """
@@ -201,21 +203,11 @@ class SharedReplication:
         bx, bx_se = self._exposure_fits[exposure_key]
         x, y = context_blocks(scenario, draws)
         by, by_se = rows.fit(y)
-        means = x.mean(axis=1)
-        labels = [str(k + 1) for k in range(scenario.contexts)]
-        order = sorted(range(scenario.contexts), key=lambda k: (means[k], labels[k]))
-        return [
-            ContextResult.from_summary_stats(
-                labels[k],
-                float(bx[k]),
-                float(bx_se[k]),
-                float(by[k]),
-                float(by_se[k]),
-                float(means[k]),
-                scenario.per_context_n,
-            )
-            for k in order
-        ]
+        k = scenario.contexts
+        return ContextTable.from_columns(
+            [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, x.mean(axis=1),
+            np.full(k, scenario.per_context_n),
+        )
 
 
 def run_cells(
@@ -229,10 +221,10 @@ def run_cells(
     outcomes = []
     for scenario in scenarios:
         try:
-            results = shared.context_results(scenario)
-            p1 = q_first_order(results).p
-            p2 = q_modified_second_order(results).p
-            p3 = trend_test(results, method=tau2_method).slope_p
+            table = shared.context_table(scenario)
+            p1 = q_first_order(table).p
+            p2 = q_modified_second_order(table).p
+            p3 = trend_test(table, method=tau2_method).slope_p
         except (CtxMRError, np.linalg.LinAlgError) as err:
             outcomes.append(ReplicationOutcome(replication=replication, error=str(err)))
         else:

@@ -17,20 +17,24 @@ a chi-square with K - 1 degrees of freedom:
   so one solver does both jobs: a scan of the whole real line picks the
   basin, and a safeguarded Newton iteration on dQ/db finds its minimum.
 
-Both statistics are computed in the numerically safe "radial" form
+Both tests read their inputs from the columns of one ``ContextTable``,
+with the outcome side per the table's ``scale`` exposure units. Both
+statistics are computed in the numerically safe "radial" form
 (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2), which avoids dividing
 by small bx_k. Contexts whose bx is indistinguishable from zero are
-excluded (with a warning record) and the degrees of freedom reduced.
+masked out (and named in the result) and the degrees of freedom reduced.
+A statistic that overflows raises ``EstimationError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .ivcore import INSTRUMENT_FLOOR, ContextResult, ivw_pool
+from .errors import ConfigError, EstimationError
+from .ivcore import INSTRUMENT_FLOOR, ContextTable, ivw_pool
 from .numerics import chi_square_sf, newton_in_bracket
 
 #: The modified-Q scan evaluates Q(b) at b = c + h tan(phi), for this many
@@ -55,38 +59,48 @@ class HeterogeneityResult:
     excluded: tuple[str, ...] = ()
 
 
-def _usable(results) -> tuple[list[ContextResult], tuple[str, ...]]:
-    kept = [r for r in results if abs(r.bx.beta) >= INSTRUMENT_FLOOR]
-    dropped = tuple(r.context for r in results if abs(r.bx.beta) < INSTRUMENT_FLOOR)
-    if len(kept) < 2:
+def _usable(table: ContextTable) -> np.ndarray:
+    """Mask of the contexts whose bx is distinguishable from zero; at least 2 must be."""
+    keep = np.abs(table.bx) >= INSTRUMENT_FLOOR
+    kept = int(np.count_nonzero(keep))
+    if kept < 2:
         raise ConfigError(
-            f"heterogeneity needs >= 2 usable contexts, got {len(kept)} "
-            f"({len(dropped)} excluded for zero instrument association)"
+            f"heterogeneity needs >= 2 usable contexts, got {kept} "
+            f"({len(table) - kept} excluded for zero instrument association)"
         )
-    return kept, dropped
+    return keep
 
 
-def q_first_order(results) -> HeterogeneityResult:
-    """Cochran's Q with first-order weights, evaluated at the IVW estimate."""
-    kept, dropped = _usable(results)
-    pooled = ivw_pool(kept)
-    bx = np.array([r.bx.beta for r in kept])
-    by = np.array([r.by.beta for r in kept])
-    by_se = np.array([r.by.se for r in kept])
-    q = float(np.sum((by - pooled.beta * bx) ** 2 / by_se**2))
-    df = len(kept) - 1
+def _result(scheme, q, pooled_beta, iterations, table, keep) -> HeterogeneityResult:
+    q = float(q)
+    if not math.isfinite(q):
+        raise EstimationError(
+            f"{scheme} Q statistic is {q}: the estimates are too extreme to test"
+        )
+    df = int(np.count_nonzero(keep)) - 1
     return HeterogeneityResult(
-        scheme=FIRST_ORDER,
+        scheme=scheme,
         q=q,
         df=df,
         p=chi_square_sf(q, df),
-        pooled_beta=pooled.beta,
-        iterations=1,
-        excluded=dropped,
+        pooled_beta=pooled_beta,
+        iterations=iterations,
+        excluded=tuple(table.labels[~keep].tolist()),
     )
 
 
-def q_modified_second_order(results) -> HeterogeneityResult:
+def q_first_order(table: ContextTable) -> HeterogeneityResult:
+    """Cochran's Q with first-order weights, evaluated at the IVW estimate."""
+    keep = _usable(table)
+    kept = table.subset(keep)
+    pooled = ivw_pool(kept)
+    by, by_se = kept.outcome()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.sum((by - pooled.beta * kept.bx) ** 2 / by_se**2)
+    return _result(FIRST_ORDER, q, pooled.beta, 1, table, keep)
+
+
+def q_modified_second_order(table: ContextTable) -> HeterogeneityResult:
     """Cochran's Q with modified second-order weights.
 
     Q is the global minimum over b of
@@ -101,22 +115,16 @@ def q_modified_second_order(results) -> HeterogeneityResult:
     Q(b) is the first-order quadratic and the result equals the
     first-order version.
     """
-    kept, dropped = _usable(results)
-    bx = np.array([r.bx.beta for r in kept])
-    by = np.array([r.by.beta for r in kept])
-    by_var = np.array([r.by.se for r in kept]) ** 2
-    bx_var = np.array([r.bx.se for r in kept]) ** 2
+    keep = _usable(table)
+    kept = table.subset(keep)
+    bx = kept.bx
+    by, by_se = kept.outcome()
+    by_var = by_se**2
+    bx_var = kept.bx_se**2
 
     def q_at(b):
         b = np.asarray(b)[..., None]
         return np.sum((by - b * bx) ** 2 / (by_var + b * b * bx_var), axis=-1)
-
-    ratios = by / bx
-    centre = 0.5 * float(ratios.max() + ratios.min())
-    half_width = 0.5 * float(ratios.max() - ratios.min()) or abs(centre) or 1.0
-    grid = centre + half_width * _SCAN_TAN
-    i = int(np.argmin(q_at(grid)))
-    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
 
     def derivatives(b):
         resid = by - b * bx
@@ -125,15 +133,13 @@ def q_modified_second_order(results) -> HeterogeneityResult:
         return (-2.0 * float(np.sum(resid * (bx + t) / denom)),
                 2.0 * float(np.sum(((bx + 2.0 * t) ** 2 - bx_var * resid**2 / denom) / denom)))
 
-    beta, iterations = newton_in_bracket(derivatives, lo, hi, float(grid[i]))
-    q = float(q_at(beta))
-    df = len(kept) - 1
-    return HeterogeneityResult(
-        scheme=MODIFIED_SECOND_ORDER,
-        q=q,
-        df=df,
-        p=chi_square_sf(q, df),
-        pooled_beta=beta,
-        iterations=iterations,
-        excluded=dropped,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = by / bx
+        centre = 0.5 * float(ratios.max() + ratios.min())
+        half_width = 0.5 * float(ratios.max() - ratios.min()) or abs(centre) or 1.0
+        grid = centre + half_width * _SCAN_TAN
+        i = int(np.argmin(q_at(grid)))
+        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+        beta, iterations = newton_in_bracket(derivatives, lo, hi, float(grid[i]))
+        q = q_at(beta)
+    return _result(MODIFIED_SECOND_ORDER, q, beta, iterations, table, keep)

@@ -1,9 +1,11 @@
-"""Per-context ratio instrumental-variable estimates and IVW pooling.
+"""Per-context ratio instrumental-variable estimates, the context table, IVW pooling.
 
 The causal estimate in each context is the ratio of the instrument-outcome
 association to the instrument-exposure association, with the first-order
-standard error se(by) / |bx|. The pooled estimate weights the per-context
-outcome associations by their inverse variances:
+standard error se(by) / |bx|. Every test across contexts reads the
+per-context statistics from one :class:`ContextTable`, a set of columns.
+The pooled estimate weights the per-context outcome associations by their
+inverse variances:
 
     beta = sum(by_k bx_k / se(by_k)^2) / sum(bx_k^2 / se(by_k)^2)
     se   = sum(bx_k^2 / se(by_k)^2)^{-1/2}
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datamodel import ContextSummary, Dataset, summarize_context
+from .datamodel import Dataset, summarize_context
 from .errors import ConfigError, DomainError, EstimationError
 from .regress import AssocEstimate, RegressionSpec, fit_linear, fit_logistic
 
@@ -28,46 +30,88 @@ DEFAULT_WEAK_T = 2.0
 
 @dataclass(frozen=True)
 class ContextResult:
-    """One context's associations, ratio estimate, and exposure summary."""
+    """One context's associations, size and mean exposure, as ``context_iv`` fits them."""
 
     context: str
     bx: AssocEstimate
     by: AssocEstimate
-    ratio: float
-    ratio_se_first_order: float
-    summary: ContextSummary
+    n: int
+    exposure_mean: float
     warnings: tuple[str, ...] = ()
 
+
+@dataclass(frozen=True, eq=False)
+class ContextTable:
+    """Per-context statistics as columns, one row per context.
+
+    ``labels`` name the contexts; bx and by are the instrument-exposure
+    and instrument-outcome associations, with standard errors bx_se and
+    by_se; xmean and n are each context's mean exposure and size. The
+    columns hold the raw associations; ``scale``, which ``rescaled``
+    sets, expresses the outcome side per ``scale`` exposure units (see
+    ``outcome`` and ``ratio``). ``from_columns`` orders the rows by mean
+    exposure, then label.
+    """
+
+    labels: np.ndarray
+    bx: np.ndarray
+    bx_se: np.ndarray
+    by: np.ndarray
+    by_se: np.ndarray
+    xmean: np.ndarray
+    n: np.ndarray
+    scale: float = 1.0
+
     @classmethod
-    def from_summary_stats(
-        cls,
-        context: str,
-        bx: float,
-        bx_se: float,
-        by: float,
-        by_se: float,
-        exposure_mean: float,
-        n: int,
-    ) -> "ContextResult":
-        """Build a result from pre-computed per-context summary statistics."""
-        if by_se <= 0:
-            raise DomainError(f"context {context!r}: outcome-association se must be > 0")
-        if bx_se < 0:
-            raise DomainError(f"context {context!r}: exposure-association se must be >= 0")
-        if abs(bx) < INSTRUMENT_FLOOR:
-            raise EstimationError(
-                f"context {context!r}: instrument-exposure association is zero"
-            )
-        bx_est = AssocEstimate(beta=bx, se=bx_se, n=n)
-        by_est = AssocEstimate(beta=by, se=by_se, n=n)
-        return cls(
-            context=context,
-            bx=bx_est,
-            by=by_est,
-            ratio=by / bx,
-            ratio_se_first_order=by_se / abs(bx),
-            summary=ContextSummary(context=context, n=n, exposure_mean=exposure_mean),
-        )
+    def from_columns(cls, labels, bx, bx_se, by, by_se, xmean, n) -> "ContextTable":
+        """A table of these columns, its rows sorted by mean exposure, then label."""
+        labels, n = np.asarray(labels, dtype=object), np.asarray(n, dtype=int)
+        columns = [np.asarray(col, dtype=float) for col in (bx, bx_se, by, by_se, xmean)]
+        if labels.ndim != 1 or any(col.shape != labels.shape for col in (*columns, n)):
+            raise DomainError("context table columns must be equal-length vectors")
+        order = np.lexsort((labels, columns[-1]))
+        return cls(labels[order], *(col[order] for col in columns), n[order])
+
+    @classmethod
+    def from_results(cls, results) -> "ContextTable":
+        """The table of ``context_iv`` results."""
+        return cls.from_columns(*zip(*(
+            (r.context, r.bx.beta, r.bx.se, r.by.beta, r.by.se, r.exposure_mean, r.n)
+            for r in results
+        )))
+
+    def __len__(self) -> int:
+        return int(self.labels.size)
+
+    def subset(self, keep: np.ndarray) -> "ContextTable":
+        """The rows selected by a boolean mask or an index array."""
+        return replace(self, labels=self.labels[keep], bx=self.bx[keep], bx_se=self.bx_se[keep],
+                       by=self.by[keep], by_se=self.by_se[keep], xmean=self.xmean[keep],
+                       n=self.n[keep])
+
+    def rescaled(self, factor: float) -> "ContextTable":
+        """The table with its outcome side expressed per ``factor`` more exposure units.
+
+        Heterogeneity statistics computed downstream are invariant to this
+        rescaling; the ratio estimates and the trend slope scale with it.
+        """
+        if not np.isfinite(factor) or factor <= 0:
+            raise DomainError(f"scale factor must be positive, got {factor}")
+        return replace(self, scale=self.scale * factor)
+
+    def outcome(self) -> tuple[np.ndarray, np.ndarray]:
+        """by and by_se per ``scale`` exposure units."""
+        return self.by * self.scale, self.by_se * self.scale
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """The ratio estimates by / bx, per ``scale`` exposure units."""
+        return self.by / self.bx * self.scale
+
+    @property
+    def ratio_se(self) -> np.ndarray:
+        """First-order standard errors se(by) / |bx| of the ratios, per ``scale`` units."""
+        return self.by_se / np.abs(self.bx) * self.scale
 
 
 @dataclass(frozen=True)
@@ -117,41 +161,18 @@ def context_iv(
             f"context {label!r}: weak instrument "
             f"(|bx|/se = {abs(bx.beta) / bx.se:.2f} < {weak_t_threshold:g})"
         )
+    n, exposure_mean = summarize_context(label, ds)
     return ContextResult(
-        context=label,
-        bx=bx,
-        by=by,
-        ratio=by.beta / bx.beta,
-        ratio_se_first_order=by.se / abs(bx.beta),
-        summary=summarize_context(label, ds),
-        warnings=tuple(notes),
+        context=label, bx=bx, by=by, n=n, exposure_mean=exposure_mean, warnings=tuple(notes)
     )
 
 
-def ivw_pool(results: list[ContextResult] | tuple[ContextResult, ...]) -> PooledEstimate:
+def ivw_pool(table: ContextTable) -> PooledEstimate:
     """Inverse-variance weighted pooled estimate with first-order weights."""
-    if len(results) < 2:
-        raise ConfigError(f"IVW pooling needs >= 2 contexts, got {len(results)}")
-    bx = np.array([r.bx.beta for r in results])
-    by = np.array([r.by.beta for r in results])
-    w = np.array([r.by.se for r in results]) ** -2.0
-    denom = float(np.sum(bx * bx * w))
-    beta = float(np.sum(by * bx * w)) / denom
-    return PooledEstimate(beta=beta, se=denom**-0.5, k=len(results))
-
-
-def rescale_estimate(estimate: ContextResult, factor: float) -> ContextResult:
-    """Express a context result per ``factor`` exposure units.
-
-    Multiplies the outcome-side quantities (and hence the ratio and its
-    standard error) by ``factor``. Heterogeneity statistics computed
-    downstream are invariant to this rescaling.
-    """
-    if not np.isfinite(factor) or factor <= 0:
-        raise DomainError(f"scale factor must be positive, got {factor}")
-    return replace(
-        estimate,
-        by=replace(estimate.by, beta=estimate.by.beta * factor, se=estimate.by.se * factor),
-        ratio=estimate.ratio * factor,
-        ratio_se_first_order=estimate.ratio_se_first_order * factor,
-    )
+    if len(table) < 2:
+        raise ConfigError(f"IVW pooling needs >= 2 contexts, got {len(table)}")
+    by, by_se = table.outcome()
+    w = by_se**-2.0
+    denom = float(np.sum(table.bx * table.bx * w))
+    beta = float(np.sum(by * table.bx * w)) / denom
+    return PooledEstimate(beta=beta, se=denom**-0.5, k=len(table))

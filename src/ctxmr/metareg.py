@@ -17,6 +17,9 @@ available:
 * ``dl``: the DerSimonian-Laird moment estimator generalized to a
   regression design, max(0, (Q_res - (K - 2)) / tr(P));
 * ``fixed``: tau2 = 0.
+
+``meta_regress`` takes the estimates, their variances and the means as
+arrays; ``trend_test`` takes them from the columns of a ``ContextTable``.
 """
 
 from __future__ import annotations
@@ -171,16 +174,10 @@ def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegRe
     )
 
 
-def trend_test(results, method: str = "reml") -> MetaRegResult:
-    """Meta-regression of the per-context ratio estimates on mean exposure.
+def trend_test(table, method: str = "reml") -> MetaRegResult:
+    """Meta-regression of a ``ContextTable``'s ratio estimates on its mean exposures.
 
     The within-context variances are the first-order ones, matching the
-    pooled IVW weighting.
+    pooled IVW weighting; the slope is per the table's ``scale`` units.
     """
-    results = list(results)
-    return meta_regress(
-        [r.ratio for r in results],
-        [r.ratio_se_first_order**2 for r in results],
-        [r.summary.exposure_mean for r in results],
-        method=method,
-    )
+    return meta_regress(table.ratio, table.ratio_se**2, table.xmean, method=method)

@@ -3,8 +3,10 @@
 ``analyze_dataset`` runs the whole context-stratified analysis on
 individual-level data: partition by context, per-context ratio
 estimates, both heterogeneity tests, and the trend meta-regression.
-``analyze_summary_results`` does the same from pre-computed per-context
-summary statistics. Both return an :class:`AnalysisReport`, which
+``analyze_summary_results`` does the same from a ``ContextTable`` of
+pre-computed per-context summary statistics, which ``load_summary_csv``
+reads from CSV. Both build one table, and the tests and the report rows
+read its columns. Both return an :class:`AnalysisReport`, which
 serializes losslessly to JSON and renders to human-readable text (3
 significant figures) and machine CSV (full precision).
 
@@ -23,13 +25,13 @@ import math
 from dataclasses import asdict, dataclass
 
 from .datamodel import Dataset, partition_by_context, read_header
-from .errors import ConfigError, CtxMRError, IngestError
+from .errors import ConfigError, IngestError
 from .heterogeneity import (
     HeterogeneityResult,
     q_first_order,
     q_modified_second_order,
 )
-from .ivcore import ContextResult, context_iv, rescale_estimate
+from .ivcore import INSTRUMENT_FLOOR, ContextTable, context_iv
 from .metareg import MetaRegResult, trend_test
 from .regress import RegressionSpec
 
@@ -102,61 +104,42 @@ class AnalysisReport:
     warnings: tuple[str, ...] = ()
 
 
-def _build_rows(
-    raw: list[ContextResult], scaled: list[ContextResult], options: AnalysisOptions
-) -> tuple[ContextRow, ...]:
-    rows = []
-    for r, s in zip(raw, scaled):
-        lo = s.ratio - options.ci_z * s.ratio_se_first_order
-        hi = s.ratio + options.ci_z * s.ratio_se_first_order
-        odds = None
-        if options.family == "logistic":
-            odds = math.exp(s.ratio)
-        rows.append(
-            ContextRow(
-                context=r.context,
-                n=r.summary.n,
-                exposure_mean=r.summary.exposure_mean,
-                bx=r.bx.beta,
-                bx_se=r.bx.se,
-                by=r.by.beta,
-                by_se=r.by.se,
-                estimate=s.ratio,
-                se=s.ratio_se_first_order,
-                lo95=lo,
-                hi95=hi,
-                odds_ratio=odds,
-            )
-        )
-    return tuple(rows)
+def _build_rows(table: ContextTable, options: AnalysisOptions) -> tuple[ContextRow, ...]:
+    """One row per context: the raw associations and the scaled ratio estimates."""
+    estimate, se = table.ratio, table.ratio_se
+    lo, hi = estimate - options.ci_z * se, estimate + options.ci_z * se
+    odds = [None] * len(table)
+    if options.family == "logistic":
+        odds = [math.exp(value) for value in estimate.tolist()]
+    columns = (table.labels, table.n, table.xmean, table.bx, table.bx_se, table.by,
+               table.by_se, estimate, se, lo, hi)
+    return tuple(
+        ContextRow(*row) for row in zip(*(column.tolist() for column in columns), odds)
+    )
 
 
 def _assemble(
-    raw: list[ContextResult],
+    table: ContextTable,
     options: AnalysisOptions,
     config: dict,
     warnings: list[str],
+    context_warnings=(),
 ) -> AnalysisReport:
-    if options.scale != 1.0:
-        scaled = [rescale_estimate(r, options.scale) for r in raw]
-    else:
-        scaled = raw
-    het_first = q_first_order(scaled)
-    het_modified = q_modified_second_order(scaled)
-    if len(scaled) >= 3:
-        trend = trend_test(scaled, method=options.tau2_method)
+    table = table.rescaled(options.scale)
+    het_first = q_first_order(table)
+    het_modified = q_modified_second_order(table)
+    if len(table) >= 3:
+        trend = trend_test(table, method=options.tau2_method)
     else:
         trend = None
         warnings.append("trend test skipped: needs at least 3 contexts")
-    for r in raw:
-        warnings.extend(r.warnings)
     return AnalysisReport(
-        contexts=_build_rows(raw, scaled, options),
+        contexts=_build_rows(table, options),
         heterogeneity_first_order=het_first,
         heterogeneity_modified=het_modified,
         trend=trend,
         config=config,
-        warnings=tuple(warnings),
+        warnings=(*warnings, *context_warnings),
     )
 
 
@@ -198,37 +181,37 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
         "n_records": len(ds),
         "n_dropped": ds.n_dropped,
     }
-    return _assemble(raw, options, config, warnings)
+    return _assemble(ContextTable.from_results(raw), options, config, warnings,
+                     [note for r in raw for note in r.warnings])
 
 
 def analyze_summary_results(
-    results: list[ContextResult], options: AnalysisOptions = AnalysisOptions()
+    table: ContextTable, options: AnalysisOptions = AnalysisOptions()
 ) -> AnalysisReport:
-    """Heterogeneity and trend from per-context summary statistics alone."""
-    raw = sorted(results, key=lambda r: (r.summary.exposure_mean, r.context))
+    """Heterogeneity and trend from a table of per-context summary statistics alone."""
     config = {
         "mode": "summary",
         "family": options.family,
         "scale": options.scale,
         "tau2_method": options.tau2_method,
         "ci_z": options.ci_z,
-        "n_contexts": len(raw),
+        "n_contexts": len(table),
     }
-    return _assemble(raw, options, config, [])
+    return _assemble(table, options, config, [])
 
 
-def load_summary_csv(path) -> list[ContextResult]:
-    """Per-context summary statistics from CSV.
+def load_summary_csv(path) -> ContextTable:
+    """Per-context summary statistics from CSV, as a context table.
 
     The header must carry the columns context, bx, bx_se, by, by_se,
     xmean, n, each once and in any order. Malformed rows, numbers that
-    are not finite, and a context label given twice, are reported with
-    the physical line on which the row starts.
+    are not finite or out of range, and a context label given twice, are
+    reported with the physical line on which the row starts.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
-        results = []
+        rows = []
         first_line: dict[str, int] = {}
         end = reader.line_num
         for row in reader:
@@ -236,36 +219,36 @@ def load_summary_csv(path) -> list[ContextResult]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
+                context = row[at["context"]].strip()
                 value = {name: float(row[at[name]]) for name in SUMMARY_CSV_COLUMNS[1:]}
                 for name, number in value.items():
                     if not math.isfinite(number):
                         raise ValueError(f"{name} must be finite, got {row[at[name]]!r}")
-                if value["n"] != int(value["n"]):
-                    raise ValueError(f"n must be an integer, got {row[at['n']]!r}")
-                result = ContextResult.from_summary_stats(
-                    context=row[at["context"]].strip(),
-                    bx=value["bx"],
-                    bx_se=value["bx_se"],
-                    by=value["by"],
-                    by_se=value["by_se"],
-                    exposure_mean=value["xmean"],
-                    n=int(value["n"]),
-                )
+                n = value["n"]
+                if not (n == int(n) and 2 <= n < 2**63):
+                    raise ValueError(
+                        f"n must be an integer from 2 to 2**63 - 1, got {row[at['n']]!r}"
+                    )
+                bx, bx_se, by_se = value["bx"], value["bx_se"], value["by_se"]
+                for bad, problem in (
+                    (by_se <= 0, "outcome-association se must be > 0"),
+                    (bx_se < 0, "exposure-association se must be >= 0"),
+                    (abs(bx) < INSTRUMENT_FLOOR, "instrument-exposure association is zero"),
+                ):
+                    if bad:
+                        raise ValueError(f"context {context!r}: {problem}")
             except (ValueError, IndexError) as err:
                 raise IngestError(str(err), line=lineno) from None
-            except CtxMRError as err:
-                raise IngestError(str(err), line=lineno) from None
-            if result.context in first_line:
+            if context in first_line:
                 raise IngestError(
-                    f"context label {result.context!r} already given on line "
-                    f"{first_line[result.context]}",
+                    f"context label {context!r} already given on line {first_line[context]}",
                     line=lineno,
                 )
-            first_line[result.context] = lineno
-            results.append(result)
-    if len(results) < 2:
-        raise IngestError(f"{path}: need at least 2 summary rows, got {len(results)}")
-    return results
+            first_line[context] = lineno
+            rows.append((context, *value.values()))
+    if len(rows) < 2:
+        raise IngestError(f"{path}: need at least 2 summary rows, got {len(rows)}")
+    return ContextTable.from_columns(*zip(*rows))
 
 
 # ---------------------------------------------------------------------------

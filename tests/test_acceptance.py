@@ -16,7 +16,7 @@ import pytest
 
 from ctxmr.harness import ExperimentPlan, default_plan, run_experiment
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
-from ctxmr.ivcore import ContextResult, ivw_pool
+from ctxmr.ivcore import ContextTable, ivw_pool
 from ctxmr.metareg import meta_regress, trend_test
 from ctxmr.numerics import chi_square_sf
 from ctxmr.report import AnalysisOptions, analyze_dataset
@@ -148,29 +148,19 @@ def _random_summary_instance(rng, k=10):
     by_se = rng.uniform(0.01, 0.05, size=k)
     theta = 0.8 + rng.normal(scale=0.15, size=k)
     by = theta * bx + rng.normal(scale=by_se)
-    return [
-        ContextResult.from_summary_stats(
-            str(i), bx=float(bx[i]), bx_se=float(bx_se[i]), by=float(by[i]),
-            by_se=float(by_se[i]), exposure_mean=50.0 + i, n=1000,
-        )
-        for i in range(k)
-    ]
+    return ContextTable.from_columns([str(i) for i in range(k)], bx, bx_se, by, by_se,
+                                     50.0 + np.arange(k), np.full(k, 1000))
 
 
 def test_criterion_5a_modified_q_matches_grid_search():
     rng = np.random.default_rng(501)
     worst = 0.0
     for _ in range(100):
-        rs = _random_summary_instance(rng)
-        het = q_modified_second_order(rs)
-        center = ivw_pool(rs).beta
+        t = _random_summary_instance(rng)
+        het = q_modified_second_order(t)
+        center = ivw_pool(t).beta
         _, q_grid = modified_q_grid_min(
-            [r.bx.beta for r in rs],
-            [r.bx.se for r in rs],
-            [r.by.beta for r in rs],
-            [r.by.se for r in rs],
-            lo=center - 1.0,
-            hi=center + 1.0,
+            t.bx, t.bx_se, t.by, t.by_se, lo=center - 1.0, hi=center + 1.0
         )
         worst = max(worst, abs(het.q - q_grid))
     ok = worst <= 1e-6
@@ -220,47 +210,39 @@ def test_criterion_6_invariance_suite():
     # Q scale invariance at 1e-10 for both weighting schemes.
     worst = 0.0
     for _ in range(20):
-        rs = _random_summary_instance(rng)
+        t = _random_summary_instance(rng)
         for c in (1e-3, 7.0, 1e5):
-            scaled = [
-                ContextResult.from_summary_stats(
-                    r.context, bx=r.bx.beta, bx_se=r.bx.se, by=c * r.by.beta,
-                    by_se=c * r.by.se, exposure_mean=r.summary.exposure_mean,
-                    n=r.summary.n,
-                )
-                for r in rs
-            ]
-            worst = max(worst, abs(q_first_order(scaled).q - q_first_order(rs).q))
+            scaled = ContextTable.from_columns(t.labels, t.bx, t.bx_se, c * t.by, c * t.by_se,
+                                               t.xmean, t.n)
+            worst = max(worst, abs(q_first_order(scaled).q - q_first_order(t).q))
             worst = max(
                 worst,
-                abs(q_modified_second_order(scaled).q - q_modified_second_order(rs).q),
+                abs(q_modified_second_order(scaled).q - q_modified_second_order(t).q),
             )
     checks["q-scale"] = worst <= 1e-10
 
     # IVW pooled estimate lies inside the per-context ratio range.
     convex_ok = True
     for _ in range(200):
-        rs = _random_summary_instance(rng, k=6)
-        pooled = ivw_pool(rs).beta
-        ratios = [r.ratio for r in rs]
-        convex_ok &= min(ratios) - 1e-12 <= pooled <= max(ratios) + 1e-12
+        t = _random_summary_instance(rng, k=6)
+        pooled = ivw_pool(t).beta
+        convex_ok &= t.ratio.min() - 1e-12 <= pooled <= t.ratio.max() + 1e-12
     checks["ivw-convexity"] = convex_ok
 
     # Permutation invariance of every estimator.
     perm_ok = True
     for _ in range(20):
-        rs = _random_summary_instance(rng)
-        order = rng.permutation(len(rs))
-        shuffled = [rs[i] for i in order]
-        perm_ok &= abs(ivw_pool(shuffled).beta - ivw_pool(rs).beta) < 1e-12
-        perm_ok &= abs(q_first_order(shuffled).q - q_first_order(rs).q) < 1e-12
+        t = _random_summary_instance(rng)
+        shuffled = t.subset(rng.permutation(len(t)))
+        perm_ok &= abs(ivw_pool(shuffled).beta - ivw_pool(t).beta) < 1e-12
+        perm_ok &= abs(q_first_order(shuffled).q - q_first_order(t).q) < 1e-12
         perm_ok &= (
-            abs(q_modified_second_order(shuffled).q - q_modified_second_order(rs).q)
+            abs(q_modified_second_order(shuffled).q - q_modified_second_order(t).q)
             < 1e-10
         )
         perm_ok &= (
             abs(trend_test(shuffled, method="fixed").slope
-                - trend_test(rs, method="fixed").slope) < 1e-12
+                - trend_test(t, method="fixed").slope) < 1e-12
         )
     checks["permutation"] = perm_ok
 

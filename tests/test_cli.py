@@ -157,6 +157,29 @@ class TestMeta:
         )
         assert not (tmp_path / "report.json").exists()
 
+    def test_overflowing_q_is_one_line_estimation_error(self, tmp_path):
+        # Finite but extreme: (by - b bx)^2 exceeds the float range.
+        summary = tmp_path / "summary.csv"
+        summary.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n\n"
+            "a,1e-5,0.01,1e300,0.1,8.0,1000\n"
+            "b,0.5,0.01,0.4,0.1,9.0,1000\n"
+            "c,0.5,0.01,0.3,0.1,10.0,1000\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctxmr.cli", "meta", "--summary", str(summary),
+             "--out-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_ESTIMATION
+        assert proc.stderr.splitlines() == [
+            "estimation error: first_order Q statistic is inf: "
+            "the estimates are too extreme to test"
+        ]
+        assert not (tmp_path / "report.json").exists()
+
     def test_infinite_ci_z_is_config_error(self, tmp_path, capsys):
         summary = tmp_path / "summary.csv"
         summary.write_text(ELEVEN_CONTEXT_SUMMARY_CSV, encoding="utf-8")

@@ -180,15 +180,7 @@ class TestPartition:
 class TestSummarize:
     def test_basic_summary(self):
         ds = _dataset([0, 1, 2], [1.0, 2.0, 3.0], [0, 0, 0], ["a"] * 3)
-        s = summarize_context("a", ds)
-        assert s.exposure_mean == 2.0
-        assert s.exposure_median == 2.0
-        assert s.exposure_sd == pytest.approx(1.0)
-        assert s.n == 3
-
-    def test_constant_exposure_has_zero_sd(self):
-        ds = _dataset([0, 1], [5.0, 5.0], [0, 0], ["a"] * 2)
-        assert summarize_context("a", ds).exposure_sd == 0.0
+        assert summarize_context("a", ds) == (3, 2.0)
 
     def test_too_few_records(self):
         ds = _dataset([0.0], [1.0], [0.0], ["a"])
@@ -201,7 +193,6 @@ class TestSummarize:
         ds = _dataset(np.zeros(101), x, np.zeros(101), ["a"] * 101)
         perm = rng.permutation(101)
         ds_p = ds.subset(perm)
-        a, b = summarize_context("a", ds), summarize_context("a", ds_p)
-        assert a.exposure_mean == pytest.approx(b.exposure_mean, abs=1e-12)
-        assert a.exposure_sd == pytest.approx(b.exposure_sd, abs=1e-12)
-        assert a.exposure_median == b.exposure_median
+        (n, mean), (n_p, mean_p) = summarize_context("a", ds), summarize_context("a", ds_p)
+        assert n == n_p == 101
+        assert mean == pytest.approx(mean_p, abs=1e-12)

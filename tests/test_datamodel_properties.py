@@ -5,7 +5,9 @@ blank line or an all-blank row is skipped; a row shorter than the header
 is dropped; so is a row whose context label is missing or whose mapped
 number is missing ("" or "NA" once stripped), unparseable by ``float``
 or not finite. Under the logistic family the first kept row with an
-outcome other than 0/1 is an error naming its line. The chunk size is cut
+outcome other than 0/1 is an error naming the physical line on which the
+row starts, which a quoted newline in an earlier row moves past the
+record count. The chunk size is cut
 to a few rows so that generated files cross many chunk boundaries.
 """
 
@@ -21,7 +23,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import numpy as np  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ctxmr import datamodel  # noqa: E402
@@ -71,11 +73,17 @@ def _cell(token: str):
 def reference_load(path, family):
     """(values, labels, dropped) by the per-cell rules; raises like load_csv."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    header = [name.strip() for name in rows[0]]
+        reader = csv.reader(handle)
+        header = [name.strip() for name in next(reader)]
+        # Each record with the physical line it starts on: one past the last
+        # line of the record before it (a quoted field can span lines).
+        records, start = [], reader.line_num + 1
+        for row in reader:
+            records.append((start, row))
+            start = reader.line_num + 1
     at = [header.index(name) for name in NEEDED]
     values, labels, dropped = [], [], 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in records:
         if all(not cell.strip() for cell in row):
             continue
         if len(row) < len(header):
@@ -114,6 +122,12 @@ def csv_path(tmp_path_factory):
     rows=st.lists(ROW, max_size=40),
     family=st.sampled_from(["linear", "logistic"]),
     chunk=st.integers(1, 7),
+)
+@example(  # a quoted newline before a bad logistic outcome: the error is on line 7
+    rows=[["a", "1", "", "2", "0", "3"]] * 3
+    + [["a", "1", "\n", "2", "0", "3"], ["a", "1", "", "2", " 3 ", "3"]],
+    family="logistic",
+    chunk=1,
 )
 def test_load_csv_matches_per_cell_reference(csv_path, rows, family, chunk):
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:

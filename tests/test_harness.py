@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from ctxmr.datamodel import partition_by_context
@@ -22,7 +23,7 @@ from ctxmr.harness import (
     run_replication,
     worker_count,
 )
-from ctxmr.ivcore import context_iv
+from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.regress import RegressionSpec
 from ctxmr.simulate import EffectFunction, SimScenario, generate_dataset
 
@@ -167,18 +168,16 @@ class TestSharedDraws:
         scenarios = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
         shared = SharedReplication(master_seed=11, replication=replication)
         for scenario in scenarios:
-            fast = shared.context_results(scenario)
+            fast = shared.context_table(scenario)
             part = partition_by_context(generate_dataset(scenario, 11, replication), min_n=2)
-            general = [context_iv(label, sub, exposure, outcome) for label, sub in part.contexts]
-            assert [r.context for r in fast] == [r.context for r in general]
-            for a, b in zip(fast, general):
-                for got, want in (
-                    (a.bx.beta, b.bx.beta), (a.bx.se, b.bx.se),
-                    (a.by.beta, b.by.beta), (a.by.se, b.by.se),
-                    (a.summary.exposure_mean, b.summary.exposure_mean),
-                ):
-                    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
-                assert a.bx.n == b.bx.n == scenario.per_context_n
+            general = ContextTable.from_results(
+                context_iv(label, sub, exposure, outcome) for label, sub in part.contexts
+            )
+            assert fast.labels.tolist() == general.labels.tolist()
+            for name in ("bx", "bx_se", "by", "by_se", "xmean"):
+                np.testing.assert_allclose(getattr(fast, name), getattr(general, name),
+                                           rtol=1e-10, atol=0.0, err_msg=name)
+            assert fast.n.tolist() == general.n.tolist() == [scenario.per_context_n] * len(fast)
 
     def test_cell_outcome_does_not_depend_on_the_other_cells(self):
         alone = [run_replication(s, 4, 2) for s in (CUSTOM, CUSTOM_SHIFTED)]

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ctxmr.errors import ConfigError
+from ctxmr.errors import ConfigError, EstimationError
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
-from ctxmr.ivcore import ContextResult, ivw_pool
+from ctxmr.ivcore import ContextTable, ivw_pool
 from ctxmr.numerics import chi_square_sf
 
 from oracles import ks_uniform_pvalue, modified_q_grid_min
 
 
-def make_result(context, bx, bx_se, by, by_se, mean=50.0, n=1000):
-    return ContextResult.from_summary_stats(
-        context, bx=bx, bx_se=bx_se, by=by, by_se=by_se, exposure_mean=mean, n=n
-    )
+def make_table(bx, bx_se, by, by_se, mean=50.0, n=1000, labels=None):
+    """A context table of equal-length columns (scalars broadcast), labelled 0, 1, ..."""
+    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float))
+                                 for c in (bx, bx_se, by, by_se, mean)))
+    if labels is None:
+        labels = [str(i) for i in range(cols[0].size)]
+    return ContextTable.from_columns(labels, *cols, np.full(cols[0].size, n))
 
 
 def random_instance(rng, k=10):
@@ -26,38 +31,29 @@ def random_instance(rng, k=10):
     theta = 0.8 + rng.normal(scale=0.15, size=k)
     by_se = rng.uniform(0.01, 0.05, size=k)
     by = theta * bx + rng.normal(scale=by_se)
-    return [
-        make_result(str(i), bx=bx[i], bx_se=bx_se[i], by=by[i], by_se=by_se[i])
-        for i in range(k)
-    ]
+    return make_table(bx, bx_se, by, by_se)
 
 
 class TestFirstOrder:
     def test_equal_ratios_give_zero_q(self):
-        rs = [
-            make_result("a", bx=0.5, bx_se=0.0, by=0.4, by_se=0.1),
-            make_result("b", bx=0.8, bx_se=0.0, by=0.64, by_se=0.2),
-            make_result("c", bx=0.6, bx_se=0.0, by=0.48, by_se=0.15),
-        ]
-        het = q_first_order(rs)
+        t = make_table(bx=[0.5, 0.8, 0.6], bx_se=0.0, by=[0.4, 0.64, 0.48],
+                       by_se=[0.1, 0.2, 0.15])
+        het = q_first_order(t)
         assert het.q == pytest.approx(0.0, abs=1e-20)
         assert het.p == 1.0
         assert het.df == 2
 
     def test_hand_example(self):
-        rs = [
-            make_result("a", bx=1.0, bx_se=0.0, by=1.0, by_se=1.0),
-            make_result("b", bx=1.0, bx_se=0.0, by=2.0, by_se=1.0),
-        ]
-        het = q_first_order(rs)
+        t = make_table(bx=[1.0, 1.0], bx_se=0.0, by=[1.0, 2.0], by_se=1.0)
+        het = q_first_order(t)
         assert het.q == pytest.approx(0.5, abs=1e-12)
         assert het.p == pytest.approx(0.4795001221869535, abs=1e-9)
-        assert het.pooled_beta == pytest.approx(ivw_pool(rs).beta)
+        assert het.pooled_beta == pytest.approx(ivw_pool(t).beta)
         assert het.iterations == 1
 
     def test_needs_two_contexts(self):
         with pytest.raises(ConfigError):
-            q_first_order([make_result("a", 1.0, 0.0, 1.0, 1.0)])
+            q_first_order(make_table(1.0, 0.0, 1.0, 1.0))
 
     def test_null_q_is_chi_square_distributed(self):
         # 20 contexts with no true effect: p-values should look uniform.
@@ -67,11 +63,7 @@ class TestFirstOrder:
             bx = rng.normal(0.05, 0.003, size=20)
             by_se = rng.uniform(0.01, 0.03, size=20)
             by = rng.normal(0.0, by_se)
-            rs = [
-                make_result(str(i), bx=bx[i], bx_se=0.003, by=by[i], by_se=by_se[i])
-                for i in range(20)
-            ]
-            pvals.append(q_first_order(rs).p)
+            pvals.append(q_first_order(make_table(bx, 0.003, by, by_se)).p)
         assert ks_uniform_pvalue(pvals) > 0.01
 
 
@@ -79,106 +71,88 @@ class TestModifiedSecondOrder:
     def test_zero_bx_se_reduces_to_first_order(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            rs = [
-                make_result(
-                    str(i),
-                    bx=rng.uniform(0.3, 0.9),
-                    bx_se=0.0,
-                    by=rng.normal(0.4, 0.2),
-                    by_se=rng.uniform(0.05, 0.2),
-                )
-                for i in range(8)
-            ]
-            first = q_first_order(rs)
-            modified = q_modified_second_order(rs)
+            t = make_table(
+                bx=rng.uniform(0.3, 0.9, 8),
+                bx_se=0.0,
+                by=rng.normal(0.4, 0.2, 8),
+                by_se=rng.uniform(0.05, 0.2, 8),
+            )
+            first = q_first_order(t)
+            modified = q_modified_second_order(t)
             assert modified.q == pytest.approx(first.q, abs=1e-12)
             assert modified.pooled_beta == pytest.approx(first.pooled_beta, abs=1e-10)
 
     def test_equal_ratios_give_zero_q(self):
-        rs = [
-            make_result("a", bx=0.5, bx_se=0.02, by=0.4, by_se=0.1),
-            make_result("b", bx=0.8, bx_se=0.03, by=0.64, by_se=0.2),
-            make_result("c", bx=0.6, bx_se=0.01, by=0.48, by_se=0.15),
-        ]
-        het = q_modified_second_order(rs)
+        t = make_table(bx=[0.5, 0.8, 0.6], bx_se=[0.02, 0.03, 0.01], by=[0.4, 0.64, 0.48],
+                       by_se=[0.1, 0.2, 0.15])
+        het = q_modified_second_order(t)
         assert het.q == pytest.approx(0.0, abs=1e-18)
         assert het.p == 1.0
 
     def test_matches_grid_search_minimum(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            rs = random_instance(rng)
-            het = q_modified_second_order(rs)
-            ivw = ivw_pool(rs).beta
-            _, q_grid = modified_q_grid_min(
-                [r.bx.beta for r in rs],
-                [r.bx.se for r in rs],
-                [r.by.beta for r in rs],
-                [r.by.se for r in rs],
-                lo=ivw - 1.0,
-                hi=ivw + 1.0,
-            )
+            t = random_instance(rng)
+            het = q_modified_second_order(t)
+            ivw = ivw_pool(t).beta
+            _, q_grid = modified_q_grid_min(t.bx, t.bx_se, t.by, t.by_se,
+                                            lo=ivw - 1.0, hi=ivw + 1.0)
             assert het.q == pytest.approx(q_grid, abs=1e-6)
             assert het.q <= q_grid + 1e-9
 
     def test_q_at_solution_no_worse_than_at_first_order_beta(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            rs = random_instance(rng)
-            het = q_modified_second_order(rs)
-            b_ivw = ivw_pool(rs).beta
-            bx = np.array([r.bx.beta for r in rs])
-            by = np.array([r.by.beta for r in rs])
-            v = lambda b: np.array([r.by.se for r in rs]) ** 2 + b * b * np.array(
-                [r.bx.se for r in rs]
-            ) ** 2
-            q_at_ivw = float(np.sum((by - b_ivw * bx) ** 2 / v(b_ivw)))
+            t = random_instance(rng)
+            het = q_modified_second_order(t)
+            b_ivw = ivw_pool(t).beta
+            v = t.by_se**2 + b_ivw * b_ivw * t.bx_se**2
+            q_at_ivw = float(np.sum((t.by - b_ivw * t.bx) ** 2 / v))
             assert het.q <= q_at_ivw + 1e-10
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
-        rs = random_instance(rng)
+        t = random_instance(rng)
         for c in (0.1, 3.0, 1e4):
-            scaled = [
-                make_result(
-                    r.context,
-                    bx=r.bx.beta,
-                    bx_se=r.bx.se,
-                    by=c * r.by.beta,
-                    by_se=c * r.by.se,
-                )
-                for r in rs
-            ]
+            scaled = make_table(t.bx, t.bx_se, c * t.by, c * t.by_se, labels=t.labels)
             for fn in (q_first_order, q_modified_second_order):
-                assert fn(scaled).q == pytest.approx(fn(rs).q, abs=1e-10)
+                assert fn(scaled).q == pytest.approx(fn(t).q, abs=1e-10)
+                assert fn(t.rescaled(c)).q == pytest.approx(fn(t).q, abs=1e-10)
 
     def test_relabel_and_reorder_invariance(self):
         rng = np.random.default_rng(5)
-        rs = random_instance(rng)
-        shuffled = [rs[i] for i in rng.permutation(len(rs))]
+        t = random_instance(rng)
+        shuffled = t.subset(rng.permutation(len(t)))
+        assert shuffled.labels.tolist() != t.labels.tolist()
         for fn in (q_first_order, q_modified_second_order):
-            assert fn(shuffled).q == pytest.approx(fn(rs).q, abs=1e-12)
+            assert fn(shuffled).q == pytest.approx(fn(t).q, abs=1e-12)
 
     def test_near_zero_bx_context_excluded_with_df_reduction(self):
-        rs = random_instance(np.random.default_rng(6))
-        dead = ContextResult(
-            context="dead",
-            bx=rs[0].bx.__class__(beta=0.0, se=0.01, n=100),
-            by=rs[0].by,
-            ratio=0.0,
-            ratio_se_first_order=1.0,
-            summary=rs[0].summary,
+        t = random_instance(np.random.default_rng(6))
+        with_dead = make_table(
+            [*t.bx, 0.0], [*t.bx_se, 0.01], [*t.by, t.by[0]], [*t.by_se, t.by_se[0]],
+            labels=[*t.labels, "dead"],
         )
         for fn in (q_first_order, q_modified_second_order):
-            het = fn(rs + [dead])
+            het = fn(with_dead)
             assert het.excluded == ("dead",)
-            assert het.df == len(rs) - 1
-            assert het.q == pytest.approx(fn(rs).q, abs=1e-12)
+            assert het.df == len(t) - 1
+            assert het.q == pytest.approx(fn(t).q, abs=1e-12)
 
     def test_p_value_consistent_with_chi_square(self):
-        rs = random_instance(np.random.default_rng(7))
-        het = q_modified_second_order(rs)
+        t = random_instance(np.random.default_rng(7))
+        het = q_modified_second_order(t)
         assert het.p == pytest.approx(chi_square_sf(het.q, het.df), abs=1e-15)
+
+
+def test_overflowing_q_is_an_estimation_error():
+    # Finite summaries whose squared residuals exceed the float range.
+    t = make_table(bx=[1e-5, 0.5, 0.5], bx_se=0.01, by=[1e300, 0.4, 0.3], by_se=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (q_first_order, q_modified_second_order):
+            with pytest.raises(EstimationError, match="Q statistic is"):
+                fn(t)
 
 
 # Twenty contexts with strong heterogeneity and imprecise bx (|bx|/se(bx)
@@ -215,12 +189,9 @@ K20_BY_SE = [
 
 
 def test_global_minimum_beyond_the_ratio_estimates():
-    rs = [
-        make_result(str(i), bx=bx, bx_se=bx_se, by=by, by_se=by_se)
-        for i, (bx, bx_se, by, by_se) in enumerate(zip(K20_BX, K20_BX_SE, K20_BY, K20_BY_SE))
-    ]
-    het = q_modified_second_order(rs)
+    t = make_table(K20_BX, K20_BX_SE, K20_BY, K20_BY_SE)
+    het = q_modified_second_order(t)
     assert het.q == pytest.approx(477.48735478912965, abs=1e-6)
-    assert het.pooled_beta > max(r.ratio for r in rs)
+    assert het.pooled_beta > t.ratio.max()
     _, q_grid = modified_q_grid_min(K20_BX, K20_BX_SE, K20_BY, K20_BY_SE, lo=-1.0, hi=1.0)
     assert het.q <= q_grid + 1e-9

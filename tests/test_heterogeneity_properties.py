@@ -16,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ctxmr.heterogeneity import q_modified_second_order  # noqa: E402
-from ctxmr.ivcore import ContextResult  # noqa: E402
+from ctxmr.ivcore import ContextTable  # noqa: E402
 
 from oracles import modified_q_grid_min  # noqa: E402
 
@@ -38,14 +38,10 @@ def summary_arrays(contexts):
     return bx, bx / t, by, by_se
 
 
-def results_from(bx, bx_se, by, by_se):
-    return [
-        ContextResult.from_summary_stats(
-            str(i), bx=bx[i], bx_se=bx_se[i], by=by[i], by_se=by_se[i],
-            exposure_mean=50.0, n=1000,
-        )
-        for i in range(len(bx))
-    ]
+def table_from(bx, bx_se, by, by_se):
+    k = len(bx)
+    return ContextTable.from_columns([str(i) for i in range(k)], bx, bx_se, by, by_se,
+                                     np.full(k, 50.0), np.full(k, 1000))
 
 
 def refined_grid_min(bx, bx_se, by, by_se, lo, hi):
@@ -62,7 +58,7 @@ def refined_grid_min(bx, bx_se, by, by_se, lo, hi):
 @given(SUMMARY_SETS)
 def test_matches_refined_grid_minimum(contexts):
     bx, bx_se, by, by_se = summary_arrays(contexts)
-    het = q_modified_second_order(results_from(bx, bx_se, by, by_se))
+    het = q_modified_second_order(table_from(bx, bx_se, by, by_se))
     # The ratio range plus that range again on each side; widened to reach
     # the solver's answer when the minimum lies farther out.
     ratios = by / bx
@@ -78,11 +74,11 @@ def test_matches_refined_grid_minimum(contexts):
 @given(SUMMARY_SETS, st.randoms(use_true_random=False), st.floats(1e-3, 1e3))
 def test_invariant_to_order_and_outcome_scale(contexts, rng, scale):
     bx, bx_se, by, by_se = summary_arrays(contexts)
-    q = q_modified_second_order(results_from(bx, bx_se, by, by_se)).q
+    q = q_modified_second_order(table_from(bx, bx_se, by, by_se)).q
     order = list(range(len(bx)))
     rng.shuffle(order)
-    shuffled = q_modified_second_order(results_from(bx[order], bx_se[order], by[order],
+    shuffled = q_modified_second_order(table_from(bx[order], bx_se[order], by[order],
                                                     by_se[order]))
-    scaled = q_modified_second_order(results_from(bx, bx_se, scale * by, scale * by_se))
+    scaled = q_modified_second_order(table_from(bx, bx_se, scale * by, scale * by_se))
     assert shuffled.q == pytest.approx(q, rel=1e-10, abs=1e-10)
     assert scaled.q == pytest.approx(q, rel=1e-10, abs=1e-10)

@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 
 from ctxmr.errors import ConfigError, DomainError
-from ctxmr.ivcore import ContextResult
+from ctxmr.ivcore import ContextTable
 from ctxmr.metareg import meta_regress, trend_test
 
-from oracles import reml_loglik, reml_profile_grid
+from oracles import reml_loglik, reml_loglik_grid, reml_profile_grid
 from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
 
 
-def make_result(context, bx, bx_se, by, by_se, mean, n=1000):
-    return ContextResult.from_summary_stats(
-        context, bx=bx, bx_se=bx_se, by=by, by_se=by_se, exposure_mean=mean, n=n
-    )
+def make_table(bx, bx_se, by, by_se, means, n=1000, labels=None):
+    """A context table of equal-length columns (scalars broadcast), labelled 0, 1, ..."""
+    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float))
+                                 for c in (bx, bx_se, by, by_se, means)))
+    if labels is None:
+        labels = [str(i) for i in range(cols[0].size)]
+    return ContextTable.from_columns(labels, *cols, np.full(cols[0].size, n))
 
 
 def random_instance(rng, k=10, tau=0.0):
@@ -107,14 +110,14 @@ class TestMetaRegress:
         assert shifted.intercept != pytest.approx(base.intercept, abs=1e-3)
 
     def test_variance_scaling_leaves_slope_invariant(self):
+        # Only the fixed fit has this property: it weights by 1/v alone.
+        # test_metareg_properties checks REML's scaling of y and v together.
         rng = np.random.default_rng(23)
         y, v, x = random_instance(rng, tau=0.05)
-        for method in ("fixed", "reml"):
-            base = meta_regress(y, v, x, method=method)
-            scaled = meta_regress(y, 4.0 * v, x, method=method)
-            assert scaled.slope == pytest.approx(base.slope, abs=1e-8)
-            if method == "reml":
-                assert scaled.tau2 == pytest.approx(4.0 * base.tau2, abs=1e-6)
+        base = meta_regress(y, v, x, method="fixed")
+        scaled = meta_regress(y, 4.0 * v, x, method="fixed")
+        assert scaled.slope == pytest.approx(base.slope, rel=1e-12)
+        assert scaled.slope_se == pytest.approx(2.0 * base.slope_se, rel=1e-12)
 
     def test_homogeneous_data_reduce_to_fixed_fit(self):
         x = np.array([8.0, 8.5, 9.0, 9.5, 10.0])
@@ -140,12 +143,20 @@ class TestMetaRegress:
 
 class TestTrendTest:
     def test_replicated_contexts_match_two_point_slope(self):
-        a = make_result("a", bx=0.5, bx_se=0.01, by=0.30, by_se=0.05, mean=50.0)
-        b = make_result("b", bx=0.5, bx_se=0.01, by=0.40, by_se=0.05, mean=56.0)
-        results = [a, b] * 5
-        res = trend_test(results, method="fixed")
-        expected = (b.ratio - a.ratio) / (56.0 - 50.0)
+        t = make_table(bx=0.5, bx_se=0.01, by=[0.30, 0.40] * 5, by_se=0.05,
+                       means=[50.0, 56.0] * 5, labels=["a", "b"] * 5)
+        res = trend_test(t, method="fixed")
+        expected = (0.40 / 0.5 - 0.30 / 0.5) / (56.0 - 50.0)
         assert res.slope == pytest.approx(expected, abs=1e-12)
+
+    def test_slope_is_per_scale_units(self):
+        rng = np.random.default_rng(26)
+        t = make_table(bx=rng.uniform(0.4, 0.6, 8), bx_se=0.02, by=rng.normal(0.4, 0.05, 8),
+                       by_se=0.03, means=8.0 + 0.25 * np.arange(8))
+        base, scaled = trend_test(t), trend_test(t.rescaled(10.0))
+        assert scaled.slope == pytest.approx(10.0 * base.slope, rel=1e-9)
+        assert scaled.tau2 == pytest.approx(100.0 * base.tau2, rel=1e-6, abs=1e-12)
+        assert scaled.slope_p == pytest.approx(base.slope_p, rel=1e-9)
 
     def test_null_rejection_rate_is_calibrated(self):
         # Homogeneous true effect: trend rejections should sit near but
@@ -158,12 +169,8 @@ class TestTrendTest:
             bx = rng.normal(0.5, 0.0218, size=10)
             by_se = np.full(10, 0.02)
             by = 0.8 * bx + rng.normal(scale=by_se)
-            rs = [
-                make_result(str(i), bx=bx[i], bx_se=0.0218, by=by[i],
-                            by_se=by_se[i], mean=means[i])
-                for i in range(10)
-            ]
-            if trend_test(rs, method="reml").slope_p < 0.05:
+            t = make_table(bx, 0.0218, by, by_se, means)
+            if trend_test(t, method="reml").slope_p < 0.05:
                 rejections += 1
         assert 0.02 <= rejections / reps <= 0.07
 
@@ -176,11 +183,16 @@ class TestTrendTest:
             bx = rng.normal(0.5, 0.0218, size=10)
             by_se = np.full(10, 0.03)
             by = (0.08 * means) * bx + rng.normal(scale=by_se)
-            rs = [
-                make_result(str(i), bx=bx[i], bx_se=0.0218, by=by[i],
-                            by_se=by_se[i], mean=means[i])
-                for i in range(10)
-            ]
-            if trend_test(rs).slope > 0:
+            if trend_test(make_table(bx, 0.0218, by, by_se, means)).slope > 0:
                 positive += 1
         assert positive / reps > 0.95
+
+
+def test_batched_oracle_loglik_matches_scalar_loglik():
+    rng = np.random.default_rng(28)
+    for k in (3, 10, 60):
+        y, v, x = random_instance(rng, k=k, tau=0.05)
+        grid = np.linspace(0.0, 0.5, 401)
+        batched = reml_loglik_grid(grid, y, v, x)
+        for tau2, value in zip(grid, batched):
+            assert value == pytest.approx(reml_loglik(tau2, y, v, x), rel=1e-12, abs=0.0)

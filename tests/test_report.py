@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctxmr.errors import ConfigError, IngestError
-from ctxmr.ivcore import ContextResult
+from ctxmr.ivcore import ContextTable
 from ctxmr.report import (
     AnalysisOptions,
     analyze_dataset,
@@ -26,10 +26,13 @@ from fixtures import small_sizes, synthetic_cohort
 CI_Z = 1.959964
 
 
-def make_result(context, bx, bx_se, by, by_se, mean, n=1000):
-    return ContextResult.from_summary_stats(
-        context, bx=bx, bx_se=bx_se, by=by, by_se=by_se, exposure_mean=mean, n=n
-    )
+def make_table(bx, bx_se, by, by_se, means, n=1000, labels=None):
+    """A context table of equal-length columns (scalars broadcast), labelled 0, 1, ..."""
+    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float))
+                                 for c in (bx, bx_se, by, by_se, means)))
+    if labels is None:
+        labels = [str(i) for i in range(cols[0].size)]
+    return ContextTable.from_columns(labels, *cols, np.full(cols[0].size, n))
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +84,9 @@ class TestAnalyzeDataset:
 
 class TestAnalyzeSummary:
     def test_hand_example_q_both_schemes(self):
-        rs = [
-            make_result("a", bx=1.0, bx_se=0.0, by=1.0, by_se=1.0, mean=50.0),
-            make_result("b", bx=1.0, bx_se=0.0, by=2.0, by_se=1.0, mean=52.0),
-        ]
+        t = make_table(bx=1.0, bx_se=0.0, by=[1.0, 2.0], by_se=1.0, means=[50.0, 52.0])
         # K=2 supports Q; the trend test needs K >= 3 and is skipped.
-        report = analyze_summary_results(rs)
+        report = analyze_summary_results(t)
         assert report.heterogeneity_first_order.q == pytest.approx(0.5, abs=1e-12)
         assert report.heterogeneity_modified.q == pytest.approx(0.5, abs=1e-12)
         assert report.heterogeneity_first_order.p == pytest.approx(0.47950012, abs=1e-7)
@@ -94,29 +94,21 @@ class TestAnalyzeSummary:
         assert any("trend test skipped" in w for w in report.warnings)
 
     def test_two_context_report_round_trips(self):
-        rs = [
-            make_result("a", bx=1.0, bx_se=0.0, by=1.0, by_se=1.0, mean=50.0),
-            make_result("b", bx=1.0, bx_se=0.0, by=2.0, by_se=1.0, mean=52.0),
-        ]
-        report = analyze_summary_results(rs)
+        t = make_table(bx=1.0, bx_se=0.0, by=[1.0, 2.0], by_se=1.0, means=[50.0, 52.0],
+                       labels=["a", "b"])
+        report = analyze_summary_results(t)
         assert report_from_json(report_to_json(report)) == report
         assert "trend: not computed" in render_text(report)
 
     def test_duplicate_context_rows_give_zero_q(self):
-        rs = [
-            make_result(str(i), bx=0.5, bx_se=0.01, by=0.2, by_se=0.05, mean=50.0 + i)
-            for i in range(4)
-        ]
-        report = analyze_summary_results(rs)
+        t = make_table(bx=0.5, bx_se=0.01, by=0.2, by_se=0.05, means=50.0 + np.arange(4))
+        report = analyze_summary_results(t)
         assert report.heterogeneity_first_order.q == pytest.approx(0.0, abs=1e-18)
         assert report.heterogeneity_first_order.p == 1.0
 
     def test_known_effect_scaled_by_ten(self):
-        rs = [
-            make_result(str(i), bx=1.0, bx_se=0.01, by=0.02, by_se=0.01, mean=50.0 + i)
-            for i in range(3)
-        ]
-        report = analyze_summary_results(rs, AnalysisOptions(scale=10.0))
+        t = make_table(bx=1.0, bx_se=0.01, by=0.02, by_se=0.01, means=50.0 + np.arange(3))
+        report = analyze_summary_results(t, AnalysisOptions(scale=10.0))
         for row in report.contexts:
             assert row.estimate == pytest.approx(0.2, abs=1e-12)
             assert row.by == pytest.approx(0.02, abs=1e-15)  # raw column unscaled
@@ -131,9 +123,23 @@ class TestSummaryCsv:
             "b,1.0,0.0,2.0,1.0,52.0,1200\n",
             encoding="utf-8",
         )
-        results = load_summary_csv(path)
-        assert [r.context for r in results] == ["a", "b"]
-        assert results[1].ratio == pytest.approx(2.0)
+        table = load_summary_csv(path)
+        assert table.labels.tolist() == ["a", "b"]
+        assert table.ratio[1] == pytest.approx(2.0)
+        assert table.n.tolist() == [1000, 1200]
+
+    def test_rows_sorted_by_mean_exposure_then_label(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            "context,bx,bx_se,by,by_se,xmean,n\n"
+            "b,1.0,0.0,1.0,1.0,52.0,1000\n"
+            "c,1.0,0.0,2.0,1.0,50.0,1200\n"
+            "a,1.0,0.0,3.0,1.0,52.0,1100\n",
+            encoding="utf-8",
+        )
+        table = load_summary_csv(path)
+        assert table.labels.tolist() == ["c", "a", "b"]
+        assert table.by.tolist() == [2.0, 3.0, 1.0]
 
     def test_negative_se_names_line(self, tmp_path):
         path = tmp_path / "summary.csv"
@@ -144,6 +150,20 @@ class TestSummaryCsv:
             encoding="utf-8",
         )
         with pytest.raises(IngestError, match="line 3"):
+            load_summary_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("b,1.0,-0.1,2.0,1.0,52.0,1200", "exposure-association se must be >= 0"),
+         ("b,0.0,0.1,2.0,1.0,52.0,1200", "instrument-exposure association is zero")],
+    )
+    def test_out_of_range_association_names_its_line(self, tmp_path, row, problem):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            f"context,bx,bx_se,by,by_se,xmean,n\na,1.0,0.0,1.0,1.0,50.0,1000\n{row}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match=f"^line 3: context 'b': {problem}$"):
             load_summary_csv(path)
 
     def test_error_names_the_physical_line_after_a_quoted_newline(self, tmp_path):
@@ -170,6 +190,17 @@ class TestSummaryCsv:
             encoding="utf-8",
         )
         with pytest.raises(IngestError, match=f"^line 3: {column} must be finite"):
+            load_summary_csv(path)
+
+    @pytest.mark.parametrize("cell", ["2.5", "1", "1e20"])
+    def test_n_outside_the_integers_from_two_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            f"context,bx,bx_se,by,by_se,xmean,n\na,1.0,0.0,1.0,1.0,50.0,1000\n"
+            f"b,1.0,0.0,2.0,1.0,52.0,{cell}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match=f"^line 3: n must be an integer from 2 .*'{cell}'"):
             load_summary_csv(path)
 
     def test_repeated_context_label_names_both_lines(self, tmp_path):
@@ -236,17 +267,14 @@ class TestPlotData:
             assert float(lo) < float(est) < float(hi)
 
     def test_scaled_file_is_unscaled_times_scale_over_bx(self):
-        rs = [
-            make_result("a", bx=0.5, bx_se=0.0, by=0.10, by_se=0.02, mean=50.0),
-            make_result("b", bx=0.4, bx_se=0.0, by=0.08, by_se=0.02, mean=52.0),
-            make_result("c", bx=0.8, bx_se=0.0, by=0.12, by_se=0.02, mean=54.0),
-        ]
-        report = analyze_summary_results(rs, AnalysisOptions(scale=10.0))
+        t = make_table(bx=[0.5, 0.4, 0.8], bx_se=0.0, by=[0.10, 0.08, 0.12], by_se=0.02,
+                       means=[50.0, 52.0, 54.0], labels=["a", "b", "c"])
+        report = analyze_summary_results(t, AnalysisOptions(scale=10.0))
         unscaled, scaled = plot_data(report)
-        by_context = {r.context: r for r in rs}
+        bx = dict(zip(t.labels.tolist(), t.bx.tolist()))
         for u_line, s_line in zip(unscaled.splitlines()[1:], scaled.splitlines()[1:]):
             u = u_line.split(",")
             s = s_line.split(",")
-            factor = 10.0 / by_context[u[0]].bx.beta
+            factor = 10.0 / bx[u[0]]
             for j in (2, 3, 4):
                 assert float(s[j]) == pytest.approx(float(u[j]) * factor, rel=1e-12)

@@ -10,7 +10,7 @@ import pytest
 from ctxmr.datamodel import Dataset, partition_by_context
 from ctxmr.errors import ConfigError
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
-from ctxmr.ivcore import context_iv
+from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.regress import RegressionSpec
 from ctxmr.simulate import (
     LARGER_GRID,
@@ -198,9 +198,10 @@ class TestNullInstrumentGuard:
                 for label, sub in part.contexts
             ]
             warned += any(r.warnings for r in results)
-            if q_first_order(results).p < 0.05:
+            table = ContextTable.from_results(results)
+            if q_first_order(table).p < 0.05:
                 rejections["first"] += 1
-            if q_modified_second_order(results).p < 0.05:
+            if q_modified_second_order(table).p < 0.05:
                 rejections["modified"] += 1
         assert warned > 0.9 * reps
         assert 0.02 <= rejections["first"] / reps <= 0.08
