@@ -243,22 +243,26 @@ def partition_by_context(
     if len(ds) == 0:
         raise ConfigError("cannot partition an empty dataset")
     ctx = ds.context if ds.context.dtype.kind in ("U", "S") else ds.context.astype(str)
-    labels, inverse = np.unique(ctx, return_inverse=True)
+    # One stable sort groups the rows by label and keeps each group in file
+    # order, so every context's sums run over its rows as they were read.
+    order = np.argsort(ctx, kind="stable")
+    ordered = ctx[order]
+    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(ctx)]
     retained: list[tuple[float, str, Dataset]] = []
     excluded: list[ExcludedContext] = []
-    for j, label in enumerate(labels):
-        index = np.flatnonzero(inverse == j)
-        if index.size < min_n:
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        label = str(ordered[lo])
+        if hi - lo < min_n:
             excluded.append(
                 ExcludedContext(
-                    context=str(label),
-                    n=int(index.size),
+                    context=label,
+                    n=hi - lo,
                     reason=f"fewer than min_n={min_n} records",
                 )
             )
             continue
-        sub = ds.subset(index)
-        retained.append((float(sub.exposure.mean()), str(label), sub))
+        sub = ds.subset(order[lo:hi])
+        retained.append((float(sub.exposure.mean()), label, sub))
     if len(retained) < 2:
         raise ConfigError(
             f"fewer than 2 contexts retained ({len(retained)}); "

@@ -3,9 +3,11 @@
 The rest of the package needs four numerical primitives: the chi-square
 survival function (for heterogeneity p-values), the normal survival
 function (for two-sided z-tests), a weighted least-squares solver (the
-backbone of the linear and logistic fits) and a safeguarded Newton
-search inside a bracket (the one 1-D minimizer, shared by the modified
-Q and the REML trend test). All functions here are pure and reentrant.
+backbone of the linear and logistic fits: one Cholesky factorization of
+the p x p cross-product matrix X'WX per call, never a factorization of
+the n x p design) and a safeguarded Newton search inside a bracket (the
+one 1-D minimizer, shared by the modified Q and the REML trend test).
+All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ from .errors import DomainError, RankDeficiencyError
 # Both converge in a few dozen terms for the (q, df) ranges seen here.
 _MAX_TERMS = 500
 
-# A pivot below this fraction of the largest pivot marks the design as
-# rank deficient: deterministic, documented failure instead of silent
-# garbage from a nearly singular triangular solve.
-_PIVOT_RTOL = 1e-12
+# A pivot of the unit-diagonal Cholesky factor of X'WX at or below this
+# marks its column as a linear combination of the columns before it
+# (weighted 1 - R^2 <= 1e-10): deterministic, documented failure instead
+# of silent garbage. Rounding in the cross-products leaves an exactly
+# dependent column with a pivot of up to about 7e-7 (seen at n = 1k to
+# 2M), so the floor sits well above that noise; a covariate correlated
+# 0.999999 with another column has a pivot of 1.4e-3.
+_PIVOT_FLOOR = 1e-5
 
 #: Cap on the Newton/bisection steps of ``newton_in_bracket``; bisection
 #: alone reaches a few ulp of x from a scan bracket in well under this many.
@@ -117,7 +123,7 @@ def normal_sf(z: float) -> float:
 def wls_solve(
     X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least squares via QR of the row-scaled design.
+    """Weighted least squares through the normal equations X'WX coef = X'Wy.
 
     Minimizes sum_i w_i (y_i - X_i . coef)^2 and returns
     ``(coef, cov)`` where ``cov = (X' W X)^{-1}``. Callers rescale
@@ -125,10 +131,15 @@ def wls_solve(
     variance for ordinary regression; not at all for generalized least
     squares with known variances).
 
-    The solve goes through a Householder QR of sqrt(w) * X rather than
-    the normal equations, so conditioning is that of the design itself.
-    Rank deficiency is detected from the R diagonal and reported with
-    the offending column index.
+    One pass over the rows forms the p x p matrix X'WX and the vector
+    X'Wy; X'WX is scaled to a unit diagonal and factored by Cholesky.
+    The normal equations square the condition number of the design, so
+    callers should centre their non-intercept columns (``regress`` does).
+    A column whose Cholesky pivot is at most ``_PIVOT_FLOOR`` is a linear
+    combination of the columns before it, and the first such column is
+    reported in ``RankDeficiencyError``. X and y are not scanned for
+    non-finite entries: those show up as non-finite cross-products, which
+    raise ``DomainError``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -139,31 +150,35 @@ def wls_solve(
         raise DomainError(f"response has shape {y.shape}, expected ({n},)")
     if n < p:
         raise DomainError(f"need at least as many rows as columns, got {n} < {p}")
-    if not np.isfinite(X).all():
-        raise DomainError("design matrix contains non-finite entries")
-    if not np.isfinite(y).all():
-        raise DomainError("response contains non-finite entries")
-    if w is None:
-        Xw, yw = X, y
-    else:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            raise DomainError(f"weights have shape {w.shape}, expected ({n},)")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise DomainError("weights must be finite and non-negative")
-        sw = np.sqrt(w)
-        Xw = X * sw[:, None]
-        yw = y * sw
+    # Unit weights go through the same product: numpy computes X'X itself
+    # with a symmetric rank-k update, several times slower than X'WX here.
+    w = np.ones(n) if w is None else np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise DomainError(f"weights have shape {w.shape}, expected ({n},)")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise DomainError("weights must be finite and non-negative")
+    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+        Xw = X * w[:, None]
+        gram = Xw.T @ X
+        rhs = Xw.T @ y
+    if not np.isfinite(gram).all():
+        raise DomainError("design matrix contains non-finite entries, or X'WX overflows")
+    if not np.isfinite(rhs).all():
+        raise DomainError("response contains non-finite entries, or X'Wy overflows")
 
-    Q, R = np.linalg.qr(Xw)
-    pivots = np.abs(np.diag(R))
-    bad = np.flatnonzero(pivots <= _PIVOT_RTOL * pivots.max())
-    if bad.size:
-        raise RankDeficiencyError(column=int(bad[0]))
-    coef = np.linalg.solve(R, Q.T @ yw)
-    r_inv = np.linalg.solve(R, np.eye(p))
-    cov = r_inv @ r_inv.T
-    return coef, cov
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0  # a zero column keeps a zero pivot below
+    unit = gram / np.outer(scale, scale)
+    chol = np.zeros((p, p))
+    for j in range(p):
+        pivot2 = unit[j, j] - chol[j, :j] @ chol[j, :j]
+        if not pivot2 > _PIVOT_FLOOR**2:
+            raise RankDeficiencyError(column=j)
+        chol[j, j] = math.sqrt(pivot2)
+        chol[j + 1:, j] = (unit[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
+    chol_inv = np.linalg.inv(chol)
+    cov = (chol_inv.T @ chol_inv) / np.outer(scale, scale)
+    return cov @ rhs, cov
 
 
 def newton_in_bracket(derivatives, lo: float, hi: float, x: float) -> tuple[float, int]:

@@ -83,24 +83,34 @@ class LogisticFit:
 
 
 def _design(data: Mapping[str, np.ndarray], spec: RegressionSpec):
+    """Checked design and response: an intercept, then the centred predictor and covariates.
+
+    Centring leaves every slope and its variance as they are and moves
+    only the intercept, to the linear predictor at the column means; it
+    keeps the normal equations of ``wls_solve`` well conditioned when a
+    covariate sits far from zero (age in years, say). X is stored column
+    by column (Fortran order), which makes its row scaling and products
+    in ``wls_solve`` and IRLS several times faster for p <= 5. Returns
+    ``(X, y, center)``, ``center`` holding the column means.
+    """
+    names = (spec.response, spec.predictor, *spec.covariates)
     try:
-        y = np.asarray(data[spec.response], dtype=float)
-        cols = [np.asarray(data[name], dtype=float) for name in (spec.predictor, *spec.covariates)]
+        y, *cols = (np.asarray(data[name], dtype=float) for name in names)
     except KeyError as missing:
         raise DomainError(f"column {missing.args[0]!r} not present in data") from None
     n = y.shape[0]
-    for name, col in zip((spec.predictor, *spec.covariates), cols):
+    for name, col in zip(names[1:], cols):
         if col.shape != (n,):
             raise DomainError(f"column {name!r} has shape {col.shape}, expected ({n},)")
-    X = np.column_stack([np.ones(n), *cols])
-    for j, col in enumerate((y, *cols)):
+    for name, col in zip(names, (y, *cols)):
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
-            name = (spec.response, spec.predictor, *spec.covariates)[j]
-            raise DomainError(
-                f"non-finite value in column {name!r} at row {int(bad[0])}"
-            )
-    return X, y
+            raise DomainError(f"non-finite value in column {name!r} at row {int(bad[0])}")
+    if n < 1 + len(cols):
+        raise DomainError(f"need at least as many rows as columns, got {n} < {1 + len(cols)}")
+    center = np.array([col.mean() for col in cols])
+    X = np.array([np.ones(n), *(col - m for col, m in zip(cols, center))]).T
+    return X, y, center
 
 
 def fit_linear(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> AssocEstimate:
@@ -112,7 +122,7 @@ def fit_linear(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> AssocEst
     """
     if spec.family != "linear":
         raise DomainError(f"fit_linear requires family='linear', got {spec.family!r}")
-    X, y = _design(data, spec)
+    X, y, _ = _design(data, spec)
     n, p = X.shape
     if n <= p:
         raise DomainError(f"need n > p for a residual variance estimate, got n={n}, p={p}")
@@ -140,17 +150,22 @@ def _deviance(eta: np.ndarray, y: np.ndarray) -> float:
 def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> LogisticFit:
     """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
-    Starts from all-zero coefficients; a candidate step that increases the
-    deviance is halved back toward the previous iterate. Convergence is
-    declared when no coefficient moves by more than 1e-10. Divergence of
-    the coefficients is treated as separation and raised as such. It is
-    judged free of each column's location and scale: a slope times its
-    column's standard deviation, or the linear predictor at the column
-    means, beyond 15 in absolute value.
+    The fit runs on the design of ``_design``, whose predictor and
+    covariate columns are centred at their means. Starts from all-zero
+    coefficients; a candidate step that increases the deviance is halved
+    back toward the previous iterate. Convergence is declared when no
+    coefficient (the intercept taken at the column means) moves by more
+    than 1e-10. Divergence of the coefficients is treated as separation
+    and raised as such. It is judged free of each column's location and
+    scale: a slope times its column's standard deviation, or the linear
+    predictor at the column means (the centred intercept), beyond 15 in
+    absolute value. The returned ``coef`` and ``cov`` are those of the
+    uncentred columns: ``coef[0]`` is the linear predictor at all-zero
+    covariates, and ``cov`` is mapped to match.
     """
     if spec.family != "logistic":
         raise DomainError(f"fit_logistic requires family='logistic', got {spec.family!r}")
-    X, y = _design(data, spec)
+    X, y, center = _design(data, spec)
     n, p = X.shape
     levels = np.unique(y)
     if not np.isin(levels, (0.0, 1.0)).all():
@@ -161,10 +176,7 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
     # Divergence is judged on coefficients per column sd and on the
     # intercept at the column means, so a covariate's units or offset
     # (age in years, say) cannot make a valid fit look separated.
-    # Column by column: a 1-D reduction over a strided column is several
-    # times faster than an axis-0 reduction over the (n, p - 1) block.
-    center = np.array([col.mean() for col in X.T[1:]])
-    spread = np.array([col.std() for col in X.T[1:]])
+    spread = X[:, 1:].std(axis=0)
 
     coef = np.zeros(p)
     eta = X @ coef
@@ -193,10 +205,7 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
         moved = float(np.abs(step).max())
         coef, eta, dev = candidate, new_eta, new_dev
         trace.append(dev)
-        if (
-            abs(coef[0] + coef[1:] @ center) > _SEPARATION_COEF
-            or np.abs(coef[1:] * spread).max() > _SEPARATION_COEF
-        ):
+        if abs(coef[0]) > _SEPARATION_COEF or np.abs(coef[1:] * spread).max() > _SEPARATION_COEF:
             raise SeparationError(
                 "logistic coefficients diverged (|coef| > "
                 f"{_SEPARATION_COEF:g} per column sd, or at the column means); "
@@ -209,8 +218,15 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
             f"IRLS did not converge in {_IRLS_MAX_ITER} iterations",
             trace=tuple(trace),
         )
+    # Back to the uncentred columns: intercept = centred intercept - center . slopes.
+    uncentre = np.eye(p)
+    uncentre[0, 1:] = -center
     return LogisticFit(
-        coef=coef, cov=cov, deviance_trace=tuple(trace), iterations=iteration, n=n
+        coef=uncentre @ coef,
+        cov=uncentre @ cov @ uncentre.T,
+        deviance_trace=tuple(trace),
+        iterations=iteration,
+        n=n,
     )
 
 

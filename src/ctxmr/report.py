@@ -104,13 +104,27 @@ class AnalysisReport:
     warnings: tuple[str, ...] = ()
 
 
-def _build_rows(table: ContextTable, options: AnalysisOptions) -> tuple[ContextRow, ...]:
-    """One row per context: the raw associations and the scaled ratio estimates."""
+def _build_rows(
+    table: ContextTable, options: AnalysisOptions, warnings: list[str]
+) -> tuple[ContextRow, ...]:
+    """One row per context: the raw associations and the scaled ratio estimates.
+
+    An odds ratio beyond the float range (a log odds ratio above about
+    709, as a weak instrument can give) is left missing, and a note
+    naming its context is appended to ``warnings``.
+    """
     estimate, se = table.ratio, table.ratio_se
     lo, hi = estimate - options.ci_z * se, estimate + options.ci_z * se
     odds = [None] * len(table)
     if options.family == "logistic":
-        odds = [math.exp(value) for value in estimate.tolist()]
+        for k, (label, value) in enumerate(zip(table.labels.tolist(), estimate.tolist())):
+            try:
+                odds[k] = math.exp(value)
+            except OverflowError:
+                warnings.append(
+                    f"context {label!r}: odds ratio exp({value:.6g}) is beyond the "
+                    "float range; reported as missing"
+                )
     columns = (table.labels, table.n, table.xmean, table.bx, table.bx_se, table.by,
                table.by_se, estimate, se, lo, hi)
     return tuple(
@@ -133,8 +147,9 @@ def _assemble(
     else:
         trend = None
         warnings.append("trend test skipped: needs at least 3 contexts")
+    rows = _build_rows(table, options, warnings)
     return AnalysisReport(
-        contexts=_build_rows(table, options),
+        contexts=rows,
         heterogeneity_first_order=het_first,
         heterogeneity_modified=het_modified,
         trend=trend,

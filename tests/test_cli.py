@@ -6,10 +6,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ctxmr import cli
 from ctxmr.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_INGEST, EXIT_OK, main
+from ctxmr.report import report_from_json, report_to_json
 
 from fixtures import small_sizes, synthetic_cohort, write_cohort_csv
 from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
@@ -97,6 +99,35 @@ class TestAnalyze:
         )
         assert code == EXIT_ESTIMATION
         assert "separated" in capsys.readouterr().err
+
+    def test_overflowing_odds_ratio_is_reported_missing(self, tmp_path, capsys):
+        # The exposure moves by 1e-4 per allele, so by / bx, per 10 units,
+        # is in the thousands and its exponential beyond the float range.
+        rng = np.random.default_rng(5)
+        rows = ["score,vitd,chd,centre"]
+        for centre, mean in (("a", 40.0), ("b", 50.0), ("c", 60.0)):
+            g = rng.binomial(2, 0.3, size=200)
+            x = mean + 1e-4 * g + rng.normal(scale=1e-6, size=200)
+            y = (rng.random(200) < 0.3).astype(int)
+            rows += [f"{gi},{xi!r},{yi},{centre}"
+                     for gi, xi, yi in zip(g.tolist(), x.tolist(), y.tolist())]
+        path = tmp_path / "weak.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["analyze", "--data", str(path), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                "--family", "logistic", "--scale", "10", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        text = (tmp_path / "report.json").read_text()
+        payload = json.loads(text)
+        missing = [row["context"] for row in payload["contexts"] if row["odds_ratio"] is None]
+        assert missing == ["b", "c"]
+        assert all(row["estimate"] > 709.8 for row in payload["contexts"] if row["context"] in missing)
+        for label in missing:
+            assert any(f"context {label!r}: odds ratio" in note for note in payload["warnings"])
+        csv_rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] == "NA" for line in csv_rows[1:]] == [False, True, True]
+        assert "reported as missing" in (tmp_path / "report.txt").read_text()
+        assert report_to_json(report_from_json(text)) == text
 
 
 class TestMeta:

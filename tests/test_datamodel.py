@@ -169,6 +169,19 @@ class TestPartition:
         assert len(part.contexts) == 10
         assert sorted(label for label, _ in part.contexts) == sorted(set(context))
 
+    def test_shuffled_labels_keep_file_order_within_each_context(self):
+        # The row number rides along as the instrument: every context must
+        # hold exactly its rows, in the order they were read.
+        rng = np.random.default_rng(2)
+        context = rng.permutation(np.repeat(["q", "b", "k", "a"], [300, 250, 40, 410]))
+        row = np.arange(context.size, dtype=float)
+        ds = _dataset(row, rng.normal(size=row.size), np.zeros(row.size), context)
+        part = partition_by_context(ds, min_n=50)
+        for label, sub in part.contexts:
+            assert sub.instrument.tolist() == np.flatnonzero(context == label).tolist()
+            assert (sub.context == label).all()
+        assert [(e.context, e.n) for e in part.excluded] == [("k", 40)]
+
     def test_ordering_by_exposure_mean_with_label_tiebreak(self):
         context = np.array(["b"] * 3 + ["a"] * 3 + ["c"] * 3)
         exposure = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0])

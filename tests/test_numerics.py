@@ -125,11 +125,49 @@ class TestWlsSolve:
             wls_solve(np.zeros((4, 1)), np.zeros(4))
         assert exc.value.column == 0
 
+    @pytest.mark.parametrize("a, b", [(1.1886, -0.3003), (-1.9469, -0.0664), (0.0974, 0.8518)])
+    def test_linear_combination_is_rank_deficient_despite_rounding(self, a, b):
+        # Rounding in X'X leaves such a column with a pivot of a few 1e-7,
+        # not zero; it must still be named as the first dependent column.
+        rng = np.random.default_rng(106)
+        n = 20_000
+        x1 = rng.normal(size=n) * 1e-3
+        x2 = rng.integers(0, 3, size=n).astype(float)
+        cols = [c - c.mean() for c in (x1, x2, a * x1 + b * x2)]
+        X = np.column_stack([np.ones(n), *cols])
+        with pytest.raises(RankDeficiencyError) as exc:
+            wls_solve(X, rng.normal(size=n))
+        assert exc.value.column == 3
+
+    def test_highly_correlated_column_is_accepted(self):
+        # Correlation 0.999999 between two columns: a realistic extreme the
+        # rank test must let through, with the answer of a QR-based solve.
+        rng = np.random.default_rng(19)
+        n = 5_000
+        g = rng.normal(size=n)
+        e = rng.normal(size=n)
+        e -= (e @ g) / (g @ g) * g
+        rho = 0.999999
+        z = rho * g / g.std() + np.sqrt(1 - rho**2) * e / e.std()
+        assert np.corrcoef(g, z)[0, 1] == pytest.approx(rho, abs=1e-9)
+        X = np.column_stack([np.ones(n), g - g.mean(), z - z.mean()])
+        y = 0.4 * g + 0.1 * z + rng.normal(size=n)
+        w = rng.uniform(0.1, 0.25, size=n)
+        coef, cov = wls_solve(X, y, w)
+        sw = np.sqrt(w)
+        ref = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
+        assert coef == pytest.approx(ref, rel=1e-7)
+        r = np.linalg.qr(X * sw[:, None], mode="r")
+        r_inv = np.linalg.inv(r)
+        assert cov == pytest.approx(r_inv @ r_inv.T, rel=1e-7)
+
     def test_shape_and_domain_errors(self):
         with pytest.raises(DomainError):
             wls_solve(np.ones((2, 3)), np.zeros(2))
         with pytest.raises(DomainError):
             wls_solve(np.ones((3, 1)), np.array([1.0, np.nan, 0.0]))
+        with pytest.raises(DomainError):
+            wls_solve(np.array([[1.0], [np.inf], [1.0]]), np.zeros(3))
         with pytest.raises(DomainError):
             wls_solve(np.ones((3, 1)), np.zeros(3), np.array([1.0, -1.0, 1.0]))
 

@@ -138,6 +138,29 @@ class TestFitLogistic:
         assert raw.coef[1:] == pytest.approx(centred.coef[1:], rel=1e-8)
         assert abs(raw.coef[2] - 0.3) < 4.0 * np.sqrt(raw.cov[2, 2])
 
+    def test_uncentred_intercept_and_covariance_match_lstsq(self):
+        # At the maximum, the IRLS working regression on the raw columns
+        # reproduces the fit; its least-squares solution is the reference
+        # for the back-mapped intercept and the first row of cov.
+        rng = np.random.default_rng(15)
+        n = 400
+        g = rng.binomial(2, 0.3, n).astype(float)
+        age = rng.normal(1e3, 5.0, n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(-0.5 + 0.3 * g)))).astype(float)
+        spec = RegressionSpec(response="y", predictor="g", covariates=("age",),
+                              family="logistic")
+        fit = fit_logistic_detail({"y": y, "g": g, "age": age}, spec)
+        X = np.column_stack([np.ones(n), g, age])
+        eta = X @ fit.coef
+        prob = 1.0 / (1.0 + np.exp(-eta))
+        sw = np.sqrt(prob * (1.0 - prob))
+        A = X * sw[:, None]
+        coef_ref = np.linalg.lstsq(A, sw * eta + (y - prob) / sw, rcond=None)[0]
+        pinv = np.linalg.lstsq(A, np.eye(n), rcond=None)[0]
+        cov_ref = pinv @ pinv.T
+        assert fit.coef[0] == pytest.approx(coef_ref[0], rel=1e-9)
+        assert fit.cov[0, :] == pytest.approx(cov_ref[0, :], rel=1e-7)
+
     def test_single_class_raises(self):
         with pytest.raises(EstimationError, match="single class"):
             fit_logistic({"y": np.zeros(20), "g": np.arange(20.0)}, LOGISTIC)
@@ -167,6 +190,43 @@ class TestFitLogistic:
         est_p = fit_logistic({"y": y[perm], "g": g[perm]}, LOGISTIC)
         assert est_p.beta == pytest.approx(est.beta, abs=1e-8)
         assert est_p.se == pytest.approx(est.se, abs=1e-8)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6])
+class TestCovariateFarFromZero:
+    """Centring inside the fits: a covariate's offset changes nothing but the intercept."""
+
+    @staticmethod
+    def _data(offset, logistic):
+        rng = np.random.default_rng(16)
+        n = 3000
+        g = rng.binomial(2, 0.3, n).astype(float)
+        z = offset + rng.normal(size=n)
+        zc = z - z.mean()
+        logit = -0.4 + 0.3 * g + 0.2 * zc
+        if logistic:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
+        else:
+            y = logit + rng.normal(size=n)
+        return {"y": y, "g": g, "z": z}, {"y": y, "g": g, "z": zc}
+
+    def test_linear_matches_precentred_fit(self, offset):
+        raw, centred = self._data(offset, logistic=False)
+        spec = RegressionSpec(response="y", predictor="g", covariates=("z",))
+        a, b = fit_linear(raw, spec), fit_linear(centred, spec)
+        assert a.beta == pytest.approx(b.beta, rel=1e-10)
+        assert a.se == pytest.approx(b.se, rel=1e-10)
+
+    def test_logistic_matches_precentred_fit(self, offset):
+        raw, centred = self._data(offset, logistic=True)
+        spec = RegressionSpec(response="y", predictor="g", covariates=("z",),
+                              family="logistic")
+        a, b = fit_logistic_detail(raw, spec), fit_logistic_detail(centred, spec)
+        assert a.coef[1:] == pytest.approx(b.coef[1:], rel=1e-10)
+        assert a.cov[1:, 1:] == pytest.approx(b.cov[1:, 1:], rel=1e-10)
+        # Only the intercept moves: to the linear predictor at z = 0.
+        mean = raw["z"].mean()
+        assert a.coef[0] == pytest.approx(b.coef[0] - mean * b.coef[2], rel=1e-10)
 
 
 class TestSpecAndEstimate:
