@@ -8,6 +8,11 @@ column of a chunk with one numpy call (numpy parses a ``str`` exactly as
 ``float`` does); only a column chunk holding a token that ``float``
 rejects is parsed cell by cell. The cyclic garbage collector is paused
 while the file is read, since it would otherwise walk every row list.
+
+``partition_by_context`` copies no context whose rows sit in one run of
+the file: that context's columns are views of the dataset's. Other
+contexts are gathered with ``take``. Either way a context's columns are
+read-only, so nothing downstream can write into the caller's arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ class ColumnMap:
     covariates: tuple[str, ...] = ()
 
 
+#: The Dataset fields that hold one entry (or covariate row) per record.
+_ROW_COLUMNS = ("instrument", "exposure", "outcome", "context", "covariates")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar view of the analysis sample.
@@ -72,16 +81,24 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.instrument.shape[0])
 
-    def subset(self, index: np.ndarray) -> "Dataset":
-        return replace(
-            self,
-            instrument=self.instrument[index],
-            exposure=self.exposure[index],
-            outcome=self.outcome[index],
-            context=self.context[index],
-            covariates=self.covariates[index],
-            n_dropped=0,
-        )
+    def subset(self, index: slice | np.ndarray) -> "Dataset":
+        """The rows at ``index``: a slice, row numbers or a boolean mask.
+
+        A slice gives views of this dataset's columns, with no copy; row
+        numbers and masks gather copies with ``take``. Either way the
+        columns are read-only, so no fit can write through a view into
+        this dataset.
+        """
+        if isinstance(index, slice):
+            columns = {name: getattr(self, name)[index] for name in _ROW_COLUMNS}
+        else:
+            index = np.asarray(index)
+            if index.dtype == bool:  # take would read a mask as rows 0 and 1
+                index = np.flatnonzero(index)
+            columns = {name: getattr(self, name).take(index, axis=0) for name in _ROW_COLUMNS}
+        for column in columns.values():
+            column.flags.writeable = False
+        return replace(self, n_dropped=0, **columns)
 
     def columns(self) -> dict[str, np.ndarray]:
         """Role-keyed columns in the shape the regression fits expect."""
@@ -238,7 +255,11 @@ def partition_by_context(
 
     Contexts with fewer than ``min_n`` records are excluded and reported
     in the result's ``excluded`` list. Ties in mean exposure are broken
-    by label so the ordering is deterministic.
+    by label so the ordering is deterministic. Each context keeps its rows
+    in file order. A context whose rows form one run of the file is a
+    slice of the dataset (read-only views, no copy); any other is gathered
+    (read-only copies). Both hold the same values in the same order, so
+    every sum over a context runs over the same rows either way.
     """
     if len(ds) == 0:
         raise ConfigError("cannot partition an empty dataset")
@@ -246,7 +267,7 @@ def partition_by_context(
     # One stable sort groups the rows by label and keeps each group in file
     # order, so every context's sums run over its rows as they were read.
     order = np.argsort(ctx, kind="stable")
-    ordered = ctx[order]
+    ordered = ctx.take(order)
     cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(ctx)]
     retained: list[tuple[float, str, Dataset]] = []
     excluded: list[ExcludedContext] = []
@@ -261,7 +282,10 @@ def partition_by_context(
                 )
             )
             continue
-        sub = ds.subset(order[lo:hi])
+        rows = order[lo:hi]
+        first, last = int(rows[0]), int(rows[-1])
+        # Rows in one run of the file are a slice: views, not copies.
+        sub = ds.subset(slice(first, last + 1) if last - first == hi - lo - 1 else rows)
         retained.append((float(sub.exposure.mean()), label, sub))
     if len(retained) < 2:
         raise ConfigError(

@@ -13,6 +13,7 @@ inverse variances:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -168,11 +169,23 @@ def context_iv(
 
 
 def ivw_pool(table: ContextTable) -> PooledEstimate:
-    """Inverse-variance weighted pooled estimate with first-order weights."""
+    """Inverse-variance weighted pooled estimate with first-order weights.
+
+    Raises EstimationError when the weight sum or the estimate is not a
+    finite positive number, as outcome standard errors scaled beyond the
+    float range make them.
+    """
     if len(table) < 2:
         raise ConfigError(f"IVW pooling needs >= 2 contexts, got {len(table)}")
     by, by_se = table.outcome()
-    w = by_se**-2.0
-    denom = float(np.sum(table.bx * table.bx * w))
-    beta = float(np.sum(by * table.bx * w)) / denom
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = by_se**-2.0
+        denom = float(np.sum(table.bx * table.bx * w))
+        numer = float(np.sum(by * table.bx * w))
+    beta = numer / denom if 0.0 < denom < math.inf else math.nan
+    if not math.isfinite(beta):
+        raise EstimationError(
+            f"IVW pooled estimate is {beta} (weight sum {denom:g}): the outcome "
+            "associations or their standard errors are too extreme to pool"
+        )
     return PooledEstimate(beta=beta, se=denom**-0.5, k=len(table))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, EstimationError
 from .numerics import newton_in_bracket, normal_sf
 
 # Not called here: the benchmark's tracer wraps these names where this
@@ -117,13 +117,14 @@ def _reml_tau2(y, v, x, k):
     unweighted OLS residual sum of squares, because tr P >= (K - 2) /
     (max v + tau2) and u'u <= RSS / (min v + tau2)^2. f is scanned at
     ``_REML_SCAN`` points of [0, that bound], and the best point refined
-    by ``numerics.newton_in_bracket`` between its scan neighbours.
-    Returns (tau2, steps).
+    by ``numerics.newton_in_bracket`` between its scan neighbours. A
+    criterion that is not finite on the scan, as variances far outside
+    the float range make it, raises EstimationError. Returns (tau2, steps).
     """
 
     def f(tau2):
         w, _, r, _, s2 = _gls(tau2, y, v, x)
-        return 0.5 * (np.log(w.sum(axis=-1) * s2) - np.log(w).sum(axis=-1)
+        return 0.5 * (np.log(w.sum(axis=-1)) + np.log(s2) - np.log(w).sum(axis=-1)
                       + (w * r * r).sum(axis=-1))
 
     def derivatives(tau2):
@@ -134,11 +135,18 @@ def _reml_tau2(y, v, x, k):
                  + (a @ a) ** 2 + (b @ b) ** 2 + 2.0 * (a @ b) ** 2)
         return 0.5 * (tr_p - u @ u), u @ (w * u) - (a @ u) ** 2 - (b @ u) ** 2 - 0.5 * tr_p2
 
-    r_ols = _gls(0.0, y, np.ones(k), x)[2]
-    grid = (r_ols @ r_ols / (k - 2) + v.max()) * _REML_SCAN
-    i = int(np.argmin(f(grid)))
-    return newton_in_bracket(derivatives, grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)],
-                             grid[i])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_ols = _gls(0.0, y, np.ones(k), x)[2]
+        grid = (r_ols @ r_ols / (k - 2) + v.max()) * _REML_SCAN
+        criterion = f(grid)
+        if not np.isfinite(criterion).all():
+            raise EstimationError(
+                "REML criterion is not finite: the estimates or their variances "
+                "are too extreme to fit"
+            )
+        i = int(np.argmin(criterion))
+        return newton_in_bracket(derivatives, grid[max(i - 1, 0)],
+                                 grid[min(i + 1, grid.size - 1)], grid[i])
 
 
 def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegResult:

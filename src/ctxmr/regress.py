@@ -142,9 +142,25 @@ def fit_linear(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> AssocEst
     return AssocEstimate(beta=float(coef[1]), se=float(np.sqrt(sigma2 * cov[1, 1])), n=n)
 
 
-def _deviance(eta: np.ndarray, y: np.ndarray) -> float:
-    # 2 * sum[log(1 + exp(eta)) - y*eta], computed overflow-safe.
-    return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
+def _deviance(eta: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The deviance 2 * sum[log(1 + e^eta) - y eta] and the fitted probabilities.
+
+    Both are read from one exp pass, t = exp(-|eta|), which never
+    overflows: log(1 + e^eta) = max(eta, 0) + log1p(t), the algorithm of
+    numpy's ``logaddexp(0, eta)``, and the probability 1 / (1 + e^-eta) is
+    1 / (1 + t) where eta >= 0 and t / (1 + t) where eta < 0.
+    """
+    # In place: on IRLS-sized rows a fresh temporary costs about as much
+    # as the arithmetic that fills it.
+    t = np.abs(eta)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    prob = np.where(eta < 0.0, t, 1.0)
+    prob /= 1.0 + t
+    terms = np.log1p(t, out=t)
+    terms += np.maximum(eta, 0.0)
+    terms -= y * eta
+    return float(2.0 * terms.sum()), prob
 
 
 def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> LogisticFit:
@@ -153,7 +169,10 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
     The fit runs on the design of ``_design``, whose predictor and
     covariate columns are centred at their means. Starts from all-zero
     coefficients; a candidate step that increases the deviance is halved
-    back toward the previous iterate. Convergence is declared when no
+    back toward the previous iterate. ``_deviance`` gives each candidate's
+    deviance and probabilities from one exp pass over the rows, and the
+    next step weights the rows by the probabilities of the accepted
+    candidate, halved or not. Convergence is declared when no
     coefficient (the intercept taken at the column means) moves by more
     than 1e-10. Divergence of the coefficients is treated as separation
     and raised as such. It is judged free of each column's location and
@@ -180,30 +199,29 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
 
     coef = np.zeros(p)
     eta = X @ coef
-    dev = _deviance(eta, y)
+    dev, prob = _deviance(eta, y)
     trace = [dev]
     cov = None
     for iteration in range(1, _IRLS_MAX_ITER + 1):
-        prob = 1.0 / (1.0 + np.exp(-eta))
         w = np.maximum(prob * (1.0 - prob), 1e-10)
         z = eta + (y - prob) / w
         candidate, cov = wls_solve(X, z, w)
         step = candidate - coef
         new_eta = X @ candidate
-        new_dev = _deviance(new_eta, y)
+        new_dev, new_prob = _deviance(new_eta, y)
         halvings = 0
         while new_dev > dev + 1e-10 and halvings < 30:
             step *= 0.5
             candidate = coef + step
             new_eta = X @ candidate
-            new_dev = _deviance(new_eta, y)
+            new_dev, new_prob = _deviance(new_eta, y)
             halvings += 1
         if halvings == 30 and new_dev > dev + 1e-10:
             raise SeparationError(
                 "logistic deviance could not be decreased; data look separated"
             )
         moved = float(np.abs(step).max())
-        coef, eta, dev = candidate, new_eta, new_dev
+        coef, eta, dev, prob = candidate, new_eta, new_dev, new_prob
         trace.append(dev)
         if abs(coef[0]) > _SEPARATION_COEF or np.abs(coef[1:] * spread).max() > _SEPARATION_COEF:
             raise SeparationError(

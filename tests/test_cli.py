@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,26 @@ class TestMeta:
         assert code == EXIT_CONFIG
         assert "confidence z must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("scale", ["1e150", "1e160", "1e200", "1e-200"])
+@pytest.mark.parametrize("command", ["meta", "analyze"])
+def test_extreme_scale_exits_cleanly(command, scale, cohort_csv, tmp_path, capsys):
+    # Outcome standard errors scaled toward the ends of the float range:
+    # an estimate or a clean estimation error, never a traceback or a warning.
+    if command == "meta":
+        summary = tmp_path / "summary.csv"
+        summary.write_text(ELEVEN_CONTEXT_SUMMARY_CSV, encoding="utf-8")
+        argv = ["meta", "--summary", str(summary), "--scale", scale, "--out-dir", str(tmp_path)]
+    else:
+        argv = analyze_args(cohort_csv, tmp_path, ["--scale", scale])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_ESTIMATION)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
 
 
 class TestSimulate:

@@ -16,6 +16,9 @@ from ctxmr.datamodel import (
     summarize_context,
 )
 from ctxmr.errors import ConfigError, DomainError, IngestError
+from ctxmr.report import AnalysisOptions, analyze_dataset
+
+from fixtures import small_sizes, synthetic_cohort
 
 CMAP = ColumnMap(instrument="score", exposure="vitd", outcome="chd", context="centre")
 
@@ -188,6 +191,79 @@ class TestPartition:
         ds = _dataset(np.zeros(9), exposure, np.zeros(9), context)
         part = partition_by_context(ds, min_n=2)
         assert [label for label, _ in part.contexts] == ["c", "a", "b"]
+
+
+def _with_covariates(context):
+    """A dataset on these labels whose row number rides along as the instrument."""
+    rng = np.random.default_rng(3)
+    n = len(context)
+    return Dataset(
+        instrument=np.arange(n, dtype=float),
+        exposure=rng.normal(size=n),
+        outcome=(rng.random(n) < 0.3).astype(float),
+        context=np.asarray(context),
+        covariates=rng.normal(size=(n, 2)),
+        covariate_names=("age", "sex"),
+        outcome_family="logistic",
+    )
+
+
+def _same_rows(a: Dataset, b: Dataset) -> bool:
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in datamodel._ROW_COLUMNS)
+
+
+def _shares_memory(sub: Dataset, ds: Dataset) -> list[bool]:
+    return [np.shares_memory(getattr(sub, name), getattr(ds, name))
+            for name in datamodel._ROW_COLUMNS]
+
+
+class TestZeroCopyPartition:
+    def test_grouped_contexts_are_read_only_views(self):
+        ds = _with_covariates(np.repeat(["b", "a", "c"], [120, 150, 130]))
+        part = partition_by_context(ds, min_n=100)
+        assert len(part.contexts) == 3
+        for label, sub in part.contexts:
+            assert all(_shares_memory(sub, ds))
+            assert not any(getattr(sub, name).flags.writeable for name in datamodel._ROW_COLUMNS)
+            assert _same_rows(sub, ds.subset(np.flatnonzero(ds.context == label)))
+            with pytest.raises(ValueError, match="read-only"):
+                sub.exposure[0] = 1.0
+        assert ds.exposure.flags.writeable and ds.covariates.flags.writeable
+
+    def test_interleaved_contexts_are_gathered_in_file_order(self):
+        context = np.random.default_rng(4).permutation(np.repeat(["q", "b", "k"], [300, 250, 200]))
+        ds = _with_covariates(context)
+        part = partition_by_context(ds, min_n=100)
+        for label, sub in part.contexts:
+            assert not any(_shares_memory(sub, ds))
+            assert _same_rows(sub, ds.subset(np.flatnonzero(context == label)))
+            assert not sub.covariates.flags.writeable
+
+    def test_mixed_file_takes_both_paths(self):
+        # "a" lies in two runs of the file; "b" and "c" in one run each.
+        ds = _with_covariates(np.repeat(["a", "b", "a", "c"], [100, 150, 50, 120]))
+        part = partition_by_context(ds, min_n=100)
+        shared = {label: all(_shares_memory(sub, ds)) for label, sub in part.contexts}
+        assert shared == {"a": False, "b": True, "c": True}
+        for label, sub in part.contexts:
+            assert _same_rows(sub, ds.subset(np.flatnonzero(ds.context == label)))
+        a = dict(part.contexts)["a"]
+        assert a.instrument.tolist() == [*range(100), *range(250, 300)]
+
+    def test_subset_by_mask_equals_subset_by_row_numbers(self):
+        ds = _with_covariates(np.repeat(["a", "b"], [5, 7]))
+        mask = ds.context == "b"
+        assert _same_rows(ds.subset(mask), ds.subset(np.flatnonzero(mask)))
+        assert _same_rows(ds.subset(slice(5, 12)), ds.subset(np.flatnonzero(mask)))
+
+    def test_analysis_leaves_the_callers_arrays_unchanged(self):
+        ds = synthetic_cohort(seed=8, sizes=small_sizes(40))
+        before = {name: getattr(ds, name).copy() for name in datamodel._ROW_COLUMNS}
+        analyze_dataset(ds, AnalysisOptions(family="logistic", scale=10.0))
+        for name, column in before.items():
+            assert np.array_equal(getattr(ds, name), column)
+            assert getattr(ds, name).flags.writeable
 
 
 class TestSummarize:

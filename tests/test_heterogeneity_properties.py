@@ -1,7 +1,8 @@
-"""Property tests of the modified second-order Q in the weak-instrument regime.
+"""Property tests of the first-order Q, the IVW estimate and the modified Q.
 
-Summary sets with |bx|/se(bx) between 3 and 8 and a between-context sd of
-about 0.1 in the ratio are where Q(b) has several local minima, so they
+For the modified second-order Q the sets sit in the weak-instrument
+regime: |bx|/se(bx) between 3 and 8 and a between-context sd of about
+0.1 in the ratio are where Q(b) has several local minima, so they
 exercise the solver's choice of basin as well as its refinement.
 """
 
@@ -15,8 +16,8 @@ import numpy as np  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ctxmr.heterogeneity import q_modified_second_order  # noqa: E402
-from ctxmr.ivcore import ContextTable  # noqa: E402
+from ctxmr.heterogeneity import q_first_order, q_modified_second_order  # noqa: E402
+from ctxmr.ivcore import ContextTable, ivw_pool  # noqa: E402
 
 from oracles import modified_q_grid_min  # noqa: E402
 
@@ -82,3 +83,43 @@ def test_invariant_to_order_and_outcome_scale(contexts, rng, scale):
     scaled = q_modified_second_order(table_from(bx, bx_se, scale * by, scale * by_se))
     assert shuffled.q == pytest.approx(q, rel=1e-10, abs=1e-10)
     assert scaled.q == pytest.approx(q, rel=1e-10, abs=1e-10)
+
+
+# One context for the first-order tests: bx of either sign, by, se(by).
+FIRST_ORDER_CONTEXT = st.tuples(
+    st.floats(0.05, 1.0),
+    st.booleans(),
+    st.floats(-1.0, 1.0),
+    st.floats(0.005, 0.5),
+)
+FIRST_ORDER_SETS = st.lists(FIRST_ORDER_CONTEXT, min_size=2, max_size=30)
+
+
+def first_order_table(contexts):
+    size, negative, by, by_se = (np.array(col) for col in zip(*contexts))
+    bx = np.where(negative, -size, size)
+    return table_from(bx, np.zeros(bx.size), by, by_se)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIRST_ORDER_SETS, st.randoms(use_true_random=False), st.floats(1e-6, 1e6))
+def test_first_order_q(contexts, rng, factor):
+    t = first_order_table(contexts)
+    het = q_first_order(t)
+    assert het.q >= 0.0 and 0.0 <= het.p <= 1.0 and het.df == len(t) - 1
+    # Directly: the squared deviations of the ratios from the IVW estimate,
+    # weighted by the inverse first-order ratio variances.
+    direct = float(np.sum((t.ratio - ivw_pool(t).beta) ** 2 / t.ratio_se**2))
+    assert het.q == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    order = list(range(len(t)))
+    rng.shuffle(order)
+    assert q_first_order(t.subset(np.array(order))).q == pytest.approx(het.q, rel=1e-9, abs=1e-9)
+    assert q_first_order(t.rescaled(factor)).q == pytest.approx(het.q, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FIRST_ORDER_SETS)
+def test_ivw_estimate_lies_within_the_ratio_range(contexts):
+    t = first_order_table(contexts)
+    slack = 1e-12 * float(np.abs(t.ratio).max())
+    assert t.ratio.min() - slack <= ivw_pool(t).beta <= t.ratio.max() + slack

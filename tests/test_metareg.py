@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,22 @@ class TestTrendTest:
         base, scaled = trend_test(t), trend_test(t.rescaled(10.0))
         assert scaled.slope == pytest.approx(10.0 * base.slope, rel=1e-9)
         assert scaled.tau2 == pytest.approx(100.0 * base.tau2, rel=1e-6, abs=1e-12)
+        assert scaled.slope_p == pytest.approx(base.slope_p, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", [1e100, 1e150, 1e-150])
+    def test_extreme_scales_match_the_rescaled_trend(self, factor):
+        # The variances lie near the ends of the float range; the REML
+        # criterion's log terms must neither underflow nor warn.
+        rng = np.random.default_rng(26)
+        t = make_table(bx=rng.uniform(0.4, 0.6, 8), bx_se=0.02, by=rng.normal(0.4, 0.05, 8),
+                       by_se=0.03, means=8.0 + 0.25 * np.arange(8))
+        base = trend_test(t)
+        assert base.tau2 > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = trend_test(t.rescaled(factor))
+        assert scaled.slope == pytest.approx(factor * base.slope, rel=1e-9)
+        assert scaled.tau2 == pytest.approx(factor * factor * base.tau2, rel=1e-9)
         assert scaled.slope_p == pytest.approx(base.slope_p, rel=1e-9)
 
     def test_null_rejection_rate_is_calibrated(self):

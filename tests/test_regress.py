@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from ctxmr import regress
 from ctxmr.errors import DegenerateFitWarning, DomainError, EstimationError, SeparationError
 from ctxmr.regress import (
     AssocEstimate,
@@ -190,6 +193,82 @@ class TestFitLogistic:
         est_p = fit_logistic({"y": y[perm], "g": g[perm]}, LOGISTIC)
         assert est_p.beta == pytest.approx(est.beta, abs=1e-8)
         assert est_p.se == pytest.approx(est.se, abs=1e-8)
+
+
+class TestFusedIrlsPass:
+    """One exp pass gives each IRLS step its deviance and its probabilities."""
+
+    SPECIAL_ETA = [-800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0]
+
+    @staticmethod
+    def _eta():
+        rng = np.random.default_rng(21)
+        return np.concatenate([TestFusedIrlsPass.SPECIAL_ETA, rng.normal(scale=20.0, size=4000),
+                               rng.uniform(-750.0, 750.0, size=4000)])
+
+    @staticmethod
+    def _check_deviance(eta, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev, _ = regress._deviance(eta, y)
+        want = 2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta)
+        assert abs(dev - want) <= 1e-14 * abs(want)
+
+    def test_deviance_matches_logaddexp_at_special_points(self):
+        for eta in self.SPECIAL_ETA:
+            for y in (0.0, 1.0):
+                self._check_deviance(np.array([eta]), np.array([y]))
+
+    def test_deviance_matches_logaddexp_on_random_eta(self):
+        eta = self._eta()
+        self._check_deviance(eta, (np.random.default_rng(22).random(eta.size) < 0.5) * 1.0)
+
+    def test_probabilities_within_four_ulp(self):
+        eta = self._eta()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, prob = regress._deviance(eta, np.zeros(eta.size))
+        with np.errstate(over="ignore"):
+            odds = np.exp(-eta)
+        finite = np.isfinite(odds)
+        assert finite.sum() > 4000
+        reference = 1.0 / (1.0 + odds[finite])
+        assert (np.abs(prob[finite] - reference) <= 4 * np.spacing(reference)).all()
+        assert ((prob >= 0.0) & (prob <= 1.0)).all()
+
+    def test_step_halving_weights_come_from_the_accepted_candidate(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=500)
+        y = (rng.random(500) < 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * g)))).astype(float)
+        data, spec = {"y": y, "g": g}, RegressionSpec(response="y", predictor="g",
+                                                     family="logistic")
+        plain = fit_logistic_detail(data, spec)
+        events = []
+        solve, deviance = regress.wls_solve, regress._deviance
+
+        def overshooting_solve(X, z, w):
+            events.append(("solve", w.copy()))
+            coef, cov = solve(X, z, w)
+            # The first step overshoots eightfold, so the deviance rises and it is halved.
+            return (8.0 * coef if len(events) == 2 else coef), cov
+
+        def recording_deviance(eta, y):
+            events.append(("deviance", eta.copy()))
+            return deviance(eta, y)
+
+        monkeypatch.setattr(regress, "wls_solve", overshooting_solve)
+        monkeypatch.setattr(regress, "_deviance", recording_deviance)
+        fit = fit_logistic_detail(data, spec)
+        kinds = [kind for kind, _ in events]
+        first, second = kinds.index("solve"), kinds.index("solve", kinds.index("solve") + 1)
+        assert second - first > 2  # the overshooting candidate was halved at least once
+        for at, (kind, w) in enumerate(events):
+            if kind == "solve":
+                eta = events[at - 1][1]  # the last candidate evaluated: the accepted one
+                prob = 1.0 / (1.0 + np.exp(-eta))
+                np.testing.assert_allclose(w, np.maximum(prob * (1.0 - prob), 1e-10),
+                                           rtol=1e-12)
+        np.testing.assert_allclose(fit.coef, plain.coef, rtol=1e-8)
 
 
 @pytest.mark.parametrize("offset", [1e3, 1e6])
