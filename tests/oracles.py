@@ -97,16 +97,29 @@ def modified_q_grid_min(bx, bx_se, by, by_se, lo, hi, steps=400_001):
     return float(grid[i]), float(qvals[i])
 
 
+def _design(means):
+    """The design [1, x - mean(x)] of the mean-exposure meta-regression.
+
+    Centring leaves det(X' W X), the residuals and the slope unchanged (it
+    is a change of basis with determinant 1), but keeps det(X' W X) from
+    cancelling when the means span a range small against their level:
+    uncentred, means spanning 0.05 near 9.3 leave the log-likelihood with
+    rounding noise of order 1e-11, enough to move its grid maximum.
+    """
+    x = np.asarray(means, dtype=float)
+    return np.column_stack([np.ones_like(x), x - x.mean()])
+
+
 def reml_loglik(tau2, estimates, variances, means):
     """Restricted log-likelihood of the mean-exposure meta-regression.
 
     Up to an additive constant:
     -0.5 [ sum log(v_k + tau2) + log det(X' W X) + sum w_k r_k^2 ].
+    X is ``_design(means)``.
     """
     y = np.asarray(estimates, dtype=float)
     v = np.asarray(variances, dtype=float)
-    x = np.asarray(means, dtype=float)
-    X = np.column_stack([np.ones_like(x), x])
+    X = _design(means)
     w = 1.0 / (v + tau2)
     xtwx = X.T @ (X * w[:, None])
     coef = np.linalg.solve(xtwx, X.T @ (w * y))
@@ -125,8 +138,7 @@ def reml_loglik_grid(grid, estimates, variances, means):
     """
     y = np.asarray(estimates, dtype=float)
     v = np.asarray(variances, dtype=float)
-    x = np.asarray(means, dtype=float)
-    X = np.column_stack([np.ones_like(x), x])
+    X = _design(means)
     shifted = v + np.asarray(grid, dtype=float)[:, None]
     w = 1.0 / shifted
     xtwx = X.T @ (X * w[:, :, None])
@@ -162,7 +174,7 @@ def reml_profile_grid(estimates, variances, means, hi, step=1e-4):
         width = grid[1] - grid[0]
     tau2 = float(grid[i])
 
-    X = np.column_stack([np.ones_like(x), x])
+    X = _design(x)
     w = 1.0 / (v + tau2)
     xtwx = X.T @ (X * w[:, None])
     coef = np.linalg.solve(xtwx, X.T @ (w * y))
