@@ -30,7 +30,7 @@ from .heterogeneity import (
 from .ivcore import ContextResult, ContextTable, PooledEstimate, context_iv, ivw_pool
 from .metareg import MetaRegResult, meta_regress, trend_test
 from .numerics import chi_square_sf, normal_sf, wls_solve
-from .regress import AssocEstimate, RegressionSpec, fit_linear, fit_logistic
+from .regress import AssocEstimate, design, fit_linear, fit_logistic
 from .report import (
     AnalysisOptions,
     AnalysisReport,
@@ -64,13 +64,13 @@ __all__ = [
     "HeterogeneityResult",
     "MetaRegResult",
     "PooledEstimate",
-    "RegressionSpec",
     "SimScenario",
     "analyze_dataset",
     "analyze_summary_results",
     "chi_square_sf",
     "context_iv",
     "default_plan",
+    "design",
     "effect_value",
     "emit_table",
     "fit_linear",

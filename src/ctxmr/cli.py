@@ -27,11 +27,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .datamodel import ColumnMap, load_csv
+from .datamodel import DEFAULT_MIN_CONTEXT_SIZE, ColumnMap, load_csv
 from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError, IngestError
 from .harness import default_plan, emit_table, plan_manifest, run_experiment
 from .metareg import TAU2_METHODS
 from .report import (
+    DEFAULT_CI_Z,
     AnalysisOptions,
     analyze_dataset,
     analyze_summary_results,
@@ -65,7 +66,7 @@ def _add_analysis_flags(sub):
                      help="report estimates per this many exposure units")
     sub.add_argument("--tau2", choices=TAU2_METHODS, default="reml",
                      help="between-context variance estimator for the trend test")
-    sub.add_argument("--ci-z", type=float, default=1.959964,
+    sub.add_argument("--ci-z", type=float, default=DEFAULT_CI_Z,
                      help="normal quantile for the confidence intervals")
 
 
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--covariates", default="",
                          help="comma-separated covariate column names")
     analyze.add_argument("--family", choices=("linear", "logistic"), default="linear")
-    analyze.add_argument("--min-context-n", type=int, default=100)
+    analyze.add_argument("--min-context-n", type=int, default=DEFAULT_MIN_CONTEXT_SIZE)
     _add_analysis_flags(analyze)
     _add_output_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)

@@ -100,17 +100,6 @@ class Dataset:
             column.flags.writeable = False
         return replace(self, n_dropped=0, **columns)
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """Role-keyed columns in the shape the regression fits expect."""
-        cols = {
-            "instrument": self.instrument,
-            "exposure": self.exposure,
-            "outcome": self.outcome,
-        }
-        for j, name in enumerate(self.covariate_names):
-            cols[name] = self.covariates[:, j]
-        return cols
-
 
 @dataclass(frozen=True)
 class ExcludedContext:

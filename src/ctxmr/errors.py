@@ -69,9 +69,5 @@ class ExperimentError(CtxMRError):
     """A Monte Carlo experiment produced too many failed replications."""
 
 
-class WeakInstrumentWarning(UserWarning):
-    """The instrument-exposure association is weak in some context."""
-
-
 class DegenerateFitWarning(UserWarning):
     """A regression fit the data exactly; reported standard error is zero."""

@@ -48,7 +48,7 @@ from . import __version__
 from .errors import ConfigError, CtxMRError, ExperimentError
 from .heterogeneity import q_first_order, q_modified_second_order
 from .ivcore import ContextTable
-from .metareg import trend_test
+from .metareg import TAU2_METHODS, trend_test
 from .simulate import (
     ALPHA_GRIDS,
     EffectFunction,
@@ -101,6 +101,10 @@ class ExperimentPlan:
             raise ConfigError(f"worker count must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
+        if self.tau2_method not in TAU2_METHODS:
+            raise ConfigError(
+                f"unknown tau2 method {self.tau2_method!r}; choose from {TAU2_METHODS}"
+            )
 
 
 @dataclass(frozen=True)

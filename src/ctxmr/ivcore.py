@@ -2,10 +2,11 @@
 
 The causal estimate in each context is the ratio of the instrument-outcome
 association to the instrument-exposure association, with the first-order
-standard error se(by) / |bx|. Every test across contexts reads the
-per-context statistics from one :class:`ContextTable`, a set of columns.
-The pooled estimate weights the per-context outcome associations by their
-inverse variances:
+standard error se(by) / |bx|. ``context_iv`` fits both associations on
+one design: the context's instrument and covariates, checked and centred
+once. Every test across contexts reads the per-context statistics from
+one :class:`ContextTable`, a set of columns. The pooled estimate weights
+the per-context outcome associations by their inverse variances:
 
     beta = sum(by_k bx_k / se(by_k)^2) / sum(bx_k^2 / se(by_k)^2)
     se   = sum(bx_k^2 / se(by_k)^2)^{-1/2}
@@ -20,12 +21,12 @@ import numpy as np
 
 from .datamodel import Dataset, summarize_context
 from .errors import ConfigError, DomainError, EstimationError
-from .regress import AssocEstimate, RegressionSpec, fit_linear, fit_logistic
+from .regress import AssocEstimate, design, fit_linear, fit_logistic
 
 #: |bx| below this is treated as a zero denominator (hard error).
 INSTRUMENT_FLOOR = 1e-12
 
-#: Default |bx| / se(bx) below which a weak-instrument warning attaches.
+#: |bx| / se(bx) below which a weak-instrument warning attaches.
 DEFAULT_WEAK_T = 2.0
 
 
@@ -126,26 +127,21 @@ class PooledEstimate:
             raise ConfigError(f"pooled estimate needs >= 2 contexts, got {self.k}")
 
 
-def context_iv(
-    label: str,
-    ds: Dataset,
-    exposure_spec: RegressionSpec,
-    outcome_spec: RegressionSpec,
-    weak_t_threshold: float = DEFAULT_WEAK_T,
-) -> ContextResult:
+def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult:
     """Ratio IV estimate within one context.
 
-    Fits the instrument-exposure and instrument-outcome regressions and
-    combines them. A weak instrument (|bx|/se(bx) under the threshold)
-    attaches a warning to the result rather than failing; an essentially
-    zero bx is a hard error because the ratio is undefined.
+    Builds one design from the instrument and the covariates, fits the
+    exposure (linear) and the outcome (``family``, linear or logistic)
+    on it, and combines them. A weak instrument (|bx|/se(bx) under
+    DEFAULT_WEAK_T) attaches a warning to the result rather than
+    failing; an essentially zero bx is a hard error because the ratio
+    is undefined.
     """
-    cols = ds.columns()
-    bx = fit_linear(cols, exposure_spec)
-    if outcome_spec.family == "logistic":
-        by = fit_logistic(cols, outcome_spec)
-    else:
-        by = fit_linear(cols, outcome_spec)
+    if family not in ("linear", "logistic"):
+        raise DomainError(f"unknown outcome family {family!r}")
+    shared = design(ds.instrument, ds.covariates)
+    bx = fit_linear(shared, ds.exposure)
+    by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
     if by.se <= 0:
         raise EstimationError(
             f"context {label!r}: outcome association has zero standard error; "
@@ -157,10 +153,10 @@ def context_iv(
             f"{bx.beta:.3e} is indistinguishable from zero"
         )
     notes: list[str] = []
-    if bx.se > 0 and abs(bx.beta) / bx.se < weak_t_threshold:
+    if bx.se > 0 and abs(bx.beta) / bx.se < DEFAULT_WEAK_T:
         notes.append(
             f"context {label!r}: weak instrument "
-            f"(|bx|/se = {abs(bx.beta) / bx.se:.2f} < {weak_t_threshold:g})"
+            f"(|bx|/se = {abs(bx.beta) / bx.se:.2f} < {DEFAULT_WEAK_T:g})"
         )
     n, exposure_mean = summarize_context(label, ds)
     return ContextResult(

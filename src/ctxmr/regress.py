@@ -1,17 +1,20 @@
 """Association estimation: instrument-exposure and instrument-outcome fits.
 
-Both entry points return the coefficient of the predictor of interest
-(the genetic instrument or score) with its standard error, adjusting for
-any covariates named in the regression spec. An intercept is always
-included. Standard errors are classical model-based ones; no robust or
-small-sample corrections are applied.
+``design`` checks a predictor of interest (the genetic instrument or
+score) and any covariates once and builds the design matrix; the fits
+``fit_linear``, ``fit_logistic`` and ``fit_logistic_detail`` take that
+design and a response array, so two responses on the same rows (the
+exposure and the outcome of one context) share one design. Each fit
+returns the predictor's coefficient with its standard error, adjusted
+for the covariates. An intercept is always included. Standard errors are
+classical model-based ones; no robust or small-sample corrections are
+applied.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -54,24 +57,6 @@ class AssocEstimate:
 
 
 @dataclass(frozen=True)
-class RegressionSpec:
-    """Names the response, the predictor of interest, and the covariates."""
-
-    response: str
-    predictor: str
-    covariates: tuple[str, ...] = ()
-    family: str = "linear"
-
-    def __post_init__(self):
-        if self.family not in ("linear", "logistic"):
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.predictor in self.covariates:
-            raise DomainError(
-                f"predictor {self.predictor!r} cannot also be a covariate"
-            )
-
-
-@dataclass(frozen=True)
 class LogisticFit:
     """Full IRLS output, mainly for diagnostics and tests."""
 
@@ -82,47 +67,72 @@ class LogisticFit:
     n: int
 
 
-def _design(data: Mapping[str, np.ndarray], spec: RegressionSpec):
-    """Checked design and response: an intercept, then the centred predictor and covariates.
+def require_finite(name: str, column: np.ndarray) -> None:
+    """Raise DomainError naming ``name`` and the first row of ``column`` that is not finite."""
+    finite = np.isfinite(column)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise DomainError(f"non-finite value in column {name!r} at row {row}")
 
-    Centring leaves every slope and its variance as they are and moves
-    only the intercept, to the linear predictor at the column means; it
-    keeps the normal equations of ``wls_solve`` well conditioned when a
-    covariate sits far from zero (age in years, say). X is stored column
-    by column (Fortran order), which makes its row scaling and products
-    in ``wls_solve`` and IRLS several times faster for p <= 5. Returns
-    ``(X, y, center)``, ``center`` holding the column means.
+
+@dataclass(frozen=True, eq=False)
+class Design:
+    """A checked design matrix, as ``design`` builds it.
+
+    ``X`` holds an intercept, then the predictor of interest and the
+    covariates, each centred at its mean; ``center`` holds those means.
     """
-    names = (spec.response, spec.predictor, *spec.covariates)
-    try:
-        y, *cols = (np.asarray(data[name], dtype=float) for name in names)
-    except KeyError as missing:
-        raise DomainError(f"column {missing.args[0]!r} not present in data") from None
-    n = y.shape[0]
-    for name, col in zip(names[1:], cols):
-        if col.shape != (n,):
-            raise DomainError(f"column {name!r} has shape {col.shape}, expected ({n},)")
-    for name, col in zip(names, (y, *cols)):
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise DomainError(f"non-finite value in column {name!r} at row {int(bad[0])}")
+
+    X: np.ndarray
+    center: np.ndarray
+
+
+def design(predictor, covariates=None) -> Design:
+    """The design of a predictor of interest and an (n, q) block of covariates.
+
+    Checks that the columns have n rows and finite values (naming the
+    column and the row) and that n >= p. Centring leaves every slope and
+    its variance as they are and moves only the intercept, to the linear
+    predictor at the column means; it keeps the normal equations of
+    ``wls_solve`` well conditioned when a covariate sits far from zero
+    (age in years, say). X is stored column by column (Fortran order),
+    which makes its row scaling and products in ``wls_solve`` and IRLS
+    several times faster for p <= 5.
+    """
+    predictor = np.asarray(predictor, dtype=float)
+    if predictor.ndim != 1:
+        raise DomainError(f"predictor has shape {predictor.shape}, expected (n,)")
+    n = predictor.shape[0]
+    covariates = np.empty((n, 0)) if covariates is None else np.asarray(covariates, dtype=float)
+    if covariates.ndim != 2 or covariates.shape[0] != n:
+        raise DomainError(f"covariates have shape {covariates.shape}, expected ({n}, q)")
+    cols = (predictor, *covariates.T)
+    for j, col in enumerate(cols):
+        require_finite("predictor" if j == 0 else f"covariate {j - 1}", col)
     if n < 1 + len(cols):
         raise DomainError(f"need at least as many rows as columns, got {n} < {1 + len(cols)}")
     center = np.array([col.mean() for col in cols])
     X = np.array([np.ones(n), *(col - m for col, m in zip(cols, center))]).T
-    return X, y, center
+    return Design(X=X, center=center)
 
 
-def fit_linear(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> AssocEstimate:
+def _response(design: Design, y) -> np.ndarray:
+    """The response as a checked float vector with one entry per design row."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != design.X.shape[:1]:
+        raise DomainError(f"response has shape {y.shape}, expected ({design.X.shape[0]},)")
+    require_finite("response", y)
+    return y
+
+
+def fit_linear(design: Design, y) -> AssocEstimate:
     """Ordinary least squares; returns the predictor-of-interest coefficient.
 
     The standard error uses the classical unbiased residual variance
     RSS / (n - p). A perfectly collinear response (zero residuals) is
     reported with se = 0 and a DegenerateFitWarning instead of failing.
     """
-    if spec.family != "linear":
-        raise DomainError(f"fit_linear requires family='linear', got {spec.family!r}")
-    X, y, _ = _design(data, spec)
+    X, y = design.X, _response(design, y)
     n, p = X.shape
     if n <= p:
         raise DomainError(f"need n > p for a residual variance estimate, got n={n}, p={p}")
@@ -132,8 +142,8 @@ def fit_linear(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> AssocEst
     yty = float(y @ y)
     if rss <= _DEGENERATE_RSS_RTOL * max(yty, 1.0):
         warnings.warn(
-            f"response {spec.response!r} is an exact linear function of the "
-            "design; standard error reported as 0",
+            "response is an exact linear function of the design; "
+            "standard error reported as 0",
             DegenerateFitWarning,
             stacklevel=2,
         )
@@ -163,11 +173,11 @@ def _deviance(eta: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return float(2.0 * terms.sum()), prob
 
 
-def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> LogisticFit:
+def fit_logistic_detail(design: Design, y) -> LogisticFit:
     """Maximum-likelihood logistic fit via iteratively reweighted least squares.
 
-    The fit runs on the design of ``_design``, whose predictor and
-    covariate columns are centred at their means. Starts from all-zero
+    The fit runs on ``design``, whose predictor and covariate columns
+    are centred at their means. Starts from all-zero
     coefficients; a candidate step that increases the deviance is halved
     back toward the previous iterate. ``_deviance`` gives each candidate's
     deviance and probabilities from one exp pass over the rows, and the
@@ -182,9 +192,7 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
     uncentred columns: ``coef[0]`` is the linear predictor at all-zero
     covariates, and ``cov`` is mapped to match.
     """
-    if spec.family != "logistic":
-        raise DomainError(f"fit_logistic requires family='logistic', got {spec.family!r}")
-    X, y, center = _design(data, spec)
+    X, y = design.X, _response(design, y)
     n, p = X.shape
     levels = np.unique(y)
     if not np.isin(levels, (0.0, 1.0)).all():
@@ -238,7 +246,7 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
         )
     # Back to the uncentred columns: intercept = centred intercept - center . slopes.
     uncentre = np.eye(p)
-    uncentre[0, 1:] = -center
+    uncentre[0, 1:] = -design.center
     return LogisticFit(
         coef=uncentre @ coef,
         cov=uncentre @ cov @ uncentre.T,
@@ -248,13 +256,13 @@ def fit_logistic_detail(data: Mapping[str, np.ndarray], spec: RegressionSpec) ->
     )
 
 
-def fit_logistic(data: Mapping[str, np.ndarray], spec: RegressionSpec) -> AssocEstimate:
+def fit_logistic(design: Design, y) -> AssocEstimate:
     """Log-odds coefficient of the predictor of interest, with its SE.
 
     The standard error comes from the inverse observed information at the
     maximum (which equals the expected information for this model).
     """
-    fit = fit_logistic_detail(data, spec)
+    fit = fit_logistic_detail(design, y)
     return AssocEstimate(
         beta=float(fit.coef[1]), se=float(np.sqrt(fit.cov[1, 1])), n=fit.n
     )

@@ -24,16 +24,16 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .datamodel import Dataset, partition_by_context, read_header
+from .datamodel import DEFAULT_MIN_CONTEXT_SIZE, Dataset, partition_by_context, read_header
 from .errors import ConfigError, IngestError
 from .heterogeneity import (
     HeterogeneityResult,
     q_first_order,
     q_modified_second_order,
 )
-from .ivcore import INSTRUMENT_FLOOR, ContextTable, context_iv
-from .metareg import MetaRegResult, trend_test
-from .regress import RegressionSpec
+from .ivcore import DEFAULT_WEAK_T, INSTRUMENT_FLOOR, ContextTable, context_iv
+from .metareg import TAU2_METHODS, MetaRegResult, trend_test
+from .regress import require_finite
 
 #: Two-sided 95% normal quantile used for confidence intervals.
 DEFAULT_CI_Z = 1.959964
@@ -62,9 +62,8 @@ class AnalysisOptions:
 
     family: str = "linear"
     scale: float = 1.0
-    min_context_n: int = 100
+    min_context_n: int = DEFAULT_MIN_CONTEXT_SIZE
     tau2_method: str = "reml"
-    weak_t_threshold: float = 2.0
     ci_z: float = DEFAULT_CI_Z
 
     def __post_init__(self):
@@ -72,6 +71,10 @@ class AnalysisOptions:
             raise ConfigError(f"unknown outcome family {self.family!r}")
         if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
+        if self.tau2_method not in TAU2_METHODS:
+            raise ConfigError(
+                f"unknown tau2 method {self.tau2_method!r}; choose from {TAU2_METHODS}"
+            )
         if not 0 < self.ci_z < math.inf:
             raise ConfigError(f"confidence z must be finite and positive, got {self.ci_z}")
 
@@ -159,26 +162,21 @@ def _assemble(
 
 
 def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -> AnalysisReport:
-    """Context-stratified MR on individual-level data."""
+    """Context-stratified MR on individual-level data.
+
+    A non-finite number in the dataset is reported with its column and
+    its dataset row before the data are split by context.
+    """
     if options.family == "logistic" and ds.outcome_family != "logistic":
         raise ConfigError(
             "options request a logistic outcome but the dataset was loaded "
             f"as {ds.outcome_family!r}"
         )
+    for name, column in zip(("instrument", "exposure", "outcome", *ds.covariate_names),
+                            (ds.instrument, ds.exposure, ds.outcome, *ds.covariates.T)):
+        require_finite(name, column)
     part = partition_by_context(ds, min_n=options.min_context_n)
-    exposure_spec = RegressionSpec(
-        response="exposure", predictor="instrument", covariates=ds.covariate_names
-    )
-    outcome_spec = RegressionSpec(
-        response="outcome",
-        predictor="instrument",
-        covariates=ds.covariate_names,
-        family=options.family,
-    )
-    raw = [
-        context_iv(label, sub, exposure_spec, outcome_spec, options.weak_t_threshold)
-        for label, sub in part.contexts
-    ]
+    raw = [context_iv(label, sub, options.family) for label, sub in part.contexts]
     warnings = [
         f"context {e.context!r} excluded: {e.reason} (n={e.n})" for e in part.excluded
     ]
@@ -190,7 +188,7 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
         "scale": options.scale,
         "min_context_n": options.min_context_n,
         "tau2_method": options.tau2_method,
-        "weak_t_threshold": options.weak_t_threshold,
+        "weak_t_threshold": DEFAULT_WEAK_T,
         "ci_z": options.ci_z,
         "covariates": list(ds.covariate_names),
         "n_records": len(ds),

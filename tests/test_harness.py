@@ -24,7 +24,6 @@ from ctxmr.harness import (
     worker_count,
 )
 from ctxmr.ivcore import ContextTable, context_iv
-from ctxmr.regress import RegressionSpec
 from ctxmr.simulate import EffectFunction, SimScenario, generate_dataset
 
 
@@ -61,6 +60,10 @@ class TestPlan:
             small_plan(alpha_level=1.0)
         with pytest.raises(ConfigError):
             small_plan(workers=0)
+
+    def test_unknown_tau2_method_fails_before_any_replication(self):
+        with pytest.raises(ConfigError, match="unknown tau2 method 'bogus'"):
+            run_experiment(default_plan(replications=5, tau2_method="bogus"))
 
 
 class TestRunExperiment:
@@ -163,16 +166,13 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("replication", [0, 3])
     def test_engine_matches_context_iv_on_generated_dataset(self, replication):
-        exposure = RegressionSpec(response="exposure", predictor="instrument")
-        outcome = RegressionSpec(response="outcome", predictor="instrument")
         scenarios = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
         shared = SharedReplication(master_seed=11, replication=replication)
         for scenario in scenarios:
             fast = shared.context_table(scenario)
             part = partition_by_context(generate_dataset(scenario, 11, replication), min_n=2)
-            general = ContextTable.from_results(
-                context_iv(label, sub, exposure, outcome) for label, sub in part.contexts
-            )
+            general = ContextTable.from_results(context_iv(label, sub)
+                                                for label, sub in part.contexts)
             assert fast.labels.tolist() == general.labels.tolist()
             for name in ("bx", "bx_se", "by", "by_se", "xmean"):
                 np.testing.assert_allclose(getattr(fast, name), getattr(general, name),

@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ctxmr import ivcore, regress
 from ctxmr.datamodel import Dataset
 from ctxmr.errors import ConfigError, DomainError, EstimationError
 from ctxmr.heterogeneity import q_first_order
 from ctxmr.ivcore import ContextTable, context_iv, ivw_pool
-from ctxmr.regress import RegressionSpec
-
-EXPOSURE_SPEC = RegressionSpec(response="exposure", predictor="instrument")
-OUTCOME_SPEC = RegressionSpec(response="outcome", predictor="instrument")
 
 
 def make_table(bx, bx_se, by, by_se, mean=50.0, n=1000):
@@ -49,7 +46,7 @@ class TestContextIv:
 
     def test_recovers_linear_effect_within_four_se(self):
         ds = _one_context_dataset(np.random.default_rng(42))
-        r = context_iv("1", ds, EXPOSURE_SPEC, OUTCOME_SPEC)
+        r = context_iv("1", ds)
         assert (r.n, r.exposure_mean) == (len(ds), float(ds.exposure.mean()))
         assert abs(r.by.beta / r.bx.beta - 0.8) < 4.0 * r.by.se / abs(r.bx.beta)
         assert not r.warnings
@@ -64,7 +61,7 @@ class TestContextIv:
             context=ds.context,
             covariates=ds.covariates,
         )
-        r = context_iv("1", ds, EXPOSURE_SPEC, OUTCOME_SPEC)
+        r = context_iv("1", ds)
         assert r.warnings and "weak instrument" in r.warnings[0]
 
     def test_zero_bx_is_hard_error(self):
@@ -77,7 +74,37 @@ class TestContextIv:
             covariates=ds.covariates,
         )
         with pytest.warns(Warning), pytest.raises(EstimationError):
-            context_iv("1", ds, EXPOSURE_SPEC, OUTCOME_SPEC)
+            context_iv("1", ds)
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_both_fits_share_one_design(self, monkeypatch, family):
+        rng = np.random.default_rng(46)
+        ds = _one_context_dataset(rng, n=1000)
+        ds = Dataset(instrument=ds.instrument, exposure=ds.exposure,
+                     outcome=(ds.outcome > ds.outcome.mean()) * 1.0, context=ds.context,
+                     covariates=rng.standard_normal((1000, 2)), covariate_names=("a", "b"))
+        built, fitted = [], []
+
+        def counting_design(*args):
+            built.append(regress.design(*args))
+            return built[-1]
+
+        def recording(fit):
+            def wrapped(design, y):
+                fitted.append(design)
+                return fit(design, y)
+            return wrapped
+
+        monkeypatch.setattr(ivcore, "design", counting_design)
+        monkeypatch.setattr(ivcore, "fit_linear", recording(ivcore.fit_linear))
+        monkeypatch.setattr(ivcore, "fit_logistic", recording(ivcore.fit_logistic))
+        context_iv("1", ds, family)
+        assert len(built) == 1
+        assert len(fitted) == 2 and all(d is built[0] for d in fitted)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError, match="family"):
+            context_iv("1", _one_context_dataset(np.random.default_rng(47), n=200), "probit")
 
 
 class TestContextTable:
@@ -93,8 +120,7 @@ class TestContextTable:
     def test_from_results_matches_from_columns(self):
         rng = np.random.default_rng(45)
         results = [
-            context_iv(str(j), _one_context_dataset(rng, n=500, alpha=9.0 - j),
-                       EXPOSURE_SPEC, OUTCOME_SPEC)
+            context_iv(str(j), _one_context_dataset(rng, n=500, alpha=9.0 - j))
             for j in range(3)
         ]
         t = ContextTable.from_results(results)

@@ -11,14 +11,11 @@ from ctxmr import regress
 from ctxmr.errors import DegenerateFitWarning, DomainError, EstimationError, SeparationError
 from ctxmr.regress import (
     AssocEstimate,
-    RegressionSpec,
+    design,
     fit_linear,
     fit_logistic,
     fit_logistic_detail,
 )
-
-LINEAR = RegressionSpec(response="y", predictor="g", family="linear")
-LOGISTIC = RegressionSpec(response="y", predictor="g", family="logistic")
 
 
 def _simple_slope(g, y):
@@ -34,7 +31,7 @@ class TestFitLinear:
         rng = np.random.default_rng(0)
         g = rng.integers(0, 3, size=100).astype(float)
         with pytest.warns(DegenerateFitWarning):
-            est = fit_linear({"y": 2.0 * g, "g": g}, LINEAR)
+            est = fit_linear(design(g), 2.0 * g)
         assert est.beta == pytest.approx(2.0, abs=1e-12)
         assert est.se == 0.0
         assert est.degenerate
@@ -43,7 +40,7 @@ class TestFitLinear:
         rng = np.random.default_rng(1)
         g = np.repeat([0.0, 1.0, 2.0], 200)
         y = g + rng.normal(size=g.size)
-        est = fit_linear({"y": y, "g": g}, LINEAR)
+        est = fit_linear(design(g), y)
         assert est.beta == pytest.approx(_simple_slope(g, y), abs=1e-10)
         assert est.n == g.size
 
@@ -51,7 +48,7 @@ class TestFitLinear:
         rng = np.random.default_rng(2)
         g = np.tile([0.0, 1.0, 2.0], 3334)[:10_000]
         y = g + rng.normal(size=g.size)
-        est = fit_linear({"y": y, "g": g}, LINEAR)
+        est = fit_linear(design(g), y)
         assert abs(est.beta - 1.0) < 4.0 * est.se
 
     def test_orthogonal_covariate_leaves_beta_unchanged(self):
@@ -62,9 +59,8 @@ class TestFitLinear:
         z -= (z @ (g - g.mean())) / ((g - g.mean()) @ (g - g.mean())) * (g - g.mean())
         rng = np.random.default_rng(3)
         y = 0.5 * g + rng.normal(size=g.size)
-        plain = fit_linear({"y": y, "g": g}, LINEAR)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("z",))
-        adjusted = fit_linear({"y": y, "g": g, "z": z}, spec)
+        plain = fit_linear(design(g), y)
+        adjusted = fit_linear(design(g, z[:, None]), y)
         assert adjusted.beta == pytest.approx(plain.beta, abs=1e-8)
 
     def test_row_order_invariance(self):
@@ -72,10 +68,9 @@ class TestFitLinear:
         g = rng.normal(size=500)
         z = rng.normal(size=500)
         y = 0.3 * g + 0.1 * z + rng.normal(size=500)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("z",))
-        est = fit_linear({"y": y, "g": g, "z": z}, spec)
+        est = fit_linear(design(g, z[:, None]), y)
         perm = rng.permutation(500)
-        est_p = fit_linear({"y": y[perm], "g": g[perm], "z": z[perm]}, spec)
+        est_p = fit_linear(design(g[perm], z[perm, None]), y[perm])
         assert est_p.beta == pytest.approx(est.beta, abs=1e-10)
         assert est_p.se == pytest.approx(est.se, abs=1e-10)
 
@@ -83,22 +78,20 @@ class TestFitLinear:
         rng = np.random.default_rng(5)
         g = rng.normal(size=300)
         y = 0.4 * g + rng.normal(size=300)
-        est = fit_linear({"y": y, "g": g}, LINEAR)
-        est2 = fit_linear({"y": 2.0 * y, "g": g}, LINEAR)
+        est = fit_linear(design(g), y)
+        est2 = fit_linear(design(g), 2.0 * y)
         # Doubling is exact in binary floating point.
         assert est2.beta == 2.0 * est.beta
         assert est2.se == 2.0 * est.se
-        est_c = fit_linear({"y": 3.7 * y, "g": g}, LINEAR)
+        est_c = fit_linear(design(g), 3.7 * y)
         assert est_c.beta == pytest.approx(3.7 * est.beta, rel=1e-12)
         assert est_c.se == pytest.approx(3.7 * est.se, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(DomainError, match="row 2"):
-            fit_linear({"y": np.array([1.0, 2.0, np.nan, 4.0]), "g": np.arange(4.0)}, LINEAR)
+            fit_linear(design(np.arange(4.0)), np.array([1.0, 2.0, np.nan, 4.0]))
         with pytest.raises(DomainError, match="n > p"):
-            fit_linear({"y": np.zeros(2), "g": np.arange(2.0)}, LINEAR)
-        with pytest.raises(DomainError, match="family"):
-            fit_linear({"y": np.zeros(3), "g": np.arange(3.0)}, LOGISTIC)
+            fit_linear(design(np.arange(2.0)), np.zeros(2))
 
 
 class TestFitLogistic:
@@ -106,7 +99,7 @@ class TestFitLogistic:
         rng = np.random.default_rng(10)
         g = rng.integers(0, 3, size=10_000).astype(float)
         y = (rng.random(10_000) < 0.5).astype(float)
-        est = fit_logistic({"y": y, "g": g}, LOGISTIC)
+        est = fit_logistic(design(g), y)
         assert abs(est.beta) < 4.0 * est.se
 
     def test_recovers_known_log_odds(self):
@@ -114,7 +107,7 @@ class TestFitLogistic:
         g = rng.integers(0, 3, size=100_000).astype(float)
         logit = -2.0 + 0.3 * g
         y = (rng.random(g.size) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
-        est = fit_logistic({"y": y, "g": g}, LOGISTIC)
+        est = fit_logistic(design(g), y)
         assert abs(est.beta - 0.3) < 4.0 * est.se
         assert est.se < 0.05
 
@@ -122,7 +115,7 @@ class TestFitLogistic:
         g = np.array([0.0, 0.0, 0.0, 2.0, 2.0, 2.0])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         with pytest.raises(SeparationError):
-            fit_logistic({"y": y, "g": g}, LOGISTIC)
+            fit_logistic(design(g), y)
 
     def test_covariate_with_large_mean_is_not_separation(self):
         # Age in years puts the raw intercept near -19 on valid data; the
@@ -133,10 +126,8 @@ class TestFitLogistic:
         age = rng.normal(60.0, 5.0, n)
         logit = -19.0 + 0.3 * age + 0.2 * g
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("age",),
-                              family="logistic")
-        raw = fit_logistic_detail({"y": y, "g": g, "age": age}, spec)
-        centred = fit_logistic_detail({"y": y, "g": g, "age": age - 60.0}, spec)
+        raw = fit_logistic_detail(design(g, age[:, None]), y)
+        centred = fit_logistic_detail(design(g, age[:, None] - 60.0), y)
         assert raw.coef[0] < -15.0
         assert raw.coef[1:] == pytest.approx(centred.coef[1:], rel=1e-8)
         assert abs(raw.coef[2] - 0.3) < 4.0 * np.sqrt(raw.cov[2, 2])
@@ -150,9 +141,7 @@ class TestFitLogistic:
         g = rng.binomial(2, 0.3, n).astype(float)
         age = rng.normal(1e3, 5.0, n)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(-0.5 + 0.3 * g)))).astype(float)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("age",),
-                              family="logistic")
-        fit = fit_logistic_detail({"y": y, "g": g, "age": age}, spec)
+        fit = fit_logistic_detail(design(g, age[:, None]), y)
         X = np.column_stack([np.ones(n), g, age])
         eta = X @ fit.coef
         prob = 1.0 / (1.0 + np.exp(-eta))
@@ -166,11 +155,11 @@ class TestFitLogistic:
 
     def test_single_class_raises(self):
         with pytest.raises(EstimationError, match="single class"):
-            fit_logistic({"y": np.zeros(20), "g": np.arange(20.0)}, LOGISTIC)
+            fit_logistic(design(np.arange(20.0)), np.zeros(20))
 
     def test_non_binary_response_rejected(self):
         with pytest.raises(DomainError, match="0/1"):
-            fit_logistic({"y": np.array([0.0, 1.0, 2.0]), "g": np.arange(3.0)}, LOGISTIC)
+            fit_logistic(design(np.arange(3.0)), np.array([0.0, 1.0, 2.0]))
 
     def test_deviance_trace_non_increasing(self):
         rng = np.random.default_rng(12)
@@ -178,8 +167,7 @@ class TestFitLogistic:
         z = rng.normal(size=2000)
         logit = -1.0 + 0.8 * g - 0.5 * z
         y = (rng.random(2000) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("z",), family="logistic")
-        fit = fit_logistic_detail({"y": y, "g": g, "z": z}, spec)
+        fit = fit_logistic_detail(design(g, z[:, None]), y)
         trace = fit.deviance_trace
         assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
         assert fit.iterations <= 50
@@ -188,9 +176,9 @@ class TestFitLogistic:
         rng = np.random.default_rng(13)
         g = rng.normal(size=3000)
         y = (rng.random(3000) < 1.0 / (1.0 + np.exp(-0.4 * g))).astype(float)
-        est = fit_logistic({"y": y, "g": g}, LOGISTIC)
+        est = fit_logistic(design(g), y)
         perm = rng.permutation(3000)
-        est_p = fit_logistic({"y": y[perm], "g": g[perm]}, LOGISTIC)
+        est_p = fit_logistic(design(g[perm]), y[perm])
         assert est_p.beta == pytest.approx(est.beta, abs=1e-8)
         assert est_p.se == pytest.approx(est.se, abs=1e-8)
 
@@ -240,9 +228,7 @@ class TestFusedIrlsPass:
         rng = np.random.default_rng(5)
         g = rng.normal(size=500)
         y = (rng.random(500) < 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * g)))).astype(float)
-        data, spec = {"y": y, "g": g}, RegressionSpec(response="y", predictor="g",
-                                                     family="logistic")
-        plain = fit_logistic_detail(data, spec)
+        plain = fit_logistic_detail(design(g), y)
         events = []
         solve, deviance = regress.wls_solve, regress._deviance
 
@@ -258,7 +244,7 @@ class TestFusedIrlsPass:
 
         monkeypatch.setattr(regress, "wls_solve", overshooting_solve)
         monkeypatch.setattr(regress, "_deviance", recording_deviance)
-        fit = fit_logistic_detail(data, spec)
+        fit = fit_logistic_detail(design(g), y)
         kinds = [kind for kind, _ in events]
         first, second = kinds.index("solve"), kinds.index("solve", kinds.index("solve") + 1)
         assert second - first > 2  # the overshooting candidate was halved at least once
@@ -287,31 +273,44 @@ class TestCovariateFarFromZero:
             y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
         else:
             y = logit + rng.normal(size=n)
-        return {"y": y, "g": g, "z": z}, {"y": y, "g": g, "z": zc}
+        return y, design(g, z[:, None]), design(g, zc[:, None])
 
     def test_linear_matches_precentred_fit(self, offset):
-        raw, centred = self._data(offset, logistic=False)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("z",))
-        a, b = fit_linear(raw, spec), fit_linear(centred, spec)
+        y, raw, centred = self._data(offset, logistic=False)
+        a, b = fit_linear(raw, y), fit_linear(centred, y)
         assert a.beta == pytest.approx(b.beta, rel=1e-10)
         assert a.se == pytest.approx(b.se, rel=1e-10)
 
     def test_logistic_matches_precentred_fit(self, offset):
-        raw, centred = self._data(offset, logistic=True)
-        spec = RegressionSpec(response="y", predictor="g", covariates=("z",),
-                              family="logistic")
-        a, b = fit_logistic_detail(raw, spec), fit_logistic_detail(centred, spec)
+        y, raw, centred = self._data(offset, logistic=True)
+        a, b = fit_logistic_detail(raw, y), fit_logistic_detail(centred, y)
         assert a.coef[1:] == pytest.approx(b.coef[1:], rel=1e-10)
         assert a.cov[1:, 1:] == pytest.approx(b.cov[1:, 1:], rel=1e-10)
         # Only the intercept moves: to the linear predictor at z = 0.
-        mean = raw["z"].mean()
+        mean = raw.center[1]  # the mean of z
         assert a.coef[0] == pytest.approx(b.coef[0] - mean * b.coef[2], rel=1e-10)
 
 
-class TestSpecAndEstimate:
-    def test_predictor_cannot_be_covariate(self):
-        with pytest.raises(DomainError):
-            RegressionSpec(response="y", predictor="g", covariates=("g",))
+class TestDesignAndEstimate:
+    def test_design_is_intercept_then_centred_columns(self):
+        g, z = np.array([0.0, 1.0, 2.0, 1.0]), np.array([10.0, 11.0, 13.0, 14.0])
+        built = design(g, z[:, None])
+        assert built.center.tolist() == [1.0, 12.0]
+        assert built.X.tolist() == [[1.0, -1.0, -2.0], [1.0, 0.0, -1.0],
+                                    [1.0, 1.0, 1.0], [1.0, 0.0, 2.0]]
+        assert built.X.flags.f_contiguous
+
+    def test_design_errors(self):
+        with pytest.raises(DomainError, match="'covariate 1' at row 3"):
+            design(np.arange(5.0), np.column_stack([np.ones(5), [0, 1, 2, np.inf, 4]]))
+        with pytest.raises(DomainError, match="'predictor' at row 0"):
+            design(np.array([np.nan, 1.0, 2.0]))
+        with pytest.raises(DomainError, match="covariates have shape"):
+            design(np.arange(4.0), np.ones(4))
+        with pytest.raises(DomainError, match="response has shape"):
+            fit_linear(design(np.arange(4.0)), np.ones(3))
+        with pytest.raises(DomainError, match="at least as many rows"):
+            design(np.arange(2.0), np.ones((2, 1)))
 
     def test_estimate_validation(self):
         with pytest.raises(DomainError):

@@ -81,6 +81,19 @@ class TestAnalyzeDataset:
         with pytest.raises(ConfigError, match="logistic"):
             analyze_dataset(ds_linear, AnalysisOptions(family="logistic"))
 
+    def test_unknown_tau2_method_rejected(self):
+        with pytest.raises(ConfigError, match="unknown tau2 method 'bogus'"):
+            AnalysisOptions(tau2_method="bogus")
+
+    def test_non_finite_value_names_its_dataset_row(self):
+        # Row 450 is row 50 of the third context; the message names the dataset row.
+        ds = synthetic_cohort(seed=2, sizes=(200, 200, 200), means=(50.0, 52.0, 54.0))
+        covariates = ds.covariates.copy()
+        covariates[450, 0] = np.nan
+        bad = dataclasses.replace(ds, covariates=covariates)
+        with pytest.raises(ConfigError, match="column 'age' at row 450$"):
+            analyze_dataset(bad, AnalysisOptions(family="logistic"))
+
 
 class TestAnalyzeSummary:
     def test_hand_example_q_both_schemes(self):

@@ -11,7 +11,6 @@ from ctxmr.datamodel import Dataset, partition_by_context
 from ctxmr.errors import ConfigError
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
 from ctxmr.ivcore import ContextTable, context_iv
-from ctxmr.regress import RegressionSpec
 from ctxmr.simulate import (
     LARGER_GRID,
     SMALLER_GRID,
@@ -23,9 +22,6 @@ from ctxmr.simulate import (
     instrument_strength,
     parse_scenario_config,
 )
-
-EXPOSURE_SPEC = RegressionSpec(response="exposure", predictor="instrument")
-OUTCOME_SPEC = RegressionSpec(response="outcome", predictor="instrument")
 
 
 class TestEffectFunction:
@@ -193,10 +189,7 @@ class TestNullInstrumentGuard:
         for rep in range(reps):
             ds = generate_dataset(scenario, master_seed=900, replication=rep)
             part = partition_by_context(ds, min_n=2)
-            results = [
-                context_iv(label, sub, EXPOSURE_SPEC, OUTCOME_SPEC)
-                for label, sub in part.contexts
-            ]
+            results = [context_iv(label, sub) for label, sub in part.contexts]
             warned += any(r.warnings for r in results)
             table = ContextTable.from_results(results)
             if q_first_order(table).p < 0.05:
