@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .datamodel import DEFAULT_MIN_CONTEXT_SIZE, ColumnMap, load_csv
-from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError, IngestError
+from .errors import ConfigError, EstimationError, ExperimentError, IngestError
 from .harness import default_plan, emit_table, plan_manifest, run_experiment
 from .metareg import TAU2_METHODS
 from .report import (
@@ -236,9 +236,6 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as err:
         print(f"ingestion error: {err}", file=sys.stderr)
         return EXIT_INGEST
-    except CtxMRError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ def run_cells(
             p1 = q_first_order(table).p
             p2 = q_modified_second_order(table).p
             p3 = trend_test(table, method=tau2_method).slope_p
-        except (CtxMRError, np.linalg.LinAlgError) as err:
+        except CtxMRError as err:
             outcomes.append(ReplicationOutcome(replication=replication, error=str(err)))
         else:
             outcomes.append(

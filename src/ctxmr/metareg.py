@@ -24,6 +24,7 @@ arrays; ``trend_test`` takes them from the columns of a ``ContextTable``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,13 @@ def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegRe
     elif method == "dl":
         tau2, iterations = _dl_tau2(y, v, x, k), 1
     else:
-        tau2, iterations = _reml_tau2(y, v, x, k)
+        # REML runs on y and v scaled by powers of two that bring max v near
+        # 1, so that w @ w and the other sums of its derivatives stay in the
+        # float range even for variances near its ends. The scaling is
+        # exact: at ordinary scales tau2 is the same to the last bit.
+        e = math.frexp(v.max())[1] // 2
+        tau2, iterations = _reml_tau2(np.ldexp(y, -e), np.ldexp(v, -2 * e), x, k)
+        tau2 = math.ldexp(tau2, 2 * e)
     w, _, _, slope, s2 = _gls(tau2, y, v, x)
     slope, slope_se = float(slope), float(1.0 / np.sqrt(s2))
     return MetaRegResult(

@@ -2,12 +2,15 @@
 
 The rest of the package needs four numerical primitives: the chi-square
 survival function (for heterogeneity p-values), the normal survival
-function (for two-sided z-tests), a weighted least-squares solver (the
-backbone of the linear and logistic fits: one Cholesky factorization of
-the p x p cross-product matrix X'WX per call, never a factorization of
-the n x p design) and a safeguarded Newton search inside a bracket (the
-one 1-D minimizer, shared by the modified Q and the REML trend test).
-All functions here are pure and reentrant.
+function (for two-sided z-tests), the inverse of a p x p cross-product
+matrix X'WX with a rank test (``gram_inverse``: one Cholesky
+factorization, never one of the n x p design) and a safeguarded Newton
+search inside a bracket (the one 1-D minimizer, shared by the modified Q
+and the REML trend test). ``gram_inverse`` is the backbone of both
+regression fits: ``wls_solve``, the weighted least-squares solve of the
+linear fit, is the Gram product plus ``gram_inverse``, and each Newton
+step of the logistic fit factors its own X'WX with it. All functions
+here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -120,6 +123,33 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def gram_inverse(gram: np.ndarray) -> np.ndarray:
+    """The inverse of a p x p cross-product matrix X'WX, with a rank test.
+
+    X'WX is scaled to a unit diagonal and factored by Cholesky; this is
+    the one factorization behind every fit of the package. A column whose
+    Cholesky pivot is at most ``_PIVOT_FLOOR`` is a linear combination of
+    the columns before it, and the first such column is reported in
+    ``RankDeficiencyError``. A non-finite entry (from a non-finite design,
+    or a product that overflowed) raises ``DomainError``.
+    """
+    if not np.isfinite(gram).all():
+        raise DomainError("design matrix contains non-finite entries, or X'WX overflows")
+    p = gram.shape[0]
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0  # a zero column keeps a zero pivot below
+    unit = gram / np.outer(scale, scale)
+    chol = np.zeros((p, p))
+    for j in range(p):
+        pivot2 = unit[j, j] - chol[j, :j] @ chol[j, :j]
+        if not pivot2 > _PIVOT_FLOOR**2:
+            raise RankDeficiencyError(column=j)
+        chol[j, j] = math.sqrt(pivot2)
+        chol[j + 1:, j] = (unit[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
+    chol_inv = np.linalg.inv(chol)
+    return (chol_inv.T @ chol_inv) / np.outer(scale, scale)
+
+
 def wls_solve(
     X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -132,14 +162,12 @@ def wls_solve(
     squares with known variances).
 
     One pass over the rows forms the p x p matrix X'WX and the vector
-    X'Wy; X'WX is scaled to a unit diagonal and factored by Cholesky.
-    The normal equations square the condition number of the design, so
-    callers should centre their non-intercept columns (``regress`` does).
-    A column whose Cholesky pivot is at most ``_PIVOT_FLOOR`` is a linear
-    combination of the columns before it, and the first such column is
-    reported in ``RankDeficiencyError``. X and y are not scanned for
-    non-finite entries: those show up as non-finite cross-products, which
-    raise ``DomainError``.
+    X'Wy, and ``gram_inverse`` inverts X'WX (raising
+    ``RankDeficiencyError`` for a dependent column). The normal equations
+    square the condition number of the design, so callers should centre
+    their non-intercept columns (``regress`` does). X and y are not
+    scanned for non-finite entries: those show up as non-finite
+    cross-products, which raise ``DomainError``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -157,27 +185,13 @@ def wls_solve(
         raise DomainError(f"weights have shape {w.shape}, expected ({n},)")
     if not np.isfinite(w).all() or (w < 0).any():
         raise DomainError("weights must be finite and non-negative")
-    with np.errstate(invalid="ignore", over="ignore"):  # checked just below
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
         Xw = X * w[:, None]
         gram = Xw.T @ X
         rhs = Xw.T @ y
-    if not np.isfinite(gram).all():
-        raise DomainError("design matrix contains non-finite entries, or X'WX overflows")
+    cov = gram_inverse(gram)
     if not np.isfinite(rhs).all():
         raise DomainError("response contains non-finite entries, or X'Wy overflows")
-
-    scale = np.sqrt(np.diag(gram))
-    scale[scale == 0.0] = 1.0  # a zero column keeps a zero pivot below
-    unit = gram / np.outer(scale, scale)
-    chol = np.zeros((p, p))
-    for j in range(p):
-        pivot2 = unit[j, j] - chol[j, :j] @ chol[j, :j]
-        if not pivot2 > _PIVOT_FLOOR**2:
-            raise RankDeficiencyError(column=j)
-        chol[j, j] = math.sqrt(pivot2)
-        chol[j + 1:, j] = (unit[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
-    chol_inv = np.linalg.inv(chol)
-    cov = (chol_inv.T @ chol_inv) / np.outer(scale, scale)
     return cov @ rhs, cov
 
 

@@ -25,7 +25,7 @@ from .errors import (
     EstimationError,
     SeparationError,
 )
-from .numerics import wls_solve
+from .numerics import gram_inverse, wls_solve
 
 _IRLS_MAX_ITER = 50
 _IRLS_TOL = 1e-10
@@ -93,8 +93,8 @@ def design(predictor, covariates=None) -> Design:
     Checks that the columns have n rows and finite values (naming the
     column and the row) and that n >= p. Centring leaves every slope and
     its variance as they are and moves only the intercept, to the linear
-    predictor at the column means; it keeps the normal equations of
-    ``wls_solve`` well conditioned when a covariate sits far from zero
+    predictor at the column means; it keeps X'WX, which both fits
+    invert, well conditioned when a covariate sits far from zero
     (age in years, say). X is stored column by column (Fortran order),
     which makes its row scaling and products in ``wls_solve`` and IRLS
     several times faster for p <= 5.
@@ -174,11 +174,16 @@ def _deviance(eta: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def fit_logistic_detail(design: Design, y) -> LogisticFit:
-    """Maximum-likelihood logistic fit via iteratively reweighted least squares.
+    """Maximum-likelihood logistic fit by Newton's method (IRLS in Newton form).
 
     The fit runs on ``design``, whose predictor and covariate columns
-    are centred at their means. Starts from all-zero
-    coefficients; a candidate step that increases the deviance is halved
+    are centred at their means. For the canonical logit link the IRLS,
+    Fisher-scoring and Newton iterates coincide, so each step is
+    coef += (X'WX)^{-1} X'(y - p), with W = diag(p (1 - p)) floored at
+    1e-10 and X'WX inverted by ``numerics.gram_inverse`` (its rank test
+    included); no working response is formed. The fit starts from the
+    intercept-only maximum, logit(mean y) at the column means with all
+    slopes zero. A candidate step that increases the deviance is halved
     back toward the previous iterate. ``_deviance`` gives each candidate's
     deviance and probabilities from one exp pass over the rows, and the
     next step weights the rows by the probabilities of the accepted
@@ -190,7 +195,8 @@ def fit_logistic_detail(design: Design, y) -> LogisticFit:
     predictor at the column means (the centred intercept), beyond 15 in
     absolute value. The returned ``coef`` and ``cov`` are those of the
     uncentred columns: ``coef[0]`` is the linear predictor at all-zero
-    covariates, and ``cov`` is mapped to match.
+    covariates, and ``cov`` is mapped to match. ``cov`` is (X'WX)^{-1} at
+    the iterate the last step started from.
     """
     X, y = design.X, _response(design, y)
     n, p = X.shape
@@ -205,31 +211,30 @@ def fit_logistic_detail(design: Design, y) -> LogisticFit:
     # (age in years, say) cannot make a valid fit look separated.
     spread = X[:, 1:].std(axis=0)
 
+    # The single-class check above keeps the mean of y inside (0, 1).
+    ybar = float(y.mean())
     coef = np.zeros(p)
-    eta = X @ coef
-    dev, prob = _deviance(eta, y)
+    coef[0] = np.log(ybar / (1.0 - ybar))
+    dev, prob = _deviance(X @ coef, y)
     trace = [dev]
-    cov = None
     for iteration in range(1, _IRLS_MAX_ITER + 1):
         w = np.maximum(prob * (1.0 - prob), 1e-10)
-        z = eta + (y - prob) / w
-        candidate, cov = wls_solve(X, z, w)
-        step = candidate - coef
-        new_eta = X @ candidate
-        new_dev, new_prob = _deviance(new_eta, y)
+        cov = gram_inverse((X * w[:, None]).T @ X)
+        step = cov @ (X.T @ (y - prob))
+        candidate = coef + step
+        new_dev, new_prob = _deviance(X @ candidate, y)
         halvings = 0
         while new_dev > dev + 1e-10 and halvings < 30:
             step *= 0.5
             candidate = coef + step
-            new_eta = X @ candidate
-            new_dev, new_prob = _deviance(new_eta, y)
+            new_dev, new_prob = _deviance(X @ candidate, y)
             halvings += 1
         if halvings == 30 and new_dev > dev + 1e-10:
             raise SeparationError(
                 "logistic deviance could not be decreased; data look separated"
             )
         moved = float(np.abs(step).max())
-        coef, eta, dev, prob = candidate, new_eta, new_dev, new_prob
+        coef, dev, prob = candidate, new_dev, new_prob
         trace.append(dev)
         if abs(coef[0]) > _SEPARATION_COEF or np.abs(coef[1:] * spread).max() > _SEPARATION_COEF:
             raise SeparationError(

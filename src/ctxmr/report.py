@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .datamodel import DEFAULT_MIN_CONTEXT_SIZE, Dataset, partition_by_context, read_header
 from .errors import ConfigError, IngestError
@@ -280,18 +280,45 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> AnalysisReport:
-    def het(d):
-        d = dict(d)
-        d["excluded"] = tuple(d.get("excluded", ()))
-        return HeterogeneityResult(**d)
+def _record(cls, where: str, entry):
+    """``cls(**entry)`` from one JSON object; IngestError names what does not fit."""
+    if not isinstance(entry, dict):
+        raise IngestError(f"report {where} is not a JSON object")
+    known = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for problem, names in (("unknown", entry.keys() - known), ("missing", required - entry.keys())):
+        if names:
+            raise IngestError(f"report {where} has {problem} field(s) {', '.join(sorted(names))}")
+    return cls(**entry)
+
+
+def report_from_dict(payload) -> AnalysisReport:
+    """The report that ``report_to_dict`` wrote.
+
+    A payload of another shape raises IngestError naming the missing
+    entry, or the row and the unknown or missing fields.
+    """
+    if not isinstance(payload, dict):
+        raise IngestError("report is not a JSON object")
+    for key in ("contexts", "heterogeneity_first_order", "heterogeneity_modified", "trend",
+                "config", "warnings"):
+        if key not in payload:
+            raise IngestError(f"report has no {key!r} entry")
+    for key, kind in (("contexts", list), ("config", dict), ("warnings", list)):
+        if not isinstance(payload[key], kind):
+            raise IngestError(f"report entry {key!r} is not a JSON {kind.__name__}")
+
+    def het(key):
+        result = _record(HeterogeneityResult, key, payload[key])
+        return replace(result, excluded=tuple(result.excluded))
 
     trend = payload["trend"]
     return AnalysisReport(
-        contexts=tuple(ContextRow(**row) for row in payload["contexts"]),
-        heterogeneity_first_order=het(payload["heterogeneity_first_order"]),
-        heterogeneity_modified=het(payload["heterogeneity_modified"]),
-        trend=None if trend is None else MetaRegResult(**trend),
+        contexts=tuple(_record(ContextRow, f"context {i}", row)
+                       for i, row in enumerate(payload["contexts"])),
+        heterogeneity_first_order=het("heterogeneity_first_order"),
+        heterogeneity_modified=het("heterogeneity_modified"),
+        trend=None if trend is None else _record(MetaRegResult, "trend", trend),
         config=payload["config"],
         warnings=tuple(payload["warnings"]),
     )
@@ -302,7 +329,11 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    return report_from_dict(json.loads(text))
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise IngestError(f"report is not valid JSON: {err}") from None
+    return report_from_dict(payload)
 
 
 def _fmt(value) -> str:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the
 chi-square tail comes from adaptive quadrature of the density, the normal
-tail from a power series for erf, and the modified-weights heterogeneity
-statistic from a brute-force grid minimization.
+tail from a power series for erf, the modified-weights heterogeneity
+statistic from a brute-force grid minimization, and the logistic maximum
+likelihood from plain Newton-Raphson solved by ``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -179,6 +180,41 @@ def reml_profile_grid(estimates, variances, means, hi, step=1e-4):
     xtwx = X.T @ (X * w[:, None])
     coef = np.linalg.solve(xtwx, X.T @ (w * y))
     return tau2, float(coef[1])
+
+
+def logistic_mle_newton(X, y, tol=1e-12, max_iter=100):
+    """Logistic maximum likelihood by plain Newton-Raphson; returns (coef, cov).
+
+    ``X`` is the raw design, its first column the intercept. The other
+    columns are standardized (mean 0, sd 1) so that the Hessian stays well
+    conditioned when a column sits far from zero; the standardization is a
+    change of basis, and coef and cov = (X'WX)^{-1} are mapped back to the
+    raw columns. Starts from all-zero coefficients, takes full Newton steps
+    solved with ``np.linalg.solve`` (no step halving, no rank test), and
+    stops once every entry of the score X'(y - p), per observation, is
+    below ``tol``; cov is then taken at that final iterate.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    loc = np.concatenate([[0.0], X[:, 1:].mean(axis=0)])
+    sd = np.concatenate([[1.0], X[:, 1:].std(axis=0)])
+    Z = (X - loc) / sd
+    coef = np.zeros(p)
+    for _ in range(max_iter):
+        prob = 1.0 / (1.0 + np.exp(-(Z @ coef)))
+        score = Z.T @ (y - prob)
+        hessian = Z.T @ (Z * (prob * (1.0 - prob))[:, None])
+        if np.abs(score).max() / n < tol:
+            break
+        coef = coef + np.linalg.solve(hessian, score)
+    else:
+        raise RuntimeError(f"Newton-Raphson did not converge in {max_iter} steps")
+    # Raw coefficients b satisfy X b = Z c: b = A c with A = diag(1/sd) and
+    # the intercept row -loc/sd.
+    A = np.diag(1.0 / sd)
+    A[0, 1:] = -loc[1:] / sd[1:]
+    return A @ coef, A @ np.linalg.inv(hessian) @ A.T
 
 
 def ks_uniform_pvalue(samples) -> float:

@@ -385,6 +385,42 @@ class TestPlotdata:
         assert len(unscaled) == len(scaled) == 21
         assert unscaled[0] == "context,xmean,estimate,lo95,hi95"
 
+    @staticmethod
+    def _plotdata_fails(tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(["plotdata", "--report", str(path), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INGEST
+        assert err.startswith("ingestion error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        return err
+
+    @staticmethod
+    def _saved_report(cohort_csv, tmp_path, capsys):
+        assert main(analyze_args(cohort_csv, tmp_path / "run")) == EXIT_OK
+        capsys.readouterr()
+        return json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+
+    def test_report_that_is_not_json(self, tmp_path, capsys):
+        err = self._plotdata_fails(tmp_path, capsys, "context,bx\nC01,0.5\n")
+        assert "not valid JSON" in err
+
+    def test_report_without_a_trend(self, cohort_csv, tmp_path, capsys):
+        payload = self._saved_report(cohort_csv, tmp_path, capsys)
+        del payload["trend"]
+        assert "no 'trend' entry" in self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
+
+    def test_context_row_with_unknown_and_missing_fields(self, cohort_csv, tmp_path, capsys):
+        payload = self._saved_report(cohort_csv, tmp_path, capsys)
+        payload["contexts"][3]["colour"] = "red"
+        err = self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
+        assert "context 3 has unknown field(s) colour" in err
+        del payload["contexts"][3]["colour"]
+        del payload["contexts"][3]["se"]
+        err = self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
+        assert "context 3 has missing field(s) se" in err
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

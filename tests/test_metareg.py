@@ -174,6 +174,7 @@ class TestTrendTest:
         assert scaled.slope == pytest.approx(factor * base.slope, rel=1e-9)
         assert scaled.tau2 == pytest.approx(factor * factor * base.tau2, rel=1e-9)
         assert scaled.slope_p == pytest.approx(base.slope_p, rel=1e-9)
+        assert scaled.iterations <= 8
 
     def test_null_rejection_rate_is_calibrated(self):
         # Homogeneous true effect: trend rejections should sit near but

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ctxmr import regress
+from ctxmr.datamodel import partition_by_context
 from ctxmr.errors import DegenerateFitWarning, DomainError, EstimationError, SeparationError
 from ctxmr.regress import (
     AssocEstimate,
@@ -16,6 +17,8 @@ from ctxmr.regress import (
     fit_logistic,
     fit_logistic_detail,
 )
+from fixtures import synthetic_cohort
+from oracles import logistic_mle_newton
 
 
 def _simple_slope(g, y):
@@ -228,33 +231,75 @@ class TestFusedIrlsPass:
         rng = np.random.default_rng(5)
         g = rng.normal(size=500)
         y = (rng.random(500) < 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * g)))).astype(float)
-        plain = fit_logistic_detail(design(g), y)
+        built = design(g)
+        plain = fit_logistic_detail(built, y)
         events = []
-        solve, deviance = regress.wls_solve, regress._deviance
+        invert, deviance = regress.gram_inverse, regress._deviance
 
-        def overshooting_solve(X, z, w):
-            events.append(("solve", w.copy()))
-            coef, cov = solve(X, z, w)
-            # The first step overshoots eightfold, so the deviance rises and it is halved.
-            return (8.0 * coef if len(events) == 2 else coef), cov
+        def overshooting_inverse(gram):
+            events.append(("factor", gram.copy()))
+            cov = invert(gram)
+            # The Newton step is cov @ score: the first one overshoots
+            # eightfold, so the deviance rises and it is halved.
+            return 8.0 * cov if len(events) == 2 else cov
 
         def recording_deviance(eta, y):
             events.append(("deviance", eta.copy()))
             return deviance(eta, y)
 
-        monkeypatch.setattr(regress, "wls_solve", overshooting_solve)
+        monkeypatch.setattr(regress, "gram_inverse", overshooting_inverse)
         monkeypatch.setattr(regress, "_deviance", recording_deviance)
-        fit = fit_logistic_detail(design(g), y)
+        fit = fit_logistic_detail(built, y)
         kinds = [kind for kind, _ in events]
-        first, second = kinds.index("solve"), kinds.index("solve", kinds.index("solve") + 1)
+        first, second = kinds.index("factor"), kinds.index("factor", kinds.index("factor") + 1)
         assert second - first > 2  # the overshooting candidate was halved at least once
-        for at, (kind, w) in enumerate(events):
-            if kind == "solve":
+        for at, (kind, gram) in enumerate(events):
+            if kind == "factor":
                 eta = events[at - 1][1]  # the last candidate evaluated: the accepted one
                 prob = 1.0 / (1.0 + np.exp(-eta))
-                np.testing.assert_allclose(w, np.maximum(prob * (1.0 - prob), 1e-10),
-                                           rtol=1e-12)
+                w = np.maximum(prob * (1.0 - prob), 1e-10)
+                want = built.X.T @ (built.X * w[:, None])
+                # Off the diagonal an entry can be a rounding-level zero.
+                np.testing.assert_allclose(gram, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
         np.testing.assert_allclose(fit.coef, plain.coef, rtol=1e-8)
+
+
+class TestLogisticOracle:
+    """The Newton fit against plain Newton-Raphson from zero (``oracles``)."""
+
+    @staticmethod
+    def _check(g, z, y):
+        fit = fit_logistic_detail(design(g, z[:, None]), y)
+        coef, cov = logistic_mle_newton(np.column_stack([np.ones(g.size), g, z]), y)
+        np.testing.assert_allclose(fit.coef, coef, rtol=1e-9)
+        np.testing.assert_allclose(fit.cov, cov, rtol=1e-9)
+
+    @staticmethod
+    def _data(seed, n, intercept, offset=0.0):
+        rng = np.random.default_rng(seed)
+        g = rng.binomial(2, 0.3, n).astype(float)
+        z = offset + rng.normal(size=n)
+        logit = intercept + 0.3 * g + 0.2 * (z - offset)
+        return g, z, (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(float)
+
+    def test_balanced_outcome(self):
+        g, z, y = self._data(31, 5000, -0.1)
+        assert 0.4 < y.mean() < 0.6
+        self._check(g, z, y)
+
+    def test_rare_outcome(self):
+        g, z, y = self._data(32, 20_000, -6.5)
+        assert 0.001 < y.mean() < 0.003
+        self._check(g, z, y)
+
+    def test_covariate_mean_of_a_million(self):
+        self._check(*self._data(33, 5000, -0.4, offset=1e6))
+
+    def test_at_most_six_steps_on_the_cohort(self):
+        for label, ctx in partition_by_context(synthetic_cohort(7)).contexts:
+            fit = fit_logistic_detail(design(ctx.instrument, ctx.covariates), ctx.outcome)
+            assert fit.iterations <= 6, label
 
 
 @pytest.mark.parametrize("offset", [1e3, 1e6])
