@@ -1,4 +1,4 @@
-"""Individual-level dataset: CSV ingestion, context partition, summaries.
+"""Individual-level dataset: CSV ingestion and writing, context partition, summaries.
 
 The dataset is stored columnwise (numpy arrays) for speed. Ingestion is
 complete-case: rows with a missing or unparseable mapped field are
@@ -13,12 +13,16 @@ while the file is read, since it would otherwise walk every row list.
 the file: that context's columns are views of the dataset's. Other
 contexts are gathered with ``take``. Either way a context's columns are
 read-only, so nothing downstream can write into the caller's arrays.
+
+``csv_text`` is the one CSV writer of the package: ``report.csv``,
+``table.csv`` and both plot files go through it.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import io
 from dataclasses import dataclass, replace
 from itertools import islice
 from operator import itemgetter
@@ -167,6 +171,20 @@ def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
     return header, {name: header.index(name) for name in needed}
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and data rows, each line ended by a newline.
+
+    A field holding a comma, a quote or a newline is quoted per RFC 4180.
+    Each other value is written as ``str`` writes it (a float at full
+    precision), and None as NA.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["NA" if value is None else value for value in row] for row in rows)
+    return out.getvalue()
+
+
 def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dataset:
     """Read a header-ed CSV into a Dataset.
 
@@ -240,15 +258,16 @@ def summarize_context(label: str, ds: Dataset) -> tuple[int, float]:
 def partition_by_context(
     ds: Dataset, min_n: int = DEFAULT_MIN_CONTEXT_SIZE
 ) -> PartitionResult:
-    """Split the dataset by context label, ordered by mean exposure.
+    """Split the dataset by context label, in label order.
 
     Contexts with fewer than ``min_n`` records are excluded and reported
-    in the result's ``excluded`` list. Ties in mean exposure are broken
-    by label so the ordering is deterministic. Each context keeps its rows
-    in file order. A context whose rows form one run of the file is a
-    slice of the dataset (read-only views, no copy); any other is gathered
-    (read-only copies). Both hold the same values in the same order, so
-    every sum over a context runs over the same rows either way.
+    in the result's ``excluded`` list. The partition only groups rows:
+    ``ContextTable.from_columns`` orders the contexts of an analysis by
+    mean exposure. Each context keeps its rows in file order. A context
+    whose rows form one run of the file is a slice of the dataset
+    (read-only views, no copy); any other is gathered (read-only copies).
+    Both hold the same values in the same order, so every sum over a
+    context runs over the same rows either way.
     """
     if len(ds) == 0:
         raise ConfigError("cannot partition an empty dataset")
@@ -258,7 +277,7 @@ def partition_by_context(
     order = np.argsort(ctx, kind="stable")
     ordered = ctx.take(order)
     cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(ctx)]
-    retained: list[tuple[float, str, Dataset]] = []
+    retained: list[tuple[str, Dataset]] = []
     excluded: list[ExcludedContext] = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         label = str(ordered[lo])
@@ -275,14 +294,10 @@ def partition_by_context(
         first, last = int(rows[0]), int(rows[-1])
         # Rows in one run of the file are a slice: views, not copies.
         sub = ds.subset(slice(first, last + 1) if last - first == hi - lo - 1 else rows)
-        retained.append((float(sub.exposure.mean()), label, sub))
+        retained.append((label, sub))
     if len(retained) < 2:
         raise ConfigError(
             f"fewer than 2 contexts retained ({len(retained)}); "
             "heterogeneity across contexts is undefined"
         )
-    retained.sort(key=lambda item: (item[0], item[1]))
-    return PartitionResult(
-        contexts=tuple((label, sub) for _, label, sub in retained),
-        excluded=tuple(excluded),
-    )
+    return PartitionResult(contexts=tuple(retained), excluded=tuple(excluded))

@@ -39,12 +39,13 @@ import multiprocessing
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from . import __version__
+from .datamodel import csv_text
 from .errors import ConfigError, CtxMRError, ExperimentError
 from .heterogeneity import q_first_order, q_modified_second_order
 from .ivcore import ContextTable
@@ -66,19 +67,6 @@ from .ivcore import context_iv  # noqa: F401
 from .simulate import generate_dataset  # noqa: F401
 
 _MAX_FAILURE_RATE = 0.01
-
-CSV_COLUMNS = (
-    "scenario",
-    "grid",
-    "rej_q_first",
-    "rej_q_mod2",
-    "rej_trend",
-    "mc_se_q_first",
-    "mc_se_q_mod2",
-    "mc_se_trend",
-    "replications_completed",
-    "failures",
-)
 
 
 @dataclass(frozen=True)
@@ -119,6 +107,10 @@ class CellResult:
     mc_se_trend: float
     replications_completed: int
     failures: int
+
+
+#: The columns of ``table.csv``: the fields of a cell result, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,7 @@ class SharedReplication:
         self._exposure_fits: dict = {}
 
     def context_table(self, scenario: SimScenario) -> ContextTable:
-        """The context table of one cell, its rows ordered as ``partition_by_context`` orders them.
+        """The context table of one cell, its rows ordered by ``ContextTable.from_columns``.
 
         That is by mean exposure, with the context label breaking ties.
         """
@@ -314,16 +306,7 @@ class TableFormats:
 
 def emit_table(results: list[CellResult]) -> TableFormats:
     """Render cell results as aligned text, full-precision CSV, and JSON."""
-    csv_lines = [",".join(CSV_COLUMNS)]
-    for cell in results:
-        row = asdict(cell)
-        csv_lines.append(
-            ",".join(
-                repr(value) if isinstance(value, float) else str(value)
-                for value in (row[col] for col in CSV_COLUMNS)
-            )
-        )
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv = csv_text(CSV_COLUMNS, ([getattr(c, name) for name in CSV_COLUMNS] for c in results))
 
     header = (
         f"{'scenario':<10} {'grid':<8} {'q_first':>8} {'q_mod2':>8} "
@@ -339,7 +322,7 @@ def emit_table(results: list[CellResult]) -> TableFormats:
     text = "\n".join(lines) + "\n"
 
     json_text = json.dumps({"cells": [asdict(c) for c in results]}, indent=2) + "\n"
-    return TableFormats(text=text, csv=csv_text, json=json_text)
+    return TableFormats(text=text, csv=csv, json=json_text)
 
 
 def plan_manifest(plan: ExperimentPlan, results: list[CellResult], wall_seconds: float) -> dict:

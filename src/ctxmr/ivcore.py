@@ -52,7 +52,7 @@ class ContextTable:
     columns hold the raw associations; ``scale``, which ``rescaled``
     sets, expresses the outcome side per ``scale`` exposure units (see
     ``outcome`` and ``ratio``). ``from_columns`` orders the rows by mean
-    exposure, then label.
+    exposure, then label: the one rule that orders contexts.
     """
 
     labels: np.ndarray

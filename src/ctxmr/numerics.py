@@ -1,4 +1,4 @@
-"""Special functions, small dense weighted least squares and a 1-D minimizer.
+"""Special functions, small dense least squares and a 1-D minimizer.
 
 The rest of the package needs four numerical primitives: the chi-square
 survival function (for heterogeneity p-values), the normal survival
@@ -7,10 +7,10 @@ matrix X'WX with a rank test (``gram_inverse``: one Cholesky
 factorization, never one of the n x p design) and a safeguarded Newton
 search inside a bracket (the one 1-D minimizer, shared by the modified Q
 and the REML trend test). ``gram_inverse`` is the backbone of both
-regression fits: ``wls_solve``, the weighted least-squares solve of the
-linear fit, is the Gram product plus ``gram_inverse``, and each Newton
-step of the logistic fit factors its own X'WX with it. All functions
-here are pure and reentrant.
+regression fits: ``wls_solve``, the least-squares solve of the linear
+fit, is the Gram product plus ``gram_inverse``, and each Newton step of
+the logistic fit factors its own X'WX with it. All functions here are
+pure and reentrant.
 """
 
 from __future__ import annotations
@@ -150,19 +150,16 @@ def gram_inverse(gram: np.ndarray) -> np.ndarray:
     return (chol_inv.T @ chol_inv) / np.outer(scale, scale)
 
 
-def wls_solve(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted least squares through the normal equations X'WX coef = X'Wy.
+def wls_solve(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares through the normal equations X'X coef = X'y.
 
-    Minimizes sum_i w_i (y_i - X_i . coef)^2 and returns
-    ``(coef, cov)`` where ``cov = (X' W X)^{-1}``. Callers rescale
-    ``cov`` according to their own error model (e.g. by the residual
-    variance for ordinary regression; not at all for generalized least
-    squares with known variances).
+    Minimizes sum_i (y_i - X_i . coef)^2 and returns ``(coef, cov)``
+    where ``cov = (X'X)^{-1}``. Callers rescale ``cov`` according to
+    their own error model (e.g. by the residual variance for ordinary
+    regression).
 
-    One pass over the rows forms the p x p matrix X'WX and the vector
-    X'Wy, and ``gram_inverse`` inverts X'WX (raising
+    One pass over the rows forms the p x p matrix X'X and the vector
+    X'y, and ``gram_inverse`` inverts X'X (raising
     ``RankDeficiencyError`` for a dependent column). The normal equations
     square the condition number of the design, so callers should centre
     their non-intercept columns (``regress`` does). X and y are not
@@ -180,18 +177,14 @@ def wls_solve(
         raise DomainError(f"need at least as many rows as columns, got {n} < {p}")
     # Unit weights go through the same product: numpy computes X'X itself
     # with a symmetric rank-k update, several times slower than X'WX here.
-    w = np.ones(n) if w is None else np.asarray(w, dtype=float)
-    if w.shape != (n,):
-        raise DomainError(f"weights have shape {w.shape}, expected ({n},)")
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise DomainError("weights must be finite and non-negative")
+    w = np.ones(n)
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
         Xw = X * w[:, None]
         gram = Xw.T @ X
         rhs = Xw.T @ y
     cov = gram_inverse(gram)
     if not np.isfinite(rhs).all():
-        raise DomainError("response contains non-finite entries, or X'Wy overflows")
+        raise DomainError("response contains non-finite entries, or X'y overflows")
     return cov @ rhs, cov
 
 

@@ -22,9 +22,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
-from .datamodel import DEFAULT_MIN_CONTEXT_SIZE, Dataset, partition_by_context, read_header
+from .datamodel import (
+    DEFAULT_MIN_CONTEXT_SIZE,
+    Dataset,
+    csv_text,
+    partition_by_context,
+    read_header,
+)
 from .errors import ConfigError, IngestError
 from .heterogeneity import (
     HeterogeneityResult,
@@ -39,21 +45,6 @@ from .regress import require_finite
 DEFAULT_CI_Z = 1.959964
 
 SUMMARY_CSV_COLUMNS = ("context", "bx", "bx_se", "by", "by_se", "xmean", "n")
-
-CONTEXT_CSV_COLUMNS = (
-    "context",
-    "n",
-    "exposure_mean",
-    "bx",
-    "bx_se",
-    "by",
-    "by_se",
-    "estimate",
-    "se",
-    "lo95",
-    "hi95",
-    "odds_ratio",
-)
 
 
 @dataclass(frozen=True)
@@ -93,6 +84,10 @@ class ContextRow:
     lo95: float
     hi95: float
     odds_ratio: float | None = None
+
+
+#: The columns of ``report.csv``: the fields of a context row, in order.
+CONTEXT_CSV_COLUMNS = tuple(f.name for f in fields(ContextRow))
 
 
 @dataclass(frozen=True)
@@ -177,6 +172,9 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
         require_finite(name, column)
     part = partition_by_context(ds, min_n=options.min_context_n)
     raw = [context_iv(label, sub, options.family) for label, sub in part.contexts]
+    table = ContextTable.from_results(raw)
+    # The weak-instrument notes follow the table's order, not the partition's.
+    notes = {r.context: r.warnings for r in raw}
     warnings = [
         f"context {e.context!r} excluded: {e.reason} (n={e.n})" for e in part.excluded
     ]
@@ -194,8 +192,8 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
         "n_records": len(ds),
         "n_dropped": ds.n_dropped,
     }
-    return _assemble(ContextTable.from_results(raw), options, config, warnings,
-                     [note for r in raw for note in r.warnings])
+    return _assemble(table, options, config, warnings,
+                     [note for label in table.labels for note in notes[label]])
 
 
 def analyze_summary_results(
@@ -280,6 +278,26 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
+#: The JSON values a report field of each annotated type accepts (never a bool).
+_JSON_VALUES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "tuple[str, ...]": ((list,), "a list of strings"),
+}
+
+
+def _check_value(where: str, name: str, kind: str, value) -> None:
+    """Raise IngestError unless ``value`` is a JSON value of the field type ``kind``."""
+    types, wanted = _JSON_VALUES[kind]
+    fits = isinstance(value, types) and not isinstance(value, bool)
+    if fits and isinstance(value, list):
+        fits = all(isinstance(item, str) for item in value)
+    if not fits:
+        raise IngestError(f"report {where} field {name!r} is not {wanted}: {value!r}")
+
+
 def _record(cls, where: str, entry):
     """``cls(**entry)`` from one JSON object; IngestError names what does not fit."""
     if not isinstance(entry, dict):
@@ -289,14 +307,18 @@ def _record(cls, where: str, entry):
     for problem, names in (("unknown", entry.keys() - known), ("missing", required - entry.keys())):
         if names:
             raise IngestError(f"report {where} has {problem} field(s) {', '.join(sorted(names))}")
-    return cls(**entry)
+    for f in fields(cls):
+        if f.name in entry:
+            _check_value(where, f.name, f.type, entry[f.name])
+    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in entry.items()})
 
 
 def report_from_dict(payload) -> AnalysisReport:
     """The report that ``report_to_dict`` wrote.
 
     A payload of another shape raises IngestError naming the missing
-    entry, or the row and the unknown or missing fields.
+    entry, or the row and the unknown or missing fields, or the entry and
+    the field whose value has the wrong JSON type.
     """
     if not isinstance(payload, dict):
         raise IngestError("report is not a JSON object")
@@ -307,17 +329,16 @@ def report_from_dict(payload) -> AnalysisReport:
     for key, kind in (("contexts", list), ("config", dict), ("warnings", list)):
         if not isinstance(payload[key], kind):
             raise IngestError(f"report entry {key!r} is not a JSON {kind.__name__}")
-
-    def het(key):
-        result = _record(HeterogeneityResult, key, payload[key])
-        return replace(result, excluded=tuple(result.excluded))
-
+    if "ci_z" in payload["config"]:
+        _check_value("config", "ci_z", "float", payload["config"]["ci_z"])
     trend = payload["trend"]
     return AnalysisReport(
         contexts=tuple(_record(ContextRow, f"context {i}", row)
                        for i, row in enumerate(payload["contexts"])),
-        heterogeneity_first_order=het("heterogeneity_first_order"),
-        heterogeneity_modified=het("heterogeneity_modified"),
+        heterogeneity_first_order=_record(HeterogeneityResult, "heterogeneity_first_order",
+                                          payload["heterogeneity_first_order"]),
+        heterogeneity_modified=_record(HeterogeneityResult, "heterogeneity_modified",
+                                       payload["heterogeneity_modified"]),
         trend=None if trend is None else _record(MetaRegResult, "trend", trend),
         config=payload["config"],
         warnings=tuple(payload["warnings"]),
@@ -388,20 +409,8 @@ def render_text(report: AnalysisReport) -> str:
 
 def context_table_csv(report: AnalysisReport) -> str:
     """Per-context table as CSV at full precision."""
-    lines = [",".join(CONTEXT_CSV_COLUMNS)]
-    for row in report.contexts:
-        d = asdict(row)
-        cells = []
-        for col in CONTEXT_CSV_COLUMNS:
-            v = d[col]
-            if v is None:
-                cells.append("NA")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(CONTEXT_CSV_COLUMNS, ([getattr(row, name) for name in CONTEXT_CSV_COLUMNS]
+                                          for row in report.contexts))
 
 
 def plot_data(report: AnalysisReport) -> tuple[str, str]:
@@ -413,30 +422,8 @@ def plot_data(report: AnalysisReport) -> tuple[str, str]:
     the scaled file shows the MR estimate columns from the report.
     """
     z = float(report.config.get("ci_z", DEFAULT_CI_Z))
-    header = "context,xmean,estimate,lo95,hi95"
-    unscaled = [header]
-    scaled = [header]
-    for row in report.contexts:
-        unscaled.append(
-            ",".join(
-                (
-                    row.context,
-                    repr(row.exposure_mean),
-                    repr(row.by),
-                    repr(row.by - z * row.by_se),
-                    repr(row.by + z * row.by_se),
-                )
-            )
-        )
-        scaled.append(
-            ",".join(
-                (
-                    row.context,
-                    repr(row.exposure_mean),
-                    repr(row.estimate),
-                    repr(row.lo95),
-                    repr(row.hi95),
-                )
-            )
-        )
-    return "\n".join(unscaled) + "\n", "\n".join(scaled) + "\n"
+    header = ("context", "xmean", "estimate", "lo95", "hi95")
+    unscaled = [(r.context, r.exposure_mean, r.by, r.by - z * r.by_se, r.by + z * r.by_se)
+                for r in report.contexts]
+    scaled = [(r.context, r.exposure_mean, r.estimate, r.lo95, r.hi95) for r in report.contexts]
+    return csv_text(header, unscaled), csv_text(header, scaled)

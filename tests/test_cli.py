@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
@@ -420,6 +421,44 @@ class TestPlotdata:
         del payload["contexts"][3]["se"]
         err = self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
         assert "context 3 has missing field(s) se" in err
+
+    @pytest.mark.parametrize("entry, field, value, message", [
+        ("contexts", "by", "0.1", "context 2 field 'by' is not a number"),
+        ("config", "ci_z", "abc", "config field 'ci_z' is not a number"),
+        ("contexts", "context", 7, "context 2 field 'context' is not a string"),
+        ("heterogeneity_modified", "excluded", 5,
+         "heterogeneity_modified field 'excluded' is not a list of strings"),
+    ], ids=["by", "ci_z", "context", "excluded"])
+    def test_value_of_the_wrong_type(self, cohort_csv, tmp_path, capsys, entry, field, value,
+                                     message):
+        payload = self._saved_report(cohort_csv, tmp_path, capsys)
+        target = payload[entry][2] if entry == "contexts" else payload[entry]
+        target[field] = value
+        assert message in self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
+
+    def test_labels_that_need_quoting_round_trip(self, tmp_path, capsys):
+        labels = ("a,b", 'q"x', "two\nlines", "plain")
+        ds = synthetic_cohort(seed=5, sizes=(300,) * 4, means=(50.0, 52.0, 54.0, 56.0),
+                              with_covariates=False)
+        data = tmp_path / "cohort.csv"
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("score", "vitd", "chd", "centre"))
+            writer.writerows(zip(ds.instrument.tolist(), ds.exposure.tolist(),
+                                 ds.outcome.astype(int).tolist(), np.repeat(labels, 300)))
+        args = ["analyze", "--data", str(data), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                "--out-dir", str(tmp_path)]
+        assert main(args) == EXIT_OK
+        report = str(tmp_path / "report.json")
+        assert main(["plotdata", "--report", report, "--out-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        for name, width in (("report.csv", 12), ("plot_unscaled.csv", 5),
+                            ("plot_scaled.csv", 5)):
+            with open(tmp_path / name, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert {len(row) for row in rows} == {width}, name
+            assert sorted(row[0] for row in rows[1:]) == sorted(labels), name
 
 
 def test_console_entry_point_runs():

@@ -11,6 +11,7 @@ from ctxmr import datamodel
 from ctxmr.datamodel import (
     ColumnMap,
     Dataset,
+    csv_text,
     load_csv,
     partition_by_context,
     summarize_context,
@@ -186,11 +187,29 @@ class TestPartition:
         assert [(e.context, e.n) for e in part.excluded] == [("k", 40)]
 
     def test_ordering_by_exposure_mean_with_label_tiebreak(self):
-        context = np.array(["b"] * 3 + ["a"] * 3 + ["c"] * 3)
-        exposure = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
-        ds = _dataset(np.zeros(9), exposure, np.zeros(9), context)
+        # The partition gives label order; the report orders the contexts by
+        # mean exposure, then label, and lists the weak-instrument notes in
+        # that order. Contexts a and b share their exposures, so their means
+        # tie exactly.
+        rng = np.random.default_rng(5)
+        n = 200
+        g = rng.normal(size=n)
+        noise = rng.normal(size=n)
+        gc = g - g.mean()
+        noise -= (noise @ gc) / (gc @ gc) * gc  # orthogonal to the instrument
+        weak, strong = 0.01 * g + noise, g + noise  # |bx|/se about 0.14 and 14
+        exposure = {"b": 3.0 + weak, "a": 3.0 + weak, "d": 2.0 + strong, "c": 1.0 + weak}
+        ds = _dataset(np.tile(g, 4), np.concatenate(list(exposure.values())),
+                      rng.normal(size=4 * n), np.repeat(list(exposure), n))
         part = partition_by_context(ds, min_n=2)
-        assert [label for label, _ in part.contexts] == ["c", "a", "b"]
+        assert [label for label, _ in part.contexts] == ["a", "b", "c", "d"]
+        report = analyze_dataset(ds, AnalysisOptions(min_context_n=2))
+        assert [row.context for row in report.contexts] == ["c", "d", "a", "b"]
+        assert report.contexts[2].exposure_mean == report.contexts[3].exposure_mean
+        assert [note.split(":")[0] for note in report.warnings] == [
+            "context 'c'", "context 'a'", "context 'b'"
+        ]
+        assert all("weak instrument" in note for note in report.warnings)
 
 
 def _with_covariates(context):
@@ -285,3 +304,9 @@ class TestSummarize:
         (n, mean), (n_p, mean_p) = summarize_context("a", ds), summarize_context("a", ds_p)
         assert n == n_p == 101
         assert mean == pytest.approx(mean_p, abs=1e-12)
+
+
+class TestCsvText:
+    def test_none_is_na_and_floats_keep_full_precision(self):
+        text = csv_text(("a", "b", "c"), [(None, 0.1 + 0.2, 3), ("x", float("nan"), -1e-300)])
+        assert text == "a,b,c\nNA,0.30000000000000004,3\nx,nan,-1e-300\n"

