@@ -15,7 +15,9 @@ contexts are gathered with ``take``. Either way a context's columns are
 read-only, so nothing downstream can write into the caller's arrays.
 
 ``csv_text`` is the one CSV writer of the package: ``report.csv``,
-``table.csv`` and both plot files go through it.
+``table.csv`` and both plot files go through it. ``shallow_dict`` turns
+the result dataclasses into the dicts that the JSON files are written
+from.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from operator import itemgetter
 
@@ -171,18 +173,37 @@ def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
     return header, {name: header.index(name) for name in needed}
 
 
+class _RowLines(list):
+    """A ``csv.writer`` target that ends each row with "\n" instead of "\r\n"."""
+
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
+
+
 def csv_text(header, rows) -> str:
     """CSV text of a header row and data rows, each line ended by a newline.
 
-    A field holding a comma, a quote or a newline is quoted per RFC 4180.
-    Each other value is written as ``str`` writes it (a float at full
-    precision), and None as NA.
+    A field holding a comma, a quote, a newline or a carriage return is
+    quoted per RFC 4180. Each other value is written as ``str`` writes it
+    (a float at full precision), and None as NA. The writer's line
+    terminator is "\r\n", because before Python 3.13 ``csv.writer`` quotes
+    a bare "\r" only when it is part of the terminator; ``_RowLines`` then
+    swaps each row's terminator for "\n".
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    lines = _RowLines()
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(["NA" if value is None else value for value in row] for row in rows)
-    return out.getvalue()
+    return "".join(lines)
+
+
+def shallow_dict(obj) -> dict:
+    """The fields of a dataclass instance by name, values as they are.
+
+    Unlike ``dataclasses.asdict`` it neither deep-copies the values nor
+    turns nested dataclasses into dicts.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dataset:

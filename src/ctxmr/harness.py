@@ -13,12 +13,17 @@ random numbers across effect shapes and grids. One draw serves all those
 cells (one for the whole default plan), and they differ only in the
 shifts alpha_k and the effect f. The instrument-exposure slope bx does
 not depend on alpha_k, so it is fitted once per draw key and exposure
-coefficients; the instrument-outcome slope by is fitted once per cell.
-Both are closed-form simple least squares computed row-wise on (K, n)
-blocks, with no Dataset, no context partition and no QR; they agree
-with the general ``context_iv`` fits to rounding. The row fits and the
-context means go straight into one ``ContextTable`` per cell, the input
-of all three tests.
+coefficients, on z = instrument_effect·g + c_x·u + e_x. The outcome is
+f(x) plus the noise c_y·u + e_y, whose row-centred form wc and row sums
+of gc·wc and wc² are kept once per draw key and c_y. A cell therefore
+builds no outcome: it adds alpha_k to a copy of z, takes the context
+means, evaluates f in place (``simulate.effect_inplace``), centres it
+per context, and gets the instrument-outcome slope by and its residual
+sum of squares from three row dot products. Both slopes are closed-form
+simple least squares with no Dataset, no context partition and no QR;
+they agree with the general ``context_iv`` fits to rounding. The slopes
+and the context means go straight into one ``ContextTable`` per cell,
+the input of all three tests.
 
 Scheduling: with more than one worker a single process pool serves the
 whole experiment. Each task is one replication and returns one outcome
@@ -39,13 +44,13 @@ import multiprocessing
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .datamodel import csv_text
+from .datamodel import csv_text, shallow_dict
 from .errors import ConfigError, CtxMRError, ExperimentError
 from .heterogeneity import q_first_order, q_modified_second_order
 from .ivcore import ContextTable
@@ -55,9 +60,9 @@ from .simulate import (
     EffectFunction,
     SimScenario,
     alpha_grid,
-    context_blocks,
     draw_contexts,
     draw_key,
+    effect_inplace,
 )
 
 # The general estimation path stays reachable under these names, which
@@ -147,38 +152,55 @@ def default_plan(
     )
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b."""
+    return np.einsum("kn,kn->k", a, b)
+
+
 class _InstrumentRows:
     """Simple least squares of (K, n) responses on the instrument, row by row."""
 
     def __init__(self, g: np.ndarray):
         self.gc = g - g.mean(axis=1, keepdims=True)
-        self.sgg = np.einsum("kn,kn->k", self.gc, self.gc)
+        self.sgg = _row_dot(self.gc, self.gc)
         self.df = g.shape[1] - 2
 
     def fit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes and classical standard errors, residual variance RSS / (n - 2)."""
+        """Slopes and classical standard errors of the rows of v."""
         vc = v - v.mean(axis=1, keepdims=True)
-        sgv = np.einsum("kn,kn->k", self.gc, vc)
+        return self.slopes(_row_dot(self.gc, vc), _row_dot(vc, vc))
+
+    def slopes(self, sgv: np.ndarray, svv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes and standard errors from the row sums of gc·vc and vc²; RSS / (n - 2)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = sgv / self.sgg
-            rss = np.einsum("kn,kn->k", vc, vc) - beta * sgv
+            rss = svv - beta * sgv
             se = np.sqrt(np.maximum(rss, 0.0) / (self.df * self.sgg))
         return beta, se
 
 
 class SharedReplication:
-    """One replication's draws and exposure fits, shared by the cells that use them."""
+    """One replication's draws and the cell-independent parts of its fits.
+
+    Per draw key it keeps the draws and the centred instrument; per draw
+    key and exposure coefficients, z = instrument_effect·g + c_x·u + e_x
+    and bx; per draw key and c_y, the row-centred outcome noise
+    wc = c_y·u + e_y - mean with its row sums of gc·wc and wc².
+    """
 
     def __init__(self, master_seed: int, replication: int):
         self.master_seed = master_seed
         self.replication = replication
         self._draws: dict = {}
-        self._exposure_fits: dict = {}
+        self._exposures: dict = {}
+        self._noises: dict = {}
 
     def context_table(self, scenario: SimScenario) -> ContextTable:
         """The context table of one cell, its rows ordered by ``ContextTable.from_columns``.
 
         That is by mean exposure, with the context label breaking ties.
+        The centred outcome is f + wc, with f = f(x) centred per context,
+        so by and its RSS follow from the row sums of gc·f, f² and f·wc.
         """
         key = draw_key(scenario)
         if key not in self._draws:
@@ -190,18 +212,27 @@ class SharedReplication:
         exposure_key = (
             key, scenario.instrument_effect, scenario.confounder_effect_on_exposure
         )
-        if exposure_key not in self._exposure_fits:
-            self._exposure_fits[exposure_key] = rows.fit(
-                scenario.instrument_effect * draws.g
-                + scenario.confounder_effect_on_exposure * draws.u
-                + draws.e_x
-            )
-        bx, bx_se = self._exposure_fits[exposure_key]
-        x, y = context_blocks(scenario, draws)
-        by, by_se = rows.fit(y)
+        if exposure_key not in self._exposures:
+            z = (scenario.instrument_effect * draws.g
+                 + scenario.confounder_effect_on_exposure * draws.u + draws.e_x)
+            self._exposures[exposure_key] = z, rows.fit(z)
+        z, (bx, bx_se) = self._exposures[exposure_key]
+        noise_key = key, scenario.confounder_effect_on_outcome
+        if noise_key not in self._noises:
+            wc = scenario.confounder_effect_on_outcome * draws.u + draws.e_y
+            wc -= wc.mean(axis=1, keepdims=True)
+            self._noises[noise_key] = wc, _row_dot(rows.gc, wc), _row_dot(wc, wc)
+        wc, sgw, sww = self._noises[noise_key]
+
+        x = z + np.asarray(scenario.alphas)[:, None]
+        xmean = x.mean(axis=1)
+        f = effect_inplace(scenario.effect, x)
+        f -= f.mean(axis=1, keepdims=True)
+        sgf, sff, sfw = _row_dot(rows.gc, f), _row_dot(f, f), _row_dot(f, wc)
+        by, by_se = rows.slopes(sgf + sgw, sff + 2.0 * sfw + sww)
         k = scenario.contexts
         return ContextTable.from_columns(
-            [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, x.mean(axis=1),
+            [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, xmean,
             np.full(k, scenario.per_context_n),
         )
 
@@ -321,7 +352,7 @@ def emit_table(results: list[CellResult]) -> TableFormats:
         )
     text = "\n".join(lines) + "\n"
 
-    json_text = json.dumps({"cells": [asdict(c) for c in results]}, indent=2) + "\n"
+    json_text = json.dumps({"cells": [shallow_dict(c) for c in results]}, indent=2) + "\n"
     return TableFormats(text=text, csv=csv, json=json_text)
 
 
@@ -334,9 +365,12 @@ def plan_manifest(plan: ExperimentPlan, results: list[CellResult], wall_seconds:
             "master_seed": plan.master_seed,
             "workers": plan.workers,
             "tau2_method": plan.tau2_method,
-            "scenarios": [{**asdict(s), "grid": s.grid_name} for s in plan.scenarios],
+            "scenarios": [
+                {**shallow_dict(s), "effect": shallow_dict(s.effect), "grid": s.grid_name}
+                for s in plan.scenarios
+            ],
         },
-        "results": [asdict(c) for c in results],
+        "results": [shallow_dict(c) for c in results],
         "versions": {
             "ctxmr": __version__,
             "python": sys.version.split()[0],

@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .datamodel import (
     DEFAULT_MIN_CONTEXT_SIZE,
@@ -30,6 +30,7 @@ from .datamodel import (
     csv_text,
     partition_by_context,
     read_header,
+    shallow_dict,
 )
 from .errors import ConfigError, IngestError
 from .heterogeneity import (
@@ -269,10 +270,10 @@ def load_summary_csv(path) -> ContextTable:
 
 def report_to_dict(report: AnalysisReport) -> dict:
     return {
-        "contexts": [asdict(row) for row in report.contexts],
-        "heterogeneity_first_order": asdict(report.heterogeneity_first_order),
-        "heterogeneity_modified": asdict(report.heterogeneity_modified),
-        "trend": None if report.trend is None else asdict(report.trend),
+        "contexts": [shallow_dict(row) for row in report.contexts],
+        "heterogeneity_first_order": shallow_dict(report.heterogeneity_first_order),
+        "heterogeneity_modified": shallow_dict(report.heterogeneity_modified),
+        "trend": None if report.trend is None else shallow_dict(report.trend),
         "config": report.config,
         "warnings": list(report.warnings),
     }

@@ -25,9 +25,16 @@ three normal vectors, sampled by numpy's ziggurat method).
 The draws depend on the scenario only through (contexts, per_context_n,
 maf), its ``draw_key``; the effect shape, the shifts alpha_k and the
 coefficients act afterwards. ``draw_contexts`` therefore draws a whole
-replication once as (K, n) arrays, ``context_blocks`` turns them into one
-scenario's exposure and outcome, and ``generate_dataset`` flattens those
-blocks into a Dataset.
+replication once as (K, n) arrays, and ``generate_dataset`` builds one
+scenario's exposure and outcome from them and flattens both into a
+Dataset. The simulation engine (``harness.SharedReplication``) reuses the
+draws across scenarios without building a Dataset.
+
+``effect_inplace`` is the one formula of each effect shape. It overwrites
+a float array, so the engine evaluates f with no temporaries;
+``effect_value``, the public entry, copies its input and checks that it
+is finite first. Scenario and effect parameters are checked to be finite
+when they are constructed, so every exposure the engine builds is finite.
 """
 
 from __future__ import annotations
@@ -44,6 +51,14 @@ ALPHA_GRIDS = {"larger": (8.0, 0.2), "smaller": (9.0, 0.1)}
 
 #: R-squared this close to 1 makes the F statistic meaningless; cap it.
 _F_CAP_R2 = 1.0 - 1e-12
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Raise ConfigError naming the first of these fields that holds a non-finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def alpha_grid(name_or_values, contexts: int = 10) -> tuple[float, ...]:
@@ -72,6 +87,7 @@ class EffectFunction:
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic", "threshold"):
             raise ConfigError(f"unknown effect kind {self.kind!r}")
+        _require_finite(self, "slope", "coefficient", "knot")
 
     @classmethod
     def linear(cls, slope: float = 0.8) -> "EffectFunction":
@@ -86,17 +102,30 @@ class EffectFunction:
         return cls(kind="threshold", slope=slope, knot=knot)
 
 
+def effect_inplace(effect: EffectFunction, x: np.ndarray) -> np.ndarray:
+    """Overwrite the finite float array x with the effect function at x; return x.
+
+    The threshold shape is max(x - knot, 0) times the slope, so x at or
+    below the knot gives +0.0 for a positive slope, never -0.0.
+    """
+    if effect.kind == "linear":
+        x *= effect.slope
+    elif effect.kind == "quadratic":
+        np.square(x, out=x)
+        x *= effect.coefficient
+    else:
+        x -= effect.knot
+        np.maximum(x, 0.0, out=x)
+        x *= effect.slope
+    return x
+
+
 def effect_value(effect: EffectFunction, x):
     """Evaluate the effect function at x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("effect function requires finite exposure values")
-    if effect.kind == "linear":
-        out = effect.slope * x
-    elif effect.kind == "quadratic":
-        out = effect.coefficient * x**2
-    else:
-        out = effect.slope * np.where(x > effect.knot, x - effect.knot, 0.0)
+    out = effect_inplace(effect, x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -119,6 +148,8 @@ class SimScenario:
             raise ConfigError(f"per-context n must be >= 10, got {self.per_context_n}")
         if not 0.0 < self.maf < 1.0:
             raise ConfigError(f"minor allele frequency must be in (0, 1), got {self.maf}")
+        _require_finite(self, "alphas", "instrument_effect", "confounder_effect_on_exposure",
+                        "confounder_effect_on_outcome")
 
     @property
     def contexts(self) -> int:
@@ -172,21 +203,15 @@ def draw_contexts(
     return ContextDraws(g=g, u=u, e_x=e_x, e_y=e_y)
 
 
-def context_blocks(scenario: SimScenario, draws: ContextDraws) -> tuple[np.ndarray, np.ndarray]:
-    """Exposure and outcome of every context as (K, n) blocks."""
-    x = np.asarray(scenario.alphas)[:, None] + scenario.instrument_effect * draws.g
-    x += scenario.confounder_effect_on_exposure * draws.u + draws.e_x
-    y = effect_value(scenario.effect, x)
-    y += scenario.confounder_effect_on_outcome * draws.u + draws.e_y
-    return x, y
-
-
 def generate_dataset(
     scenario: SimScenario, master_seed: int, replication: int = 0
 ) -> Dataset:
     """Draw one simulated dataset; bit-identical for a given (seed, rep)."""
     draws = draw_contexts(master_seed, replication, *draw_key(scenario))
-    x, y = context_blocks(scenario, draws)
+    x = np.asarray(scenario.alphas)[:, None] + scenario.instrument_effect * draws.g
+    x += scenario.confounder_effect_on_exposure * draws.u + draws.e_x
+    y = effect_value(scenario.effect, x)
+    y += scenario.confounder_effect_on_outcome * draws.u + draws.e_y
     total = x.size
     return Dataset(
         instrument=draws.g.ravel(),

@@ -44,6 +44,19 @@ TARGET_RATES = {
 }
 TARGET_TOL = 0.05  # absolute, in proportion units
 
+# The exact rejection rates (q_first, q_mod2, trend) of the shared fixture
+# (MASTER_SEED, REPLICATIONS), every cell with all replications completed.
+# A change to the engine's arithmetic that moves one p-value across alpha
+# shows here before it can drift the rates towards TARGET_TOL.
+PINNED_RATES = {
+    ("linear", "larger"): (0.119, 0.007, 0.045),
+    ("quadratic", "larger"): (0.769, 0.325, 0.89),
+    ("threshold", "larger"): (0.407, 0.396, 0.656),
+    ("linear", "smaller"): (0.119, 0.007, 0.045),
+    ("quadratic", "smaller"): (0.285, 0.023, 0.363),
+    ("threshold", "smaller"): (0.191, 0.183, 0.268),
+}
+
 
 def _report(number: str, label: str, passed: bool, detail: str) -> None:
     status = "PASS" if passed else "FAIL"
@@ -95,6 +108,14 @@ def test_criterion_2_rejection_rates_smaller(experiment):
     ok, detail = _check_grid(cells, "smaller")
     _report("2", "rejection rates, smaller differences", ok, detail)
     assert ok
+
+
+def test_experiment_table_is_pinned(experiment):
+    cells, _ = experiment
+    observed = {key: (c.rej_q_first, c.rej_q_mod2, c.rej_trend) for key, c in cells.items()}
+    assert observed == PINNED_RATES
+    assert all(c.replications_completed == REPLICATIONS and c.failures == 0
+               for c in cells.values())
 
 
 def test_criterion_3_instrument_strength():

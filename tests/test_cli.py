@@ -437,8 +437,8 @@ class TestPlotdata:
         assert message in self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
 
     def test_labels_that_need_quoting_round_trip(self, tmp_path, capsys):
-        labels = ("a,b", 'q"x', "two\nlines", "plain")
-        ds = synthetic_cohort(seed=5, sizes=(300,) * 4, means=(50.0, 52.0, 54.0, 56.0),
+        labels = ("a,b", 'q"x', "two\nlines", "car\rriage", "plain")
+        ds = synthetic_cohort(seed=5, sizes=(300,) * 5, means=(50.0, 52.0, 54.0, 56.0, 58.0),
                               with_covariates=False)
         data = tmp_path / "cohort.csv"
         with open(data, "w", newline="", encoding="utf-8") as handle:

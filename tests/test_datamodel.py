@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 
 import numpy as np
 import pytest
@@ -310,3 +312,12 @@ class TestCsvText:
     def test_none_is_na_and_floats_keep_full_precision(self):
         text = csv_text(("a", "b", "c"), [(None, 0.1 + 0.2, 3), ("x", float("nan"), -1e-300)])
         assert text == "a,b,c\nNA,0.30000000000000004,3\nx,nan,-1e-300\n"
+
+    def test_carriage_returns_are_quoted(self):
+        rows = [("a\rb", 1.0), ("c\r\nd", None), ("e\nf", 2.5), ('q"x,y', 3), ("plain", -0.0)]
+        text = csv_text(("context", "x"), rows)
+        assert text == ('context,x\n"a\rb",1.0\n"c\r\nd",NA\n"e\nf",2.5\n'
+                        '"q""x,y",3\nplain,-0.0\n')
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert read == [["context", "x"], ["a\rb", "1.0"], ["c\r\nd", "NA"], ["e\nf", "2.5"],
+                        ['q"x,y', "3"], ["plain", "-0.0"]]

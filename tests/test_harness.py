@@ -161,12 +161,21 @@ CUSTOM_SHIFTED = SimScenario(
 )
 
 
+def _far_cells(alpha: float) -> tuple[SimScenario, ...]:
+    """All three shapes on exposures near alpha, where f is large next to its spread."""
+    alphas = tuple(alpha * (1.0 + 0.01 * j) for j in range(5))
+    return tuple(
+        SimScenario(effect=effect, alphas=alphas, per_context_n=500, maf=0.4)
+        for effect in (EffectFunction.linear(), EffectFunction.quadratic(),
+                       EffectFunction.threshold(knot=alpha * 1.02))
+    )
+
+
 class TestSharedDraws:
     """The replication-major engine against the general per-context path."""
 
-    @pytest.mark.parametrize("replication", [0, 3])
-    def test_engine_matches_context_iv_on_generated_dataset(self, replication):
-        scenarios = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
+    @staticmethod
+    def _assert_engine_matches_context_iv(scenarios, replication):
         shared = SharedReplication(master_seed=11, replication=replication)
         for scenario in scenarios:
             fast = shared.context_table(scenario)
@@ -178,6 +187,15 @@ class TestSharedDraws:
                 np.testing.assert_allclose(getattr(fast, name), getattr(general, name),
                                            rtol=1e-10, atol=0.0, err_msg=name)
             assert fast.n.tolist() == general.n.tolist() == [scenario.per_context_n] * len(fast)
+
+    @pytest.mark.parametrize("replication", [0, 3])
+    def test_engine_matches_context_iv_on_generated_dataset(self, replication):
+        scenarios = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
+        self._assert_engine_matches_context_iv(scenarios, replication)
+
+    @pytest.mark.parametrize("alpha", [100.0, 1e4])
+    def test_engine_matches_context_iv_far_from_zero(self, alpha):
+        self._assert_engine_matches_context_iv(_far_cells(alpha), replication=2)
 
     def test_cell_outcome_does_not_depend_on_the_other_cells(self):
         alone = [run_replication(s, 4, 2) for s in (CUSTOM, CUSTOM_SHIFTED)]

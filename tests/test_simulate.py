@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctxmr.datamodel import Dataset, partition_by_context
-from ctxmr.errors import ConfigError
+from ctxmr.errors import ConfigError, DomainError
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
 from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.simulate import (
@@ -17,6 +17,7 @@ from ctxmr.simulate import (
     EffectFunction,
     SimScenario,
     alpha_grid,
+    effect_inplace,
     effect_value,
     generate_dataset,
     instrument_strength,
@@ -43,6 +44,58 @@ class TestEffectFunction:
         with pytest.raises(ConfigError):
             EffectFunction(kind="cubic")
 
+    @pytest.mark.parametrize("name", ["slope", "coefficient", "knot"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            EffectFunction(kind="threshold", **{name: value})
+
+
+SHAPES = [EffectFunction.linear(), EffectFunction.quadratic(), EffectFunction.threshold(),
+          EffectFunction.threshold(slope=-0.5, knot=-2.0)]
+
+
+class TestEffectInplace:
+    """The one formula per shape, which the engine applies to its own buffer."""
+
+    X = np.array([-1e4, -2.0, -1e-300, -0.0, 0.0, 5e-324, 3.7, 9.999999999999998,
+                  10.0, 10.000000000000002, 12.0, 1e4, 1e150])
+
+    @pytest.mark.parametrize("effect", SHAPES, ids=lambda e: f"{e.kind}{e.slope}")
+    def test_equals_effect_value_bit_for_bit(self, effect):
+        x = self.X.copy()
+        out = effect_inplace(effect, x)
+        assert out is x
+        expected = effect_value(effect, self.X)
+        assert out.tobytes() == expected.tobytes()
+        for value, y in zip(self.X.tolist(), out.tolist()):
+            assert np.float64(effect_value(effect, value)).tobytes() == np.float64(y).tobytes()
+
+    @pytest.mark.parametrize("effect", SHAPES, ids=lambda e: f"{e.kind}{e.slope}")
+    def test_matches_the_textbook_formula(self, effect):
+        x = self.X
+        if effect.kind == "linear":
+            expected = effect.slope * x
+        elif effect.kind == "quadratic":
+            expected = effect.coefficient * (x * x)
+        else:
+            expected = effect.slope * np.where(x > effect.knot, x - effect.knot, 0.0)
+        assert effect_inplace(effect, x.copy()).tobytes() == expected.tobytes()
+
+    def test_threshold_at_and_below_the_knot_is_positive_zero(self):
+        f = EffectFunction.threshold()
+        x = np.array([10.0, np.nextafter(10.0, 0.0), 9.0, -1e300, 0.0, -0.0])
+        out = effect_inplace(f, x)
+        assert (out == 0.0).all()
+        assert not np.signbit(out).any()
+
+    def test_effect_value_copies_and_checks(self):
+        x = np.array([11.0, 12.0])
+        effect_value(EffectFunction.threshold(), x)
+        assert x.tolist() == [11.0, 12.0]
+        with pytest.raises(DomainError, match="finite exposure"):
+            effect_value(EffectFunction.linear(), [1.0, float("nan")])
+
 
 class TestGrids:
     def test_builtin_grids(self):
@@ -61,6 +114,22 @@ class TestGrids:
             SimScenario(maf=1.5)
         with pytest.raises(ConfigError):
             SimScenario(per_context_n=5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alphas", (float("nan"), 9.0, 9.5)),
+        ("alphas", (8.0, float("inf"))),
+        ("instrument_effect", float("nan")),
+        ("confounder_effect_on_exposure", float("inf")),
+        ("confounder_effect_on_outcome", -float("inf")),
+    ])
+    def test_non_finite_scenario_parameter_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            SimScenario(**{field: value})
+
+    def test_large_finite_parameters_are_accepted(self):
+        scenario = SimScenario(effect=EffectFunction.quadratic(coefficient=1e308),
+                               alphas=(1e300, -1e300), instrument_effect=1e308)
+        assert scenario.contexts == 2
 
 
 class TestGenerate:
