@@ -32,7 +32,6 @@ from .errors import ConfigError, EstimationError, ExperimentError, IngestError
 from .harness import default_plan, emit_table, plan_manifest, run_experiment
 from .metareg import TAU2_METHODS
 from .report import (
-    DEFAULT_CI_Z,
     AnalysisOptions,
     analyze_dataset,
     analyze_summary_results,
@@ -66,8 +65,6 @@ def _add_analysis_flags(sub):
                      help="report estimates per this many exposure units")
     sub.add_argument("--tau2", choices=TAU2_METHODS, default="reml",
                      help="between-context variance estimator for the trend test")
-    sub.add_argument("--ci-z", type=float, default=DEFAULT_CI_Z,
-                     help="normal quantile for the confidence intervals")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +166,6 @@ def cmd_analyze(args) -> int:
         scale=args.scale,
         min_context_n=args.min_context_n,
         tau2_method=args.tau2,
-        ci_z=args.ci_z,
     )
     report = analyze_dataset(ds, options)
     _write_report(report, args.out_dir, args.format)
@@ -178,7 +174,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_meta(args) -> int:
     results = load_summary_csv(args.summary)
-    options = AnalysisOptions(scale=args.scale, tau2_method=args.tau2, ci_z=args.ci_z)
+    options = AnalysisOptions(scale=args.scale, tau2_method=args.tau2)
     report = analyze_summary_results(results, options)
     _write_report(report, args.out_dir, args.format)
     return EXIT_OK

@@ -11,19 +11,21 @@ Shared draws: replication r draws context k from the stream keyed by
 (contexts, per_context_n, maf) sees the same (g, u, e_x, e_y): common
 random numbers across effect shapes and grids. One draw serves all those
 cells (one for the whole default plan), and they differ only in the
-shifts alpha_k and the effect f. The instrument-exposure slope bx does
-not depend on alpha_k, so it is fitted once per draw key and exposure
-coefficients, on z = instrument_effect·g + c_x·u + e_x. The outcome is
-f(x) plus the noise c_y·u + e_y, whose row-centred form wc and row sums
-of gc·wc and wc² are kept once per draw key and c_y. A cell therefore
-builds no outcome: it adds alpha_k to a copy of z, takes the context
-means, evaluates f in place (``simulate.effect_inplace``), centres it
-per context, and gets the instrument-outcome slope by and its residual
-sum of squares from three row dot products. Both slopes are closed-form
-simple least squares with no Dataset, no context partition and no QR;
-they agree with the general ``context_iv`` fits to rounding. The slopes
-and the context means go straight into one ``ContextTable`` per cell,
-the input of all three tests.
+shifts alpha_k, the instrument effect and the effect f. The outcome is
+f(x) plus the noise e_y - u, whose row-centred form wc and row sums of
+gc·wc and wc² are kept with the draws. The instrument-exposure slope bx
+does not depend on alpha_k, so its row sums are taken once per draw key
+and instrument effect, on z = instrument_effect·g + u + e_x. A cell
+therefore builds no outcome: it adds alpha_k to a copy of z, takes the
+context means, evaluates f in place (``simulate.effect_inplace``),
+centres it per context, and gets the instrument-outcome slope by and its
+residual sum of squares from three row dot products. Both slopes are
+closed-form simple least squares with no Dataset, no context partition
+and no QR; they agree with the general ``context_iv`` fits to rounding.
+The slopes and the context means go straight into one ``ContextTable``
+per cell, the input of all three tests. A cell whose exposure, outcome
+or row sums overflow the float range fails with an EstimationError
+that says so.
 
 Scheduling: with more than one worker a single process pool serves the
 whole experiment. Each task is one replication and returns one outcome
@@ -34,7 +36,8 @@ at the CPU count and at the number of replications.
 Failures (for example non-convergence of an iterative fit) are recorded
 for the failing cell of the replication only. Failed replications are
 excluded from the denominators and counted; more than 1% failures in a
-cell aborts the experiment.
+cell aborts the experiment with an error that names each distinct
+message once, with its count.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import multiprocessing
 import os
 import platform
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -51,7 +55,7 @@ import numpy as np
 
 from . import __version__
 from .datamodel import csv_text, shallow_dict
-from .errors import ConfigError, CtxMRError, ExperimentError
+from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError
 from .heterogeneity import q_first_order, q_modified_second_order
 from .ivcore import ContextTable
 from .metareg import TAU2_METHODS, trend_test
@@ -165,10 +169,9 @@ class _InstrumentRows:
         self.sgg = _row_dot(self.gc, self.gc)
         self.df = g.shape[1] - 2
 
-    def fit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes and classical standard errors of the rows of v."""
-        vc = v - v.mean(axis=1, keepdims=True)
-        return self.slopes(_row_dot(self.gc, vc), _row_dot(vc, vc))
+    def sums(self, vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row sums of gc·vc and vc² of the row-centred responses vc."""
+        return _row_dot(self.gc, vc), _row_dot(vc, vc)
 
     def slopes(self, sgv: np.ndarray, svv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slopes and standard errors from the row sums of gc·vc and vc²; RSS / (n - 2)."""
@@ -182,10 +185,10 @@ class _InstrumentRows:
 class SharedReplication:
     """One replication's draws and the cell-independent parts of its fits.
 
-    Per draw key it keeps the draws and the centred instrument; per draw
-    key and exposure coefficients, z = instrument_effect·g + c_x·u + e_x
-    and bx; per draw key and c_y, the row-centred outcome noise
-    wc = c_y·u + e_y - mean with its row sums of gc·wc and wc².
+    Per draw key it keeps the draws, the centred instrument and the
+    row-centred outcome noise wc = e_y - u - mean with its row sums of
+    gc·wc and wc²; per draw key and instrument effect,
+    z = instrument_effect·g + u + e_x with the row sums of its bx fit.
     """
 
     def __init__(self, master_seed: int, replication: int):
@@ -193,7 +196,6 @@ class SharedReplication:
         self.replication = replication
         self._draws: dict = {}
         self._exposures: dict = {}
-        self._noises: dict = {}
 
     def context_table(self, scenario: SimScenario) -> ContextTable:
         """The context table of one cell, its rows ordered by ``ContextTable.from_columns``.
@@ -205,31 +207,30 @@ class SharedReplication:
         key = draw_key(scenario)
         if key not in self._draws:
             draws = draw_contexts(self.master_seed, self.replication, *key)
-            self._draws[key] = draws, _InstrumentRows(draws.g)
-        draws, rows = self._draws[key]
-        # alpha_k shifts a context's exposure by a constant, which leaves its
-        # slope on g unchanged, so bx is fitted once without the shifts.
-        exposure_key = (
-            key, scenario.instrument_effect, scenario.confounder_effect_on_exposure
-        )
-        if exposure_key not in self._exposures:
-            z = (scenario.instrument_effect * draws.g
-                 + scenario.confounder_effect_on_exposure * draws.u + draws.e_x)
-            self._exposures[exposure_key] = z, rows.fit(z)
-        z, (bx, bx_se) = self._exposures[exposure_key]
-        noise_key = key, scenario.confounder_effect_on_outcome
-        if noise_key not in self._noises:
-            wc = scenario.confounder_effect_on_outcome * draws.u + draws.e_y
+            rows = _InstrumentRows(draws.g)
+            wc = draws.e_y - draws.u
             wc -= wc.mean(axis=1, keepdims=True)
-            self._noises[noise_key] = wc, _row_dot(rows.gc, wc), _row_dot(wc, wc)
-        wc, sgw, sww = self._noises[noise_key]
-
-        x = z + np.asarray(scenario.alphas)[:, None]
-        xmean = x.mean(axis=1)
-        f = effect_inplace(scenario.effect, x)
-        f -= f.mean(axis=1, keepdims=True)
-        sgf, sff, sfw = _row_dot(rows.gc, f), _row_dot(f, f), _row_dot(f, wc)
-        by, by_se = rows.slopes(sgf + sgw, sff + 2.0 * sfw + sww)
+            self._draws[key] = draws, rows, wc, *rows.sums(wc)
+        draws, rows, wc, sgw, sww = self._draws[key]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # alpha_k shifts a context's exposure by a constant, which leaves
+            # its slope on g unchanged, so bx is fitted once without the shifts.
+            exposure_key = key, scenario.instrument_effect
+            if exposure_key not in self._exposures:
+                z = scenario.instrument_effect * draws.g + draws.u + draws.e_x
+                self._exposures[exposure_key] = z, *rows.sums(z - z.mean(axis=1, keepdims=True))
+            z, sgz, szz = self._exposures[exposure_key]
+            x = z + np.asarray(scenario.alphas)[:, None]
+            xmean = x.mean(axis=1)
+            f = effect_inplace(scenario.effect, x)
+            f -= f.mean(axis=1, keepdims=True)
+            sgf, sff = rows.sums(f)
+            sgy, syy = sgf + sgw, sff + 2.0 * _row_dot(f, wc) + sww
+        for name, sums in (("exposure", (xmean, sgz, szz)), ("outcome", (sgy, syy))):
+            if not np.isfinite(sums).all():
+                raise EstimationError(f"the simulated {name} overflows the float range")
+        bx, bx_se = rows.slopes(sgz, szz)
+        by, by_se = rows.slopes(sgy, syy)
         k = scenario.contexts
         return ContextTable.from_columns(
             [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, xmean,
@@ -282,7 +283,10 @@ def _summarize_cell(
     failures = [o for o in outcomes if o.error is not None]
     completed = [o for o in outcomes if o.error is None]
     if len(failures) > _MAX_FAILURE_RATE * len(outcomes):
-        examples = "; ".join(o.error for o in failures[:3])
+        counts = Counter(o.error for o in failures)  # first-seen order
+        examples = "; ".join(f"{n}x {message}" for message, n in list(counts.items())[:3])
+        if len(counts) > 3:
+            examples += f"; {len(counts) - 3} more distinct errors"
         raise ExperimentError(
             f"cell {scenario.effect.kind}/{scenario.grid_name}: "
             f"{len(failures)}/{len(outcomes)} replications failed ({examples})"

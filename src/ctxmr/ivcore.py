@@ -26,9 +26,6 @@ from .regress import AssocEstimate, design, fit_linear, fit_logistic
 #: |bx| below this is treated as a zero denominator (hard error).
 INSTRUMENT_FLOOR = 1e-12
 
-#: |bx| / se(bx) below which a weak-instrument warning attaches.
-DEFAULT_WEAK_T = 2.0
-
 
 @dataclass(frozen=True)
 class ContextResult:
@@ -39,7 +36,6 @@ class ContextResult:
     by: AssocEstimate
     n: int
     exposure_mean: float
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +128,9 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
 
     Builds one design from the instrument and the covariates, fits the
     exposure (linear) and the outcome (``family``, linear or logistic)
-    on it, and combines them. A weak instrument (|bx|/se(bx) under
-    DEFAULT_WEAK_T) attaches a warning to the result rather than
-    failing; an essentially zero bx is a hard error because the ratio
-    is undefined.
+    on it, and combines them. An essentially zero bx is a hard error
+    because the ratio is undefined; a weak but nonzero one is noted by
+    the report (``report.DEFAULT_WEAK_T``).
     """
     if family not in ("linear", "logistic"):
         raise DomainError(f"unknown outcome family {family!r}")
@@ -152,16 +147,8 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
             f"context {label!r}: instrument-exposure association "
             f"{bx.beta:.3e} is indistinguishable from zero"
         )
-    notes: list[str] = []
-    if bx.se > 0 and abs(bx.beta) / bx.se < DEFAULT_WEAK_T:
-        notes.append(
-            f"context {label!r}: weak instrument "
-            f"(|bx|/se = {abs(bx.beta) / bx.se:.2f} < {DEFAULT_WEAK_T:g})"
-        )
     n, exposure_mean = summarize_context(label, ds)
-    return ContextResult(
-        context=label, bx=bx, by=by, n=n, exposure_mean=exposure_mean, warnings=tuple(notes)
-    )
+    return ContextResult(context=label, bx=bx, by=by, n=n, exposure_mean=exposure_mean)
 
 
 def ivw_pool(table: ContextTable) -> PooledEstimate:

@@ -38,12 +38,15 @@ from .heterogeneity import (
     q_first_order,
     q_modified_second_order,
 )
-from .ivcore import DEFAULT_WEAK_T, INSTRUMENT_FLOOR, ContextTable, context_iv
+from .ivcore import INSTRUMENT_FLOOR, ContextTable, context_iv
 from .metareg import TAU2_METHODS, MetaRegResult, trend_test
 from .regress import require_finite
 
-#: Two-sided 95% normal quantile used for confidence intervals.
-DEFAULT_CI_Z = 1.959964
+#: Two-sided 95% normal quantile of the confidence intervals (lo95, hi95).
+CI_Z = 1.959964
+
+#: |bx| / se(bx) below which a context gets a weak-instrument note.
+DEFAULT_WEAK_T = 2.0
 
 SUMMARY_CSV_COLUMNS = ("context", "bx", "bx_se", "by", "by_se", "xmean", "n")
 
@@ -56,7 +59,6 @@ class AnalysisOptions:
     scale: float = 1.0
     min_context_n: int = DEFAULT_MIN_CONTEXT_SIZE
     tau2_method: str = "reml"
-    ci_z: float = DEFAULT_CI_Z
 
     def __post_init__(self):
         if self.family not in ("linear", "logistic"):
@@ -67,8 +69,6 @@ class AnalysisOptions:
             raise ConfigError(
                 f"unknown tau2 method {self.tau2_method!r}; choose from {TAU2_METHODS}"
             )
-        if not 0 < self.ci_z < math.inf:
-            raise ConfigError(f"confidence z must be finite and positive, got {self.ci_z}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def _build_rows(
     naming its context is appended to ``warnings``.
     """
     estimate, se = table.ratio, table.ratio_se
-    lo, hi = estimate - options.ci_z * se, estimate + options.ci_z * se
+    lo, hi = estimate - CI_Z * se, estimate + CI_Z * se
     odds = [None] * len(table)
     if options.family == "logistic":
         for k, (label, value) in enumerate(zip(table.labels.tolist(), estimate.tolist())):
@@ -131,13 +131,23 @@ def _build_rows(
     )
 
 
+def _weak_instrument_notes(table: ContextTable) -> list[str]:
+    """One note per context, in table order, whose |bx| / se(bx) is under DEFAULT_WEAK_T.
+
+    A context with se(bx) = 0 gets none.
+    """
+    notes = []
+    for label, bx, se in zip(table.labels.tolist(), table.bx.tolist(), table.bx_se.tolist()):
+        if se > 0 and abs(bx) / se < DEFAULT_WEAK_T:
+            notes.append(f"context {label!r}: weak instrument "
+                         f"(|bx|/se = {abs(bx) / se:.2f} < {DEFAULT_WEAK_T:g})")
+    return notes
+
+
 def _assemble(
-    table: ContextTable,
-    options: AnalysisOptions,
-    config: dict,
-    warnings: list[str],
-    context_warnings=(),
+    table: ContextTable, options: AnalysisOptions, config: dict, warnings: list[str]
 ) -> AnalysisReport:
+    """The tests and rows of a table; the weak-instrument notes come after ``warnings``."""
     table = table.rescaled(options.scale)
     het_first = q_first_order(table)
     het_modified = q_modified_second_order(table)
@@ -153,7 +163,7 @@ def _assemble(
         heterogeneity_modified=het_modified,
         trend=trend,
         config=config,
-        warnings=(*warnings, *context_warnings),
+        warnings=(*warnings, *_weak_instrument_notes(table)),
     )
 
 
@@ -174,8 +184,6 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
     part = partition_by_context(ds, min_n=options.min_context_n)
     raw = [context_iv(label, sub, options.family) for label, sub in part.contexts]
     table = ContextTable.from_results(raw)
-    # The weak-instrument notes follow the table's order, not the partition's.
-    notes = {r.context: r.warnings for r in raw}
     warnings = [
         f"context {e.context!r} excluded: {e.reason} (n={e.n})" for e in part.excluded
     ]
@@ -188,13 +196,12 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
         "min_context_n": options.min_context_n,
         "tau2_method": options.tau2_method,
         "weak_t_threshold": DEFAULT_WEAK_T,
-        "ci_z": options.ci_z,
+        "ci_z": CI_Z,
         "covariates": list(ds.covariate_names),
         "n_records": len(ds),
         "n_dropped": ds.n_dropped,
     }
-    return _assemble(table, options, config, warnings,
-                     [note for label in table.labels for note in notes[label]])
+    return _assemble(table, options, config, warnings)
 
 
 def analyze_summary_results(
@@ -206,7 +213,8 @@ def analyze_summary_results(
         "family": options.family,
         "scale": options.scale,
         "tau2_method": options.tau2_method,
-        "ci_z": options.ci_z,
+        "weak_t_threshold": DEFAULT_WEAK_T,
+        "ci_z": CI_Z,
         "n_contexts": len(table),
     }
     return _assemble(table, options, config, [])
@@ -422,7 +430,7 @@ def plot_data(report: AnalysisReport) -> tuple[str, str]:
     instrument-outcome association with its own confidence interval;
     the scaled file shows the MR estimate columns from the report.
     """
-    z = float(report.config.get("ci_z", DEFAULT_CI_Z))
+    z = float(report.config.get("ci_z", CI_Z))
     header = ("context", "xmean", "estimate", "lo95", "hi95")
     unscaled = [(r.context, r.exposure_mean, r.by, r.by - z * r.by_se, r.by + z * r.by_se)
                 for r in report.contexts]

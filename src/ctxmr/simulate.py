@@ -5,12 +5,13 @@ individual i in context k:
 
     g ~ Binomial(2, maf)                     (allele count)
     u, e_x, e_y ~ Normal(0, 1) independent   (confounder and noise)
-    x = alpha_k + instrument_effect * g + c_x * u + e_x
-    y = f(x) + c_y * u + e_y
+    x = alpha_k + instrument_effect * g + u + e_x
+    y = f(x) + e_y - u
 
-with confounder effects c_x = 1 and c_y = -1 by default and f one of
-three effect shapes: linear (slope 0.8), quadratic (coefficient 0.04),
-or threshold (slope 0.25 above a knot at 10, continuous at the knot).
+so the confounder u raises the exposure and lowers the outcome by one
+unit each (c_x = 1, c_y = -1), and f is one of three effect shapes:
+linear (slope 0.8), quadratic (coefficient 0.04), or threshold (slope
+0.25 above a knot at 10, continuous at the knot).
 The context shifts alpha_k come from one of two built-in grids
 ("larger": 8.0, 8.2, ..., 9.8; "smaller": 9.0, 9.1, ..., 9.9) or a
 custom list.
@@ -24,7 +25,7 @@ three normal vectors, sampled by numpy's ziggurat method).
 
 The draws depend on the scenario only through (contexts, per_context_n,
 maf), its ``draw_key``; the effect shape, the shifts alpha_k and the
-coefficients act afterwards. ``draw_contexts`` therefore draws a whole
+instrument effect act afterwards. ``draw_contexts`` therefore draws a whole
 replication once as (K, n) arrays, and ``generate_dataset`` builds one
 scenario's exposure and outcome from them and flattens both into a
 Dataset. The simulation engine (``harness.SharedReplication``) reuses the
@@ -34,7 +35,8 @@ draws across scenarios without building a Dataset.
 a float array, so the engine evaluates f with no temporaries;
 ``effect_value``, the public entry, copies its input and checks that it
 is finite first. Scenario and effect parameters are checked to be finite
-when they are constructed, so every exposure the engine builds is finite.
+when they are constructed; an exposure or outcome that still overflows
+the float range is an estimation error of its cell (see ``harness``).
 """
 
 from __future__ import annotations
@@ -138,8 +140,6 @@ class SimScenario:
     per_context_n: int = 10_000
     instrument_effect: float = 0.5
     maf: float = 0.3
-    confounder_effect_on_exposure: float = 1.0
-    confounder_effect_on_outcome: float = -1.0
 
     def __post_init__(self):
         if len(self.alphas) < 2:
@@ -148,8 +148,7 @@ class SimScenario:
             raise ConfigError(f"per-context n must be >= 10, got {self.per_context_n}")
         if not 0.0 < self.maf < 1.0:
             raise ConfigError(f"minor allele frequency must be in (0, 1), got {self.maf}")
-        _require_finite(self, "alphas", "instrument_effect", "confounder_effect_on_exposure",
-                        "confounder_effect_on_outcome")
+        _require_finite(self, "alphas", "instrument_effect")
 
     @property
     def contexts(self) -> int:
@@ -209,9 +208,9 @@ def generate_dataset(
     """Draw one simulated dataset; bit-identical for a given (seed, rep)."""
     draws = draw_contexts(master_seed, replication, *draw_key(scenario))
     x = np.asarray(scenario.alphas)[:, None] + scenario.instrument_effect * draws.g
-    x += scenario.confounder_effect_on_exposure * draws.u + draws.e_x
+    x += draws.u + draws.e_x
     y = effect_value(scenario.effect, x)
-    y += scenario.confounder_effect_on_outcome * draws.u + draws.e_y
+    y += draws.e_y - draws.u
     total = x.size
     return Dataset(
         instrument=draws.g.ravel(),

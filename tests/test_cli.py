@@ -213,14 +213,55 @@ class TestMeta:
         ]
         assert not (tmp_path / "report.json").exists()
 
-    def test_infinite_ci_z_is_config_error(self, tmp_path, capsys):
-        summary = tmp_path / "summary.csv"
-        summary.write_text(ELEVEN_CONTEXT_SUMMARY_CSV, encoding="utf-8")
-        code = main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path),
-                     "--ci-z", "inf"])
-        assert code == EXIT_CONFIG
-        assert "confidence z must be finite and positive" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+
+@pytest.mark.parametrize("command", ["analyze", "meta"])
+def test_ci_z_is_not_an_option(command, cohort_csv, tmp_path, capsys):
+    # The intervals are the 95% ones their column names (lo95, hi95) say.
+    if command == "meta":
+        argv = ["meta", "--summary", str(tmp_path / "summary.csv"), "--out-dir", str(tmp_path)]
+    else:
+        argv = analyze_args(cohort_csv, tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--ci-z", "2.58"])
+    assert caught.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --ci-z 2.58" in capsys.readouterr().err
+
+
+def test_analyze_and_meta_give_equal_weak_instrument_notes(tmp_path, capsys):
+    # meta on the per-context numbers that analyze reports notes the same
+    # weak instruments (contexts a and c) in the same order.
+    rng = np.random.default_rng(8)
+    rows = ["score,vitd,chd,centre"]
+    for centre, mean, effect in (("a", 40.0, 0.01), ("b", 50.0, 1.0), ("c", 60.0, 0.02),
+                                 ("d", 45.0, 1.0)):
+        g = rng.normal(size=300)
+        x = mean + effect * g + rng.normal(size=300)
+        y = 0.3 * x + rng.normal(size=300)
+        rows += [f"{gi!r},{xi!r},{yi!r},{centre}"
+                 for gi, xi, yi in zip(g.tolist(), x.tolist(), y.tolist())]
+    data = tmp_path / "cohort.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["analyze", "--data", str(data), "--instrument-col", "score",
+                 "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                 "--out-dir", str(tmp_path / "analyze")]) == EXIT_OK
+    with open(tmp_path / "analyze" / "report.csv", newline="", encoding="utf-8") as handle:
+        reported = list(csv.DictReader(handle))
+    summary = tmp_path / "summary.csv"
+    summary.write_text("context,bx,bx_se,by,by_se,xmean,n\n" + "".join(
+        f"{r['context']},{r['bx']},{r['bx_se']},{r['by']},{r['by_se']},"
+        f"{r['exposure_mean']},{r['n']}\n" for r in reported
+    ), encoding="utf-8")
+    assert main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path / "meta")]) == EXIT_OK
+    capsys.readouterr()
+
+    def weak_notes(out):
+        payload = json.loads((tmp_path / out / "report.json").read_text())
+        assert payload["config"]["weak_t_threshold"] == 2.0
+        return [note for note in payload["warnings"] if "weak instrument" in note]
+
+    notes = weak_notes("analyze")
+    assert [note.split(":")[0] for note in notes] == ["context 'a'", "context 'c'"]
+    assert weak_notes("meta") == notes
 
 
 @pytest.mark.parametrize("scale", ["1e150", "1e160", "1e200", "1e-200"])
@@ -291,6 +332,34 @@ class TestSimulate:
         assert repr(key) in err
         assert repr(line.split("=")[1].split(",")[-1].strip()) in err
 
+
+    @pytest.mark.parametrize("lines, problem", [
+        ("effect = quadratic\nquadratic_coefficient = 1e308\nper_context_n = 100",
+         "quadratic/larger: 2/2 replications failed "
+         "(2x the simulated outcome overflows the float range)"),
+        ("linear_slope = 1e300\nper_context_n = 100",
+         "linear/larger: 2/2 replications failed "
+         "(2x the simulated outcome overflows the float range)"),
+        ("alpha_grid = 1e300,-1e300\nper_context_n = 100",
+         "linear/custom: 2/2 replications failed "
+         "(2x the simulated outcome overflows the float range)"),
+        ("instrument_effect = 1e308\nper_context_n = 100",
+         "linear/larger: 2/2 replications failed "
+         "(2x the simulated exposure overflows the float range)"),
+        ("maf = 0.001\nper_context_n = 10",
+         "linear/larger: 2/2 replications failed (2x heterogeneity needs >= 2 usable "
+         "contexts, got 0 (10 excluded for zero instrument association))"),
+    ], ids=["quadratic", "slope", "alphas", "instrument", "constant-instrument"])
+    def test_failing_cell_is_one_line_estimation_error(self, tmp_path, capsys, lines, problem):
+        # Finite parameters whose exposure or outcome leaves the float range
+        # fail with one line that names the overflow, and no numpy warning; a
+        # constant instrument keeps its own message.
+        config = tmp_path / "cell.cfg"
+        config.write_text(lines + "\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--reps", "2",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_ESTIMATION
+        assert capsys.readouterr().err.splitlines() == [f"estimation error: cell {problem}"]
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--seed", "-1", "--reps", "1", "--out-dir", str(tmp_path)])

@@ -105,6 +105,17 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="replications failed"):
             _summarize_cell(scenario, outcomes, alpha=0.05)
 
+    def test_failure_summary_counts_each_distinct_message_once(self):
+        scenario = SimScenario(per_context_n=300)
+        errors = ["b", "a", "b", "c", "d", "b", "a", "e"]
+        outcomes = [ReplicationOutcome(replication=i, error=e) for i, e in enumerate(errors)]
+        with pytest.raises(ExperimentError) as caught:
+            _summarize_cell(scenario, outcomes, alpha=0.05)
+        assert str(caught.value) == (
+            "cell linear/larger: 8/8 replications failed "
+            "(3x b; 2x a; 1x c; 2 more distinct errors)"
+        )
+
     def test_failures_excluded_from_denominator(self):
         scenario = SimScenario(per_context_n=300)
         outcomes = [
@@ -149,15 +160,13 @@ CUSTOM = SimScenario(
     per_context_n=700,
     maf=0.2,
 )
-# Same draws as CUSTOM, different exposure coefficients: its bx is its own.
+# Same draws as CUSTOM, another instrument effect: its bx is its own.
 CUSTOM_SHIFTED = SimScenario(
     effect=EffectFunction.quadratic(),
     alphas=(9.0, 8.0, 10.0, 8.5),
     per_context_n=700,
     maf=0.2,
     instrument_effect=0.8,
-    confounder_effect_on_exposure=0.5,
-    confounder_effect_on_outcome=0.7,
 )
 
 
@@ -201,14 +210,13 @@ class TestSharedDraws:
         alone = [run_replication(s, 4, 2) for s in (CUSTOM, CUSTOM_SHIFTED)]
         assert list(run_cells((CUSTOM, CUSTOM_SHIFTED), 4, 2)) == alone
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_is_recorded_for_its_cell_only(self):
         overflow = SimScenario(
             effect=EffectFunction.quadratic(coefficient=1e308), per_context_n=300
         )
         good = SimScenario(per_context_n=300)
         first, bad, last = run_cells((good, overflow, good), master_seed=5, replication=1)
-        assert bad.error is not None
+        assert bad.error == "the simulated outcome overflows the float range"
         assert first == last == run_replication(good, 5, 1)
         assert first.error is None
 

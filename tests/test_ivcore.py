@@ -10,6 +10,7 @@ from ctxmr.datamodel import Dataset
 from ctxmr.errors import ConfigError, DomainError, EstimationError
 from ctxmr.heterogeneity import q_first_order
 from ctxmr.ivcore import ContextTable, context_iv, ivw_pool
+from ctxmr.report import analyze_summary_results
 
 
 def make_table(bx, bx_se, by, by_se, mean=50.0, n=1000):
@@ -49,7 +50,6 @@ class TestContextIv:
         r = context_iv("1", ds)
         assert (r.n, r.exposure_mean) == (len(ds), float(ds.exposure.mean()))
         assert abs(r.by.beta / r.bx.beta - 0.8) < 4.0 * r.by.se / abs(r.bx.beta)
-        assert not r.warnings
 
     def test_weak_instrument_warns_but_succeeds(self):
         rng = np.random.default_rng(43)
@@ -61,8 +61,11 @@ class TestContextIv:
             context=ds.context,
             covariates=ds.covariates,
         )
-        r = context_iv("1", ds)
-        assert r.warnings and "weak instrument" in r.warnings[0]
+        weak, strong = context_iv("1", ds), context_iv("2", _one_context_dataset(rng, alpha=9.5))
+        report = analyze_summary_results(ContextTable.from_results([weak, strong]))
+        assert len(report.contexts) == 2
+        (note,) = [w for w in report.warnings if "weak instrument" in w]
+        assert note.startswith("context '1': weak instrument (|bx|/se = ")
 
     def test_zero_bx_is_hard_error(self):
         ds = _one_context_dataset(np.random.default_rng(44), n=200)
