@@ -4,6 +4,10 @@ Every failure raised by this package derives from :class:`CtxMRError`, split
 into three stages that the command-line interface maps to distinct exit
 codes: configuration (bad options, unusable designs), ingestion (file and
 parsing problems), and estimation (numerical fitting problems).
+
+A stacked call, which runs one test on many inputs at once (one lane
+each), returns a lane's error in place of its result: ``lane_result``
+catches it, and ``one_lane`` raises it again for a call of one lane.
 """
 
 from __future__ import annotations
@@ -67,6 +71,22 @@ class ConvergenceError(EstimationError):
 
 class ExperimentError(CtxMRError):
     """A Monte Carlo experiment produced too many failed replications."""
+
+
+def lane_result(fn, *args):
+    """fn(*args), or the CtxMRError it raises: one lane's outcome in a stacked call."""
+    try:
+        return fn(*args)
+    except CtxMRError as err:
+        return err
+
+
+def one_lane(outcomes):
+    """The result of a stacked call made with one lane; raises that lane's error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, CtxMRError):
+        raise outcome
+    return outcome
 
 
 class DegenerateFitWarning(UserWarning):

@@ -16,28 +16,47 @@ f(x) plus the noise e_y - u, whose row-centred form wc and row sums of
 gc·wc and wc² are kept with the draws. The instrument-exposure slope bx
 does not depend on alpha_k, so its row sums are taken once per draw key
 and instrument effect, on z = instrument_effect·g + u + e_x. A cell
-therefore builds no outcome: it adds alpha_k to a copy of z, takes the
-context means, evaluates f in place (``simulate.effect_inplace``),
-centres it per context, and gets the instrument-outcome slope by and its
-residual sum of squares from three row dot products. Both slopes are
-closed-form simple least squares with no Dataset, no context partition
-and no QR; they agree with the general ``context_iv`` fits to rounding.
-The slopes and the context means go straight into one ``ContextTable``
-per cell, the input of all three tests. A cell whose exposure, outcome
-or row sums overflow the float range fails with an EstimationError
-that says so.
+therefore builds no outcome: it adds alpha_k to z, takes the context
+means, evaluates f in place (``simulate.effect_inplace``), centres it per
+context, and gets the instrument-outcome slope by and its residual sum of
+squares from three row dot products. Both slopes are closed-form simple
+least squares with no Dataset, no context partition and no QR; they
+agree with the general ``context_iv`` fits to rounding. The slopes and
+the context means go straight into one ``ContextTable`` per cell. A cell
+whose exposure, outcome or row sums overflow the float range fails with
+an EstimationError that says so.
+
+Blocks and the workspace: ``run_cells`` runs a contiguous block of
+replications with one ``Workspace``, which owns every (K, n) array of
+the block: per draw key the four draws (filled in place by
+``simulate.draw_contexts``; wc is then written over e_y, which nothing
+else reads), gc, z per instrument effect and one x that the cells share.
+Each replication overwrites them, so only the first replication of a
+block allocates (and page-faults) them.
+
+Lockstep tests: once a replication's tables are built, each test runs
+once over all its cells, a lane per cell (``q_first_order_lanes``,
+``q_modified_second_order_lanes``, ``trend_test_lanes``): one scan over
+(cells, points, contexts) and one vectorized ``newton_in_bracket`` call
+per test. A lane's result does not depend on the other lanes; it equals
+the one-lane ``q_first_order``, ``q_modified_second_order`` and
+``trend_test`` of that table to the last bit.
 
 Scheduling: with more than one worker a single process pool serves the
-whole experiment. Each task is one replication and returns one outcome
-per cell. Outcomes are reduced in replication order, so the tabulated
-numbers are identical for any worker count. The worker count is capped
-at the CPU count and at the number of replications.
+whole experiment. Each task is one block of replications
+(``replication_blocks``) and returns one outcome per cell and
+replication. Outcomes are reduced in replication order, so the tabulated
+numbers are identical for any worker count and any blocking. The worker
+count is capped at the CPU count and at the number of replications.
 
 Failures (for example non-convergence of an iterative fit) are recorded
-for the failing cell of the replication only. Failed replications are
-excluded from the denominators and counted; more than 1% failures in a
-cell aborts the experiment with an error that names each distinct
-message once, with its count.
+for the failing cell of the replication only: its first error, from its
+table, then the first-order Q, the modified Q and the trend test, in
+that order. Failed replications are excluded from the denominators and
+counted; more than 1% failures in a cell aborts the experiment with an
+error that names each distinct message once, with its count. A cell of
+fewer than three contexts, which the trend test cannot take, is a
+ConfigError of the plan.
 """
 
 from __future__ import annotations
@@ -55,12 +74,13 @@ import numpy as np
 
 from . import __version__
 from .datamodel import csv_text, shallow_dict
-from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError
-from .heterogeneity import q_first_order, q_modified_second_order
+from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError, lane_result
+from .heterogeneity import q_first_order_lanes, q_modified_second_order_lanes
 from .ivcore import ContextTable
-from .metareg import TAU2_METHODS, trend_test
+from .metareg import TAU2_METHODS, trend_test_lanes
 from .simulate import (
     ALPHA_GRIDS,
+    ContextDraws,
     EffectFunction,
     SimScenario,
     alpha_grid,
@@ -69,10 +89,13 @@ from .simulate import (
     effect_inplace,
 )
 
-# The general estimation path stays reachable under these names, which
-# perfbench/tracing.py wraps; the engine below does not call them.
+# The general estimation path and the one-lane tests stay reachable under
+# these names, which perfbench/tracing.py wraps; the engine below calls
+# none of them.
 from .datamodel import partition_by_context  # noqa: F401
+from .heterogeneity import q_first_order, q_modified_second_order  # noqa: F401
 from .ivcore import context_iv  # noqa: F401
+from .metareg import trend_test  # noqa: F401
 from .simulate import generate_dataset  # noqa: F401
 
 _MAX_FAILURE_RATE = 0.01
@@ -102,6 +125,12 @@ class ExperimentPlan:
             raise ConfigError(
                 f"unknown tau2 method {self.tau2_method!r}; choose from {TAU2_METHODS}"
             )
+        for scenario in self.scenarios:
+            if scenario.contexts < 3:
+                raise ConfigError(
+                    f"cell {scenario.effect.kind}/{scenario.grid_name} has "
+                    f"{scenario.contexts} contexts; the trend test needs >= 3"
+                )
 
 
 @dataclass(frozen=True)
@@ -164,8 +193,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _InstrumentRows:
     """Simple least squares of (K, n) responses on the instrument, row by row."""
 
-    def __init__(self, g: np.ndarray):
-        self.gc = g - g.mean(axis=1, keepdims=True)
+    def __init__(self, g: np.ndarray, gc: np.ndarray):
+        self.gc = np.subtract(g, g.mean(axis=1, keepdims=True), out=gc)
         self.sgg = _row_dot(self.gc, self.gc)
         self.df = g.shape[1] - 2
 
@@ -182,20 +211,45 @@ class _InstrumentRows:
         return beta, se
 
 
-class SharedReplication:
-    """One replication's draws and the cell-independent parts of its fits.
+class _Buffers:
+    """The (K, n) arrays of one draw key: the draws, gc, x, and z per instrument effect."""
 
-    Per draw key it keeps the draws, the centred instrument and the
-    row-centred outcome noise wc = e_y - u - mean with its row sums of
-    gc·wc and wc²; per draw key and instrument effect,
-    z = instrument_effect·g + u + e_x with the row sums of its bx fit.
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = shape
+        self.draws = ContextDraws(*(np.empty(shape) for _ in range(4)))
+        self.gc, self.x = np.empty(shape), np.empty(shape)
+        self.z: dict[float, np.ndarray] = {}
+
+    def exposure(self, instrument_effect: float) -> np.ndarray:
+        if instrument_effect not in self.z:
+            self.z[instrument_effect] = np.empty(self.shape)
+        return self.z[instrument_effect]
+
+
+class Workspace:
+    """The arrays of one block of replications, and the cell-independent parts of their fits.
+
+    It owns, per draw key, the (K, n) arrays of ``_Buffers``, which every
+    replication of the block overwrites; ``reset`` starts a replication and
+    forgets the row sums of the one before. Within a replication it keeps,
+    per draw key, the draws, the centred instrument and the row-centred
+    outcome noise wc = e_y - u - mean with its row sums of gc·wc and wc²;
+    per draw key and instrument effect, z = instrument_effect·g + u + e_x
+    with the row sums of its bx fit. Cells with one draw key share one x.
     """
 
-    def __init__(self, master_seed: int, replication: int):
+    def __init__(self, master_seed: int):
         self.master_seed = master_seed
-        self.replication = replication
+        self.replication = 0
+        self._buffers: dict = {}
         self._draws: dict = {}
         self._exposures: dict = {}
+
+    def reset(self, replication: int) -> None:
+        """Start replication ``replication``: its draws are made when a cell needs them."""
+        self.replication = replication
+        self._draws.clear()
+        self._exposures.clear()
 
     def context_table(self, scenario: SimScenario) -> ContextTable:
         """The context table of one cell, its rows ordered by ``ContextTable.from_columns``.
@@ -203,24 +257,35 @@ class SharedReplication:
         That is by mean exposure, with the context label breaking ties.
         The centred outcome is f + wc, with f = f(x) centred per context,
         so by and its RSS follow from the row sums of gc·f, f² and f·wc.
+        Every (K, n) array is written into the workspace's buffers.
         """
         key = draw_key(scenario)
+        if key not in self._buffers:
+            self._buffers[key] = _Buffers((scenario.contexts, scenario.per_context_n))
+        buffers = self._buffers[key]
+        draws, x = buffers.draws, buffers.x
+        wc = draws.e_y  # e_y is read only to make wc, which takes its place
         if key not in self._draws:
-            draws = draw_contexts(self.master_seed, self.replication, *key)
-            rows = _InstrumentRows(draws.g)
-            wc = draws.e_y - draws.u
+            draw_contexts(self.master_seed, self.replication, *key, out=draws)
+            rows = _InstrumentRows(draws.g, buffers.gc)
+            np.subtract(draws.e_y, draws.u, out=wc)
             wc -= wc.mean(axis=1, keepdims=True)
-            self._draws[key] = draws, rows, wc, *rows.sums(wc)
-        draws, rows, wc, sgw, sww = self._draws[key]
+            self._draws[key] = rows, *rows.sums(wc)
+        rows, sgw, sww = self._draws[key]
         with np.errstate(over="ignore", invalid="ignore"):
             # alpha_k shifts a context's exposure by a constant, which leaves
             # its slope on g unchanged, so bx is fitted once without the shifts.
+            z = buffers.exposure(scenario.instrument_effect)
             exposure_key = key, scenario.instrument_effect
             if exposure_key not in self._exposures:
-                z = scenario.instrument_effect * draws.g + draws.u + draws.e_x
-                self._exposures[exposure_key] = z, *rows.sums(z - z.mean(axis=1, keepdims=True))
-            z, sgz, szz = self._exposures[exposure_key]
-            x = z + np.asarray(scenario.alphas)[:, None]
+                np.multiply(scenario.instrument_effect, draws.g, out=z)
+                z += draws.u
+                z += draws.e_x
+                # x holds the centred z until the cell overwrites it.
+                self._exposures[exposure_key] = rows.sums(
+                    np.subtract(z, z.mean(axis=1, keepdims=True), out=x))
+            sgz, szz = self._exposures[exposure_key]
+            np.add(z, np.asarray(scenario.alphas)[:, None], out=x)
             xmean = x.mean(axis=1)
             f = effect_inplace(scenario.effect, x)
             f -= f.mean(axis=1, keepdims=True)
@@ -239,37 +304,59 @@ class SharedReplication:
 
 
 def run_cells(
-    scenarios, master_seed: int, replication: int, tau2_method: str = "reml"
-) -> tuple[ReplicationOutcome, ...]:
-    """One replication of every scenario on shared draws; one outcome per scenario.
+    scenarios, master_seed: int, replications: range, tau2_method: str = "reml"
+) -> list[tuple[ReplicationOutcome, ...]]:
+    """A block of replications of every scenario; per replication, one outcome per scenario.
 
-    A failure is recorded in the outcome of the scenario that raised it.
+    One ``Workspace`` serves the whole block. In each replication every
+    scenario's context table is built on the shared draws, and then the
+    three tests run in lockstep over the scenarios, each test on the
+    scenarios that passed the ones before (first-order Q, modified Q,
+    trend). A failure is recorded in the outcome of the scenario that
+    raised it: the first error of its table or tests, in that order.
     """
-    shared = SharedReplication(master_seed, replication)
-    outcomes = []
-    for scenario in scenarios:
-        try:
-            table = shared.context_table(scenario)
-            p1 = q_first_order(table).p
-            p2 = q_modified_second_order(table).p
-            p3 = trend_test(table, method=tau2_method).slope_p
-        except CtxMRError as err:
-            outcomes.append(ReplicationOutcome(replication=replication, error=str(err)))
-        else:
-            outcomes.append(
-                ReplicationOutcome(
-                    replication=replication, p_q_first=p1, p_q_mod2=p2, p_trend=p3
-                )
-            )
-    return tuple(outcomes)
+    workspace = Workspace(master_seed)
+    tests = ((q_first_order_lanes, "p"), (q_modified_second_order_lanes, "p"),
+             (partial(trend_test_lanes, method=tau2_method), "slope_p"))
+    block = []
+    for replication in replications:
+        workspace.reset(replication)
+        tables = [lane_result(workspace.context_table, s) for s in scenarios]
+        errors = [t if isinstance(t, CtxMRError) else None for t in tables]
+        pvalues: list[list[float]] = [[] for _ in scenarios]
+        for test, p_name in tests:
+            live = [j for j, error in enumerate(errors) if error is None]
+            for j, result in zip(live, test([tables[j] for j in live])):
+                if isinstance(result, CtxMRError):
+                    errors[j] = result
+                else:
+                    pvalues[j].append(getattr(result, p_name))
+        block.append(tuple(
+            ReplicationOutcome(replication, *p) if error is None
+            else ReplicationOutcome(replication=replication, error=str(error))
+            for error, p in zip(errors, pvalues)
+        ))
+    return block
 
 
 def run_replication(
     scenario: SimScenario, master_seed: int, replication: int, tau2_method: str = "reml"
 ) -> ReplicationOutcome:
     """One generate-estimate-test pass; failures come back as a record."""
-    (outcome,) = run_cells((scenario,), master_seed, replication, tau2_method)
+    ((outcome,),) = run_cells((scenario,), master_seed, range(replication, replication + 1),
+                              tau2_method)
     return outcome
+
+
+def replication_blocks(replications: int, workers: int) -> list[range]:
+    """The contiguous blocks of replications that ``run_experiment`` hands out.
+
+    One block for a serial run; for a process pool, blocks of about an
+    eighth of a worker's share, so that the workers finish close together.
+    """
+    size = replications if workers == 1 else max(1, replications // (workers * 8))
+    return [range(start, min(start + size, replications))
+            for start in range(0, replications, size)]
 
 
 def worker_count(requested: int, replications: int) -> int:
@@ -318,12 +405,13 @@ def run_experiment(plan: ExperimentPlan) -> list[CellResult]:
     """Run every cell of the plan; deterministic given the master seed."""
     task = partial(run_cells, plan.scenarios, plan.master_seed, tau2_method=plan.tau2_method)
     workers = worker_count(plan.workers, plan.replications)
+    blocks = replication_blocks(plan.replications, workers)
     if workers == 1:
-        per_replication = [task(rep) for rep in range(plan.replications)]
+        per_block = [task(block) for block in blocks]
     else:
-        chunk = max(1, plan.replications // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:
-            per_replication = pool.map(task, range(plan.replications), chunksize=chunk)
+            per_block = pool.map(task, blocks, chunksize=1)
+    per_replication = [outcomes for block in per_block for outcomes in block]
     return [
         _summarize_cell(
             scenario, [outcomes[j] for outcomes in per_replication], plan.alpha_level

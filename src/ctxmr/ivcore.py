@@ -151,24 +151,39 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
     return ContextResult(context=label, bx=bx, by=by, n=n, exposure_mean=exposure_mean)
 
 
-def ivw_pool(table: ContextTable) -> PooledEstimate:
-    """Inverse-variance weighted pooled estimate with first-order weights.
+def ivw_sums(bx, by, by_se) -> tuple[np.ndarray, np.ndarray]:
+    """The IVW numerator sum(by bx / se(by)^2) and weight sum sum(bx^2 / se(by)^2).
+
+    The sums run over the last axis, so stacked (C, K) columns give C of each.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = by_se**-2.0
+        return np.sum(by * bx * w, axis=-1), np.sum(bx * bx * w, axis=-1)
+
+
+def pooled_beta(numer: float, denom: float) -> float:
+    """The IVW estimate numer / denom from ``ivw_sums``.
 
     Raises EstimationError when the weight sum or the estimate is not a
     finite positive number, as outcome standard errors scaled beyond the
     float range make them.
     """
-    if len(table) < 2:
-        raise ConfigError(f"IVW pooling needs >= 2 contexts, got {len(table)}")
-    by, by_se = table.outcome()
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = by_se**-2.0
-        denom = float(np.sum(table.bx * table.bx * w))
-        numer = float(np.sum(by * table.bx * w))
     beta = numer / denom if 0.0 < denom < math.inf else math.nan
     if not math.isfinite(beta):
         raise EstimationError(
             f"IVW pooled estimate is {beta} (weight sum {denom:g}): the outcome "
             "associations or their standard errors are too extreme to pool"
         )
-    return PooledEstimate(beta=beta, se=denom**-0.5, k=len(table))
+    return beta
+
+
+def ivw_pool(table: ContextTable) -> PooledEstimate:
+    """Inverse-variance weighted pooled estimate with first-order weights.
+
+    Raises EstimationError as ``pooled_beta`` does.
+    """
+    if len(table) < 2:
+        raise ConfigError(f"IVW pooling needs >= 2 contexts, got {len(table)}")
+    by, by_se = table.outcome()
+    numer, denom = (float(s) for s in ivw_sums(table.bx, by, by_se))
+    return PooledEstimate(beta=pooled_beta(numer, denom), se=denom**-0.5, k=len(table))

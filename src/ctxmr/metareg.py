@@ -20,17 +20,22 @@ available:
 
 ``meta_regress`` takes the estimates, their variances and the means as
 arrays; ``trend_test`` takes them from the columns of a ``ContextTable``.
+Both are the one-lane case of a stacked form (``meta_regress_lanes``,
+``trend_test_lanes``), which returns per lane its result or the error it
+raises. Its lanes with equally many contexts run in lockstep, every fit
+and sum along the last axis of a (lanes, ..., contexts) array, and every
+dot product one BLAS call per lane, so that a lane's numbers equal its
+one-lane numbers to the last bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EstimationError
-from .numerics import newton_in_bracket, normal_sf
+from .errors import ConfigError, CtxMRError, DomainError, EstimationError, lane_result, one_lane
+from .numerics import lane_groups, newton_in_bracket, normal_sf
 
 # Not called here: the benchmark's tracer wraps these names where this
 # module would look them up. Drop them with the next benchmark change.
@@ -73,40 +78,59 @@ def _validate(estimates, variances, means):
         raise DomainError("variances must be finite and > 0")
     if np.ptp(x) == 0.0:
         raise ConfigError("all context means are equal; the trend design is collinear")
-    return y, v, x, k
+    return y, v, x
+
+
+def _dot(a, b):
+    """a . b over the last axis, per lane: one BLAS dot each, as a 1-D ``a @ b`` is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _square(a):
+    """The square of a by the C library's pow, as a numpy scalar squares.
+
+    The REML derivatives behind the published tables squared their sums
+    that way. An array's ``a ** 2`` multiplies instead, which rounds
+    differently in about one square in a thousand and would move tau2 and
+    the p-values in their last bits.
+    """
+    return np.float_power(a, 2)
 
 
 def _gls(tau2, y, v, x):
-    """GLS fit of y on [1, x] with weights w = 1 / (v + tau2), in closed form.
+    """GLS fits of y on [1, x] with weights w = 1 / (v + tau2), in closed form.
 
-    x and y are centred at their weighted means, so X'WX is the diagonal
-    diag(s0, s2) with s0 = sum(w) and s2 = sum(w xc^2). ``tau2`` may be an
-    array; the contexts then lie on the last axis. Returns
-    (w, xc, r, slope, s2), r being the residuals.
+    y, v and x have shape (C, K), a lane per row; ``tau2`` has shape
+    (C, G), G values per lane. Per lane and tau2, x and y are centred at
+    their weighted means, so X'WX is the diagonal diag(s0, s2) with
+    s0 = sum(w) and s2 = sum(w xc^2). Returns (w, xc, r) of shape
+    (C, G, K), r being the residuals, and (slope, s2) of shape (C, G).
     """
-    w = 1.0 / (v + np.asarray(tau2)[..., None])
+    w = 1.0 / (v[:, None] + tau2[..., None])
     s0 = w.sum(axis=-1)
-    xc = x - (w @ x / s0)[..., None]
-    yc = y - (w @ y / s0)[..., None]
+    xc = x[:, None] - ((w @ x[..., None])[..., 0] / s0)[..., None]
+    yc = y[:, None] - ((w @ y[..., None])[..., 0] / s0)[..., None]
     s2 = (w * xc * xc).sum(axis=-1)
     slope = (w * xc * yc).sum(axis=-1) / s2
     return w, xc, yc - slope[..., None] * xc, slope, s2
 
 
 def _projection(w, xc, s2):
-    """(a, b, tr P) with P = W - WX(X'WX)^{-1}X'W = W - a a' - b b'."""
-    s0 = w.sum()
-    a, b = w / np.sqrt(s0), w * xc / np.sqrt(s2)
-    return a, b, s0 - a @ a - b @ b
+    """(a, b, a'a, b'b, tr P) with P = W - WX(X'WX)^{-1}X'W = W - a a' - b b'."""
+    s0 = w.sum(axis=-1)
+    a, b = w / np.sqrt(s0)[..., None], w * xc / np.sqrt(s2)[..., None]
+    aa, bb = _dot(a, a), _dot(b, b)
+    return a, b, aa, bb, s0 - aa - bb
 
 
 def _dl_tau2(y, v, x, k):
-    w, xc, r, _, s2 = _gls(0.0, y, v, x)
-    return max(0.0, (w @ (r * r) - (k - 2)) / _projection(w, xc, s2)[2])
+    w, xc, r, _, s2 = _gls(np.zeros((len(y), 1)), y, v, x)
+    tau2 = ((_dot(w, r * r) - (k - 2)) / _projection(w, xc, s2)[-1])[:, 0]
+    return np.where(tau2 > 0.0, tau2, 0.0)
 
 
 def _reml_tau2(y, v, x, k):
-    """Maximize the restricted likelihood over tau2 >= 0.
+    """Maximize the restricted likelihood over tau2 >= 0, lane by lane.
 
     Minus the restricted log-likelihood is, up to a constant,
     f = [sum log(v + tau2) + log s0 + log s2 + sum w r^2] / 2. With
@@ -118,9 +142,10 @@ def _reml_tau2(y, v, x, k):
     unweighted OLS residual sum of squares, because tr P >= (K - 2) /
     (max v + tau2) and u'u <= RSS / (min v + tau2)^2. f is scanned at
     ``_REML_SCAN`` points of [0, that bound], and the best point refined
-    by ``numerics.newton_in_bracket`` between its scan neighbours. A
-    criterion that is not finite on the scan, as variances far outside
-    the float range make it, raises EstimationError. Returns (tau2, steps).
+    by ``numerics.newton_in_bracket`` between its scan neighbours; the
+    lanes run in lockstep. Returns (tau2, steps, finite), finite being
+    false for a lane whose criterion is not finite on the scan, as
+    variances far outside the float range make it.
     """
 
     def f(tau2):
@@ -129,25 +154,88 @@ def _reml_tau2(y, v, x, k):
                       + (w * r * r).sum(axis=-1))
 
     def derivatives(tau2):
-        w, xc, r, _, s2 = _gls(tau2, y, v, x)
-        a, b, tr_p = _projection(w, xc, s2)
+        w, xc, r, _, s2 = _gls(tau2[:, None], y, v, x)
+        a, b, aa, bb, tr_p = _projection(w, xc, s2)
         u = w * r
-        tr_p2 = (w @ w - 2.0 * (a @ (w * a) + b @ (w * b))
-                 + (a @ a) ** 2 + (b @ b) ** 2 + 2.0 * (a @ b) ** 2)
-        return 0.5 * (tr_p - u @ u), u @ (w * u) - (a @ u) ** 2 - (b @ u) ** 2 - 0.5 * tr_p2
+        tr_p2 = (_dot(w, w) - 2.0 * (_dot(a, w * a) + _dot(b, w * b))
+                 + _square(aa) + _square(bb) + 2.0 * _square(_dot(a, b)))
+        d2 = _dot(u, w * u) - _square(_dot(a, u)) - _square(_dot(b, u)) - 0.5 * tr_p2
+        return 0.5 * (tr_p - _dot(u, u))[:, 0], d2[:, 0]
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r_ols = _gls(0.0, y, np.ones(k), x)[2]
-        grid = (r_ols @ r_ols / (k - 2) + v.max()) * _REML_SCAN
+        r_ols = _gls(np.zeros((len(y), 1)), y, np.ones_like(v), x)[2][:, 0]
+        grid = (_dot(r_ols, r_ols) / (k - 2) + v.max(axis=-1))[:, None] * _REML_SCAN
         criterion = f(grid)
-        if not np.isfinite(criterion).all():
-            raise EstimationError(
-                "REML criterion is not finite: the estimates or their variances "
-                "are too extreme to fit"
-            )
-        i = int(np.argmin(criterion))
-        return newton_in_bracket(derivatives, grid[max(i - 1, 0)],
-                                 grid[min(i + 1, grid.size - 1)], grid[i])
+        rows, i = np.arange(len(y)), np.argmin(criterion, axis=-1)
+        tau2, steps = newton_in_bracket(
+            derivatives, grid[rows, np.maximum(i - 1, 0)],
+            grid[rows, np.minimum(i + 1, _REML_SCAN.size - 1)], grid[rows, i])
+    return tau2, steps, np.isfinite(criterion).all(axis=-1)
+
+
+def _result(intercept, slope, slope_se, tau2, method, k, iterations) -> MetaRegResult:
+    slope, slope_se = float(slope), float(slope_se)
+    return MetaRegResult(
+        intercept=float(intercept),
+        slope=slope,
+        slope_se=slope_se,
+        tau2=float(tau2),
+        slope_p=2.0 * normal_sf(abs(slope) / slope_se),
+        tau2_method=method,
+        k=k,
+        iterations=int(iterations),
+    )
+
+
+def meta_regress_lanes(estimates, variances, means, method: str = "reml") -> list:
+    """``meta_regress`` of each lane: its result, or the CtxMRError it raises.
+
+    Lane j is (estimates[j], variances[j], means[j]). The lanes with
+    equally many contexts run in lockstep: one REML scan over (lanes,
+    points, contexts) and one ``newton_in_bracket`` call.
+    """
+    if method not in TAU2_METHODS:
+        raise ConfigError(f"unknown tau2 method {method!r}; choose from {TAU2_METHODS}")
+    outcomes = [None] * len(estimates)
+    lanes = {}
+    for lane, columns in enumerate(zip(estimates, variances, means)):
+        checked = lane_result(_validate, *columns)
+        if isinstance(checked, CtxMRError):
+            outcomes[lane] = checked
+        else:
+            lanes[lane] = checked
+    for ids, (y, v, x) in lane_groups(lanes):
+        ids, k = np.asarray(ids), y.shape[1]
+        iterations = np.zeros(len(ids), dtype=int)
+        ok = np.ones(len(ids), dtype=bool)
+        if method == "fixed":
+            tau2 = np.zeros(len(ids))
+        elif method == "dl":
+            tau2, iterations = _dl_tau2(y, v, x, k), iterations + 1
+        else:
+            # REML runs on y and v scaled by powers of two that bring max v near
+            # 1, so that w @ w and the other sums of its derivatives stay in the
+            # float range even for variances near its ends. The scaling is
+            # exact: at ordinary scales tau2 is the same to the last bit.
+            e = np.frexp(v.max(axis=-1))[1] // 2
+            tau2, iterations, ok = _reml_tau2(np.ldexp(y, -e[:, None]),
+                                              np.ldexp(v, -2 * e[:, None]), x, k)
+            with np.errstate(over="ignore"):
+                tau2 = np.ldexp(tau2, 2 * e)
+            for lane in ids[~ok]:
+                outcomes[lane] = EstimationError(
+                    "REML criterion is not finite: the estimates or their variances "
+                    "are too extreme to fit"
+                )
+        if not ok.all():
+            ids, y, v, x, tau2, iterations = (a[ok] for a in (ids, y, v, x, tau2, iterations))
+        w, _, _, slope, s2 = _gls(tau2[:, None], y, v, x)
+        intercept = _dot(w, (y - slope * x)[:, None]) / w.sum(axis=-1)
+        for j, lane in enumerate(ids):
+            outcomes[lane] = lane_result(_result, intercept[j, 0], slope[j, 0],
+                                         1.0 / np.sqrt(s2[j, 0]), tau2[j], method, k,
+                                         iterations[j])
+    return outcomes
 
 
 def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegResult:
@@ -159,34 +247,13 @@ def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegRe
     with no residual rescaling. ``iterations`` counts the REML Newton and
     bisection steps (1 for DL, 0 for fixed).
     """
-    if method not in TAU2_METHODS:
-        raise ConfigError(f"unknown tau2 method {method!r}; choose from {TAU2_METHODS}")
-    y, v, x, k = _validate(estimates, variances, means)
-    iterations = 0
-    if method == "fixed":
-        tau2 = 0.0
-    elif method == "dl":
-        tau2, iterations = _dl_tau2(y, v, x, k), 1
-    else:
-        # REML runs on y and v scaled by powers of two that bring max v near
-        # 1, so that w @ w and the other sums of its derivatives stay in the
-        # float range even for variances near its ends. The scaling is
-        # exact: at ordinary scales tau2 is the same to the last bit.
-        e = math.frexp(v.max())[1] // 2
-        tau2, iterations = _reml_tau2(np.ldexp(y, -e), np.ldexp(v, -2 * e), x, k)
-        tau2 = math.ldexp(tau2, 2 * e)
-    w, _, _, slope, s2 = _gls(tau2, y, v, x)
-    slope, slope_se = float(slope), float(1.0 / np.sqrt(s2))
-    return MetaRegResult(
-        intercept=float(w @ (y - slope * x) / w.sum()),
-        slope=slope,
-        slope_se=slope_se,
-        tau2=float(tau2),
-        slope_p=2.0 * normal_sf(abs(slope) / slope_se),
-        tau2_method=method,
-        k=k,
-        iterations=iterations,
-    )
+    return one_lane(meta_regress_lanes([estimates], [variances], [means], method))
+
+
+def trend_test_lanes(tables, method: str = "reml") -> list:
+    """``trend_test`` of each ``ContextTable``: its result, or the CtxMRError it raises."""
+    return meta_regress_lanes([t.ratio for t in tables], [t.ratio_se**2 for t in tables],
+                              [t.xmean for t in tables], method)
 
 
 def trend_test(table, method: str = "reml") -> MetaRegResult:
@@ -195,4 +262,4 @@ def trend_test(table, method: str = "reml") -> MetaRegResult:
     The within-context variances are the first-order ones, matching the
     pooled IVW weighting; the slope is per the table's ``scale`` units.
     """
-    return meta_regress(table.ratio, table.ratio_se**2, table.xmean, method=method)
+    return one_lane(trend_test_lanes([table], method))

@@ -9,8 +9,15 @@ search inside a bracket (the one 1-D minimizer, shared by the modified Q
 and the REML trend test). ``gram_inverse`` is the backbone of both
 regression fits: ``wls_solve``, the least-squares solve of the linear
 fit, is the Gram product plus ``gram_inverse``, and each Newton step of
-the logistic fit factors its own X'WX with it. All functions here are
-pure and reentrant.
+the logistic fit factors its own X'WX with it.
+
+``newton_in_bracket`` is vectorized over lanes: it minimizes C functions
+at once, one per lane, with one derivatives call per step for all of
+them, each lane taking exactly the steps a scalar loop would take and
+freezing once it stops. A single test is the one-lane call; the
+simulation engine runs one lane per cell of a replication.
+``lane_groups`` stacks the lanes of equal length into (C, K) arrays for
+it. All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -188,31 +195,66 @@ def wls_solve(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov @ rhs, cov
 
 
-def newton_in_bracket(derivatives, lo: float, hi: float, x: float) -> tuple[float, int]:
-    """Minimize a smooth 1-D function inside the bracket [lo, hi] from x in it.
+def newton_in_bracket(derivatives, lo, hi, x) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize C smooth 1-D functions, lane by lane, each inside its bracket [lo, hi].
 
-    ``derivatives(x)`` returns the first and second derivatives at x. Each
-    step first shrinks the bracket to the side the slope points down to,
-    then takes the Newton step. A step taken where the curvature is not
-    positive, or one that lands outside the bracket or on its far end,
-    becomes a bisection step: landing on the far end happens when rounding
-    noise in the slope exceeds the stopping tolerance, and would otherwise
-    cycle between the two ends. A zero step is kept. The search stops at a
-    zero slope or a step of at most four ulp of x, and after at most
-    ``_NEWTON_MAX_ITER`` steps. Returns (x, steps taken).
+    ``lo``, ``hi`` and the start ``x`` have shape (C,); ``derivatives(x)``
+    returns the first and second derivatives of every lane at x, as two
+    arrays of shape (C,), so that one call evaluates them all. Each lane
+    follows the same rule on its own: each step first shrinks the bracket
+    to the side the slope points down to, then takes the Newton step. A
+    step taken where the curvature is not positive, or one that lands
+    outside the bracket or on its far end, becomes a bisection step:
+    landing on the far end happens when rounding noise in the slope
+    exceeds the stopping tolerance, and would otherwise cycle between the
+    two ends. A zero step is kept. A lane stops at a zero slope or a step
+    of at most four ulp of x, and after at most ``_NEWTON_MAX_ITER`` steps;
+    from then on it is frozen, and its derivatives, though still evaluated
+    with the others, are ignored. Returns (x, steps taken), both of shape
+    (C,). A lane's steps and result do not depend on the other lanes.
 
     When x is an end of the bracket and the slope there points out of it,
     the bracket collapses onto x and x is returned after one step.
+
+    The rule runs on each lane's Python floats: for the few lanes of a
+    call (one per test, or per cell of a replication) that is cheaper than
+    a dozen array operations per step, and it is exactly the scalar rule.
     """
-    for steps in range(1, _NEWTON_MAX_ITER + 1):
-        d1, d2 = derivatives(x)
-        if d1 == 0.0:
+    lo, hi, x = (np.array(a, dtype=float).tolist() for a in (lo, hi, x))
+    steps = [0] * len(x)
+    active = range(len(x))
+    for step in range(1, _NEWTON_MAX_ITER + 1):
+        d1, d2 = (np.asarray(d).tolist() for d in derivatives(np.array(x)))
+        moving = []
+        for j in active:
+            steps[j] = step
+            if d1[j] == 0.0:
+                continue
+            if d1[j] > 0.0:
+                hi[j] = x[j]
+            else:
+                lo[j] = x[j]
+            new = x[j] - d1[j] / d2[j] if d2[j] > 0.0 else math.nan
+            if not (lo[j] < new < hi[j] or new == x[j]):
+                new = 0.5 * (lo[j] + hi[j])
+            moved, x[j] = abs(new - x[j]), new
+            if not moved <= 4.0 * np.spacing(abs(new)):
+                moving.append(j)
+        active = moving
+        if not active:
             break
-        lo, hi = (lo, x) if d1 > 0.0 else (x, hi)
-        new = x - d1 / d2 if d2 > 0.0 else math.nan
-        if not (lo < new < hi or new == x):
-            new = 0.5 * (lo + hi)
-        step, x = abs(new - x), new
-        if step <= 4.0 * np.spacing(abs(x)):
-            break
-    return x, steps
+    return np.array(x), np.array(steps)
+
+
+def lane_groups(lanes: dict) -> list[tuple[list, list[np.ndarray]]]:
+    """The lanes of equal length, stacked.
+
+    ``lanes`` maps a lane index to a tuple of 1-D columns of one length.
+    Returns, per distinct length in first-seen order, the lane indices and
+    one C-contiguous (C, length) array per column, row j holding lane j.
+    """
+    by_length: dict[int, list] = {}
+    for lane, columns in lanes.items():
+        by_length.setdefault(columns[0].size, []).append(lane)
+    return [(ids, [np.array(column) for column in zip(*(lanes[i] for i in ids))])
+            for ids in by_length.values()]

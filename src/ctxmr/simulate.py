@@ -28,8 +28,10 @@ maf), its ``draw_key``; the effect shape, the shifts alpha_k and the
 instrument effect act afterwards. ``draw_contexts`` therefore draws a whole
 replication once as (K, n) arrays, and ``generate_dataset`` builds one
 scenario's exposure and outcome from them and flattens both into a
-Dataset. The simulation engine (``harness.SharedReplication``) reuses the
-draws across scenarios without building a Dataset.
+Dataset. The simulation engine (``harness.Workspace``) reuses the draws
+across scenarios without building a Dataset, and passes ``out=`` so that
+each replication of a block overwrites the same arrays;
+``generate_dataset`` allocates its own.
 
 ``effect_inplace`` is the one formula of each effect shape. It overwrites
 a float array, so the engine evaluates f with no temporaries;
@@ -184,22 +186,29 @@ def draw_key(scenario: SimScenario) -> tuple[int, int, float]:
 
 
 def draw_contexts(
-    master_seed: int, replication: int, contexts: int, per_context_n: int, maf: float
+    master_seed: int, replication: int, contexts: int, per_context_n: int, maf: float,
+    out: ContextDraws | None = None,
 ) -> ContextDraws:
     """Draw (g, u, e_x, e_y) for every context of one replication.
 
     Row k comes from the stream of (master_seed, replication, k) alone, so
-    scenarios with the same ``draw_key`` see the same draws.
+    scenarios with the same ``draw_key`` see the same draws. With ``out``,
+    a ContextDraws of (contexts, per_context_n) arrays, the draws are
+    written into its arrays, in the same stream order, and ``out`` is
+    returned; otherwise new arrays are allocated.
     """
     shape = (contexts, per_context_n)
-    g, u, e_x, e_y = (np.empty(shape) for _ in range(4))
+    if out is None:
+        out = ContextDraws(*(np.empty(shape) for _ in range(4)))
+    elif any(a.shape != shape for a in (out.g, out.u, out.e_x, out.e_y)):
+        raise DomainError(f"draw buffers must have shape {shape}")
     for k in range(contexts):
         rng = _context_rng(master_seed, replication, k)
-        g[k] = rng.random(per_context_n) < maf
-        g[k] += rng.random(per_context_n) < maf
-        for out in (u, e_x, e_y):
-            rng.standard_normal(out=out[k])
-    return ContextDraws(g=g, u=u, e_x=e_x, e_y=e_y)
+        out.g[k] = rng.random(per_context_n) < maf
+        out.g[k] += rng.random(per_context_n) < maf
+        for draws in (out.u, out.e_x, out.e_y):
+            rng.standard_normal(out=draws[k])
+    return out
 
 
 def generate_dataset(

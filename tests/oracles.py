@@ -4,7 +4,9 @@ Everything here deliberately avoids the code paths under test: the
 chi-square tail comes from adaptive quadrature of the density, the normal
 tail from a power series for erf, the modified-weights heterogeneity
 statistic from a brute-force grid minimization, and the logistic maximum
-likelihood from plain Newton-Raphson solved by ``np.linalg.solve``.
+likelihood from plain Newton-Raphson solved by ``np.linalg.solve``. The
+scalar safeguarded Newton search is the reference that the package's
+lane-vectorized ``numerics.newton_in_bracket`` must match step for step.
 """
 
 from __future__ import annotations
@@ -96,6 +98,25 @@ def modified_q_grid_min(bx, bx_se, by, by_se, lo, hi, steps=400_001):
     qvals = (resid**2 / var).sum(axis=1)
     i = int(np.argmin(qvals))
     return float(grid[i]), float(qvals[i])
+
+
+def newton_in_bracket_scalar(derivatives, lo, hi, x):
+    """One lane of ``numerics.newton_in_bracket``, written as a plain loop on floats.
+
+    ``derivatives(x)`` returns (d1, d2) at the float x. Returns (x, steps).
+    """
+    for steps in range(1, 101):
+        d1, d2 = derivatives(x)
+        if d1 == 0.0:
+            break
+        lo, hi = (lo, x) if d1 > 0.0 else (x, hi)
+        new = x - d1 / d2 if d2 > 0.0 else math.nan
+        if not (lo < new < hi or new == x):
+            new = 0.5 * (lo + hi)
+        step, x = abs(new - x), new
+        if step <= 4.0 * np.spacing(abs(x)):
+            break
+    return x, steps
 
 
 def _design(means):

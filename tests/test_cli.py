@@ -340,7 +340,7 @@ class TestSimulate:
         ("linear_slope = 1e300\nper_context_n = 100",
          "linear/larger: 2/2 replications failed "
          "(2x the simulated outcome overflows the float range)"),
-        ("alpha_grid = 1e300,-1e300\nper_context_n = 100",
+        ("alpha_grid = 1e300,-1e300,1e300\nper_context_n = 100",
          "linear/custom: 2/2 replications failed "
          "(2x the simulated outcome overflows the float range)"),
         ("instrument_effect = 1e308\nper_context_n = 100",
@@ -360,6 +360,23 @@ class TestSimulate:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_ESTIMATION
         assert capsys.readouterr().err.splitlines() == [f"estimation error: cell {problem}"]
+
+    def test_two_context_cell_is_config_error_before_any_replication(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(plan):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        config = tmp_path / "cell.cfg"
+        config.write_text("alpha_grid = 8.0,9.0\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--reps", "3",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: cell linear/custom has 2 contexts; "
+            "the trend test needs >= 3"
+        ]
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--seed", "-1", "--reps", "1", "--out-dir", str(tmp_path)])

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ctxmr import harness
 from ctxmr.datamodel import partition_by_context
 from ctxmr.errors import ConfigError, ExperimentError
 from ctxmr.harness import (
     CellResult,
     ExperimentPlan,
     ReplicationOutcome,
-    SharedReplication,
+    Workspace,
     _summarize_cell,
     default_plan,
     emit_table,
     plan_manifest,
+    replication_blocks,
     run_cells,
     run_experiment,
     run_replication,
@@ -60,6 +63,12 @@ class TestPlan:
             small_plan(alpha_level=1.0)
         with pytest.raises(ConfigError):
             small_plan(workers=0)
+
+    def test_two_context_cell_is_rejected(self):
+        # The trend test needs 3 contexts: such a cell would fail every replication.
+        with pytest.raises(ConfigError, match="custom has 2 contexts; the trend test needs >= 3"):
+            small_plan(scenarios=(SimScenario(per_context_n=300),
+                                  SimScenario(alphas=(8.0, 9.0), per_context_n=300)))
 
     def test_unknown_tau2_method_fails_before_any_replication(self):
         with pytest.raises(ConfigError, match="unknown tau2 method 'bogus'"):
@@ -185,9 +194,10 @@ class TestSharedDraws:
 
     @staticmethod
     def _assert_engine_matches_context_iv(scenarios, replication):
-        shared = SharedReplication(master_seed=11, replication=replication)
+        workspace = Workspace(master_seed=11)
+        workspace.reset(replication)
         for scenario in scenarios:
-            fast = shared.context_table(scenario)
+            fast = workspace.context_table(scenario)
             part = partition_by_context(generate_dataset(scenario, 11, replication), min_n=2)
             general = ContextTable.from_results(context_iv(label, sub)
                                                 for label, sub in part.contexts)
@@ -207,18 +217,49 @@ class TestSharedDraws:
         self._assert_engine_matches_context_iv(_far_cells(alpha), replication=2)
 
     def test_cell_outcome_does_not_depend_on_the_other_cells(self):
-        alone = [run_replication(s, 4, 2) for s in (CUSTOM, CUSTOM_SHIFTED)]
-        assert list(run_cells((CUSTOM, CUSTOM_SHIFTED), 4, 2)) == alone
+        cells = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
+        alone = [run_replication(s, 4, 2) for s in cells]
+        assert list(run_cells(cells, 4, range(2, 3))[0]) == alone
 
     def test_failure_is_recorded_for_its_cell_only(self):
         overflow = SimScenario(
             effect=EffectFunction.quadratic(coefficient=1e308), per_context_n=300
         )
         good = SimScenario(per_context_n=300)
-        first, bad, last = run_cells((good, overflow, good), master_seed=5, replication=1)
+        ((first, bad, last),) = run_cells((good, overflow, good), 5, range(1, 2))
         assert bad.error == "the simulated outcome overflows the float range"
         assert first == last == run_replication(good, 5, 1)
         assert first.error is None
+
+
+class TestBlocks:
+    """Replications run in contiguous blocks, each with one workspace."""
+
+    SCENARIOS = (SimScenario(per_context_n=300), CUSTOM, CUSTOM_SHIFTED)
+
+    def test_blocks_are_contiguous_and_cover_the_replications(self):
+        assert replication_blocks(33, 1) == [range(33)]
+        blocks = replication_blocks(33, 2)
+        assert [len(b) for b in blocks] == [2] * 16 + [1]
+        assert [r for b in blocks for r in b] == list(range(33))
+
+    def test_outcomes_do_not_depend_on_the_blocks(self):
+        one_block = run_cells(self.SCENARIOS, 8, range(2, 9))
+        blocks_of_one = [run_cells(self.SCENARIOS, 8, range(r, r + 1))[0] for r in range(2, 9)]
+        assert one_block == blocks_of_one
+        assert [o.replication for outcomes in one_block for o in outcomes] == [
+            r for r in range(2, 9) for _ in self.SCENARIOS]
+
+    def test_cells_do_not_depend_on_the_blocks_or_the_workers(self, monkeypatch):
+        plan = small_plan(scenarios=self.SCENARIOS, replications=33)
+        one_block = run_experiment(plan)
+        uneven_in_a_pool = run_experiment(replace(plan, workers=2))
+        monkeypatch.setattr(harness, "replication_blocks",
+                            lambda replications, workers: [range(r, r + 1)
+                                                           for r in range(replications)])
+        blocks_of_one = run_experiment(plan)
+        assert one_block == blocks_of_one == uneven_in_a_pool
+        assert [c.replications_completed for c in one_block] == [33, 33, 33]
 
 
 class TestEmitTable:

@@ -7,8 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ctxmr.errors import ConfigError, EstimationError
-from ctxmr.heterogeneity import q_first_order, q_modified_second_order
+from ctxmr.errors import ConfigError, CtxMRError, EstimationError
+from ctxmr.heterogeneity import (
+    q_first_order,
+    q_first_order_lanes,
+    q_modified_second_order,
+    q_modified_second_order_lanes,
+)
 from ctxmr.ivcore import ContextTable, ivw_pool
 from ctxmr.numerics import chi_square_sf
 
@@ -143,6 +148,39 @@ class TestModifiedSecondOrder:
         t = random_instance(np.random.default_rng(7))
         het = q_modified_second_order(t)
         assert het.p == pytest.approx(chi_square_sf(het.q, het.df), abs=1e-15)
+
+
+def _lane_tables():
+    """Tables of 10, 7 and 8 usable rows, and two that fail."""
+    rng = np.random.default_rng(41)
+    tables = [random_instance(rng) for _ in range(3)] + [random_instance(rng, k=7)]
+    partly = random_instance(rng)
+    bx = partly.bx.copy()
+    bx[[2, 5]] = 0.0
+    tables.insert(2, make_table(bx, partly.bx_se, partly.by, partly.by_se))
+    tables.insert(1, make_table([0.5, 0.0, 0.0], 0.01, [0.4, 0.1, 0.2], 0.05))  # 1 usable
+    tables.append(make_table(bx=[1e-5, 0.5, 0.5], bx_se=0.01, by=[1e300, 0.4, 0.3],
+                             by_se=0.1))  # Q overflows
+    return tables
+
+
+@pytest.mark.parametrize("lanes, alone", [(q_first_order_lanes, q_first_order),
+                                          (q_modified_second_order_lanes,
+                                           q_modified_second_order)])
+def test_each_lane_of_a_stacked_call_equals_its_table_alone(lanes, alone):
+    tables = _lane_tables()
+    outcomes = lanes(tables)
+    assert [len(t) - len(o.excluded) for t, o in zip(tables, outcomes)
+            if not isinstance(o, CtxMRError)] == [10, 10, 8, 10, 7]
+    for table, outcome in zip(tables, outcomes):
+        try:
+            expected = alone(table)
+        except CtxMRError as err:
+            assert (type(outcome), str(outcome)) == (type(err), str(err))
+        else:
+            assert outcome == expected
+    assert [type(o) for o in outcomes if isinstance(o, CtxMRError)] == [ConfigError,
+                                                                       EstimationError]
 
 
 def test_overflowing_q_is_an_estimation_error():

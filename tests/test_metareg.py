@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ctxmr.errors import ConfigError, DomainError
+from ctxmr.errors import ConfigError, CtxMRError, DomainError, EstimationError
 from ctxmr.ivcore import ContextTable
-from ctxmr.metareg import meta_regress, trend_test
+from ctxmr.metareg import meta_regress, meta_regress_lanes, trend_test, trend_test_lanes
 
 from oracles import reml_loglik, reml_loglik_grid, reml_profile_grid
 from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
@@ -204,6 +204,45 @@ class TestTrendTest:
             if trend_test(make_table(bx, 0.0218, by, by_se, means)).slope > 0:
                 positive += 1
         assert positive / reps > 0.95
+
+
+class TestLanes:
+    """A stacked call gives each lane the result it gets alone."""
+
+    @pytest.mark.parametrize("method, failure", [("reml", EstimationError),
+                                                 ("dl", DomainError), ("fixed", DomainError)])
+    def test_each_lane_equals_its_arrays_alone(self, method, failure):
+        rng = np.random.default_rng(29)
+        lanes = [random_instance(rng, k=k, tau=tau) for k, tau in
+                 ((10, 0.05), (5, 0.0), (10, 0.0), (60, 0.1), (5, 0.02))]
+        lanes[2:2] = [([1.0, 2.0], [0.1, 0.1], [1.0, 2.0]),  # two contexts
+                      ([1e300, -1e300, 1e300, 0.0], [1e-300] * 4, [1.0, 2.0, 3.0, 4.0]),
+                      ([1.0, 2.0, 3.0], [0.1] * 3, [5.0, 5.0, 5.0])]  # collinear
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 1e300 * 2^498 overflows
+            outcomes = meta_regress_lanes(*zip(*lanes), method=method)
+        errors = []
+        for lane, outcome in zip(lanes, outcomes):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    expected = meta_regress(*lane, method=method)
+            except CtxMRError as err:
+                assert (type(outcome), str(outcome)) == (type(err), str(err))
+                errors.append(type(err))
+            else:
+                assert outcome == expected
+        assert errors == [ConfigError, failure, ConfigError]
+
+    def test_trend_lanes_equal_each_table_alone(self):
+        rng = np.random.default_rng(30)
+        tables = [make_table(bx=rng.uniform(0.4, 0.6, k), bx_se=0.02,
+                             by=rng.normal(0.4, 0.05, k), by_se=0.03,
+                             means=8.0 + 0.25 * np.arange(k)) for k in (8, 8, 4, 8)]
+        tables.insert(1, make_table(0.5, 0.02, [0.3, 0.4], 0.05, [8.0, 9.0]))
+        outcomes = trend_test_lanes(tables)
+        assert isinstance(outcomes[1], ConfigError)
+        assert outcomes[:1] + outcomes[2:] == [trend_test(t) for t in tables[:1] + tables[2:]]
 
 
 def test_batched_oracle_loglik_matches_scalar_loglik():

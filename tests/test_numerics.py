@@ -149,26 +149,32 @@ class TestWlsSolve:
             wls_solve(np.array([[1.0], [np.inf], [1.0]]), np.zeros(3))
 
 
+def one_lane(derivatives, lo, hi, x):
+    """``newton_in_bracket`` on one lane, for a ``derivatives`` of floats; (x, steps)."""
+    xs, steps = newton_in_bracket(
+        lambda v: tuple(np.array([d]) for d in derivatives(float(v[0]))), [lo], [hi], [x]
+    )
+    return float(xs[0]), int(steps[0])
+
+
 class TestNewtonInBracket:
     def test_finds_the_minimum_of_a_smooth_function(self):
         # f(x) = cosh(x - 0.3): minimum at 0.3, curvature positive everywhere.
-        x, steps = newton_in_bracket(
-            lambda x: (math.sinh(x - 0.3), math.cosh(x - 0.3)), -1.0, 2.0, 1.5
-        )
+        x, steps = one_lane(lambda x: (math.sinh(x - 0.3), math.cosh(x - 0.3)), -1.0, 2.0, 1.5)
         assert x == pytest.approx(0.3, abs=1e-15)
         assert steps < 10
 
     def test_slope_out_of_the_bracket_returns_its_end_in_one_step(self):
-        assert newton_in_bracket(lambda x: (1.0, 1.0), 0.0, 0.5, 0.0) == (0.0, 1)
-        assert newton_in_bracket(lambda x: (-1.0, 1.0), 0.0, 0.5, 0.5) == (0.5, 1)
+        assert one_lane(lambda x: (1.0, 1.0), 0.0, 0.5, 0.0) == (0.0, 1)
+        assert one_lane(lambda x: (-1.0, 1.0), 0.0, 0.5, 0.5) == (0.5, 1)
 
     def test_zero_step_is_kept(self):
         # x - d1 / d2 rounds to x itself: stop there rather than bisect.
-        assert newton_in_bracket(lambda x: (1e-300, 1.0), 0.5, 2.0, 1.0) == (1.0, 1)
+        assert one_lane(lambda x: (1e-300, 1.0), 0.5, 2.0, 1.0) == (1.0, 1)
 
     def test_negative_curvature_bisects(self):
         # f(x) = -cos(x) on [-1, 3] from 2.5: concave there, so bisect first.
-        x, steps = newton_in_bracket(lambda x: (math.sin(x), math.cos(x)), -1.0, 3.0, 2.5)
+        x, steps = one_lane(lambda x: (math.sin(x), math.cos(x)), -1.0, 3.0, 2.5)
         assert x == pytest.approx(0.0, abs=1e-15)
         assert steps < 20
 
@@ -178,8 +184,6 @@ class TestNewtonInBracket:
         lo = 1.0
         hi = lo + 11 * np.spacing(lo)
         mid = 0.5 * (lo + hi)
-        x, steps = newton_in_bracket(
-            lambda x: (hi - lo if x > mid else lo - hi, 1.0), lo, hi, hi
-        )
+        x, steps = one_lane(lambda x: (hi - lo if x > mid else lo - hi, 1.0), lo, hi, hi)
         assert lo <= x <= hi
         assert steps < 10

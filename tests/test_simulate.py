@@ -14,9 +14,11 @@ from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.simulate import (
     LARGER_GRID,
     SMALLER_GRID,
+    ContextDraws,
     EffectFunction,
     SimScenario,
     alpha_grid,
+    draw_contexts,
     effect_inplace,
     effect_value,
     generate_dataset,
@@ -138,6 +140,17 @@ class TestGenerate:
         assert np.array_equal(a.instrument, b.instrument)
         assert np.array_equal(a.exposure, b.exposure)
         assert np.array_equal(a.outcome, b.outcome)
+
+    def test_draws_into_buffers_equal_fresh_draws(self):
+        fresh = draw_contexts(7, 3, 4, 500, 0.3)
+        buffers = ContextDraws(*(np.full((4, 500), np.nan) for _ in range(4)))
+        for replication in (5, 3):  # overwrite what an earlier replication left
+            filled = draw_contexts(7, replication, 4, 500, 0.3, out=buffers)
+        assert filled is buffers
+        for name in ("g", "u", "e_x", "e_y"):
+            assert np.array_equal(getattr(filled, name), getattr(fresh, name)), name
+        with pytest.raises(DomainError, match=r"shape \(4, 400\)"):
+            draw_contexts(7, 3, 4, 400, 0.3, out=buffers)
 
     def test_replications_differ(self):
         s = SimScenario(per_context_n=500)
