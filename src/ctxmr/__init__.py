@@ -27,7 +27,7 @@ from .heterogeneity import (
     q_first_order,
     q_modified_second_order,
 )
-from .ivcore import ContextResult, ContextTable, PooledEstimate, context_iv, ivw_pool
+from .ivcore import ContextResult, ContextTable, context_iv
 from .metareg import MetaRegResult, meta_regress, trend_test
 from .numerics import chi_square_sf, normal_sf, wls_solve
 from .regress import AssocEstimate, design, fit_linear, fit_logistic
@@ -63,7 +63,6 @@ __all__ = [
     "ExperimentPlan",
     "HeterogeneityResult",
     "MetaRegResult",
-    "PooledEstimate",
     "SimScenario",
     "analyze_dataset",
     "analyze_summary_results",
@@ -77,7 +76,6 @@ __all__ = [
     "fit_logistic",
     "generate_dataset",
     "instrument_strength",
-    "ivw_pool",
     "load_csv",
     "load_summary_csv",
     "meta_regress",

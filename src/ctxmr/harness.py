@@ -24,7 +24,8 @@ least squares with no Dataset, no context partition and no QR; they
 agree with the general ``context_iv`` fits to rounding. The slopes and
 the context means go straight into one ``ContextTable`` per cell. A cell
 whose exposure, outcome or row sums overflow the float range fails with
-an EstimationError that says so.
+an EstimationError that says so, as does a context whose instrument is
+constant (bx = 0/0), which ``ContextTable`` refuses.
 
 Blocks and the workspace: ``run_cells`` runs a contiguous block of
 replications with one ``Workspace``, which owns every (K, n) array of
@@ -55,8 +56,8 @@ table, then the first-order Q, the modified Q and the trend test, in
 that order. Failed replications are excluded from the denominators and
 counted; more than 1% failures in a cell aborts the experiment with an
 error that names each distinct message once, with its count. A cell of
-fewer than three contexts, which the trend test cannot take, is a
-ConfigError of the plan.
+fewer than three contexts, which the trend test cannot take, or with a
+shift beyond ``_MAX_ABS_ALPHA``, is a ConfigError of the plan.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ from .simulate import generate_dataset  # noqa: F401
 
 _MAX_FAILURE_RATE = 0.01
 
+#: The largest |alpha_k| of a plan. The engine fits bx on z alone, taking
+#: x = z + alpha_k to keep z's variation. x is stored with a rounding error
+#: of up to |alpha_k|·2^-53, and z varies with sd >= sqrt(2) (u and e_x are
+#: standard normal): the bound keeps that error within 2^-26 of z's sd.
+_MAX_ABS_ALPHA = 2.0**27 * 2.0**0.5
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -126,11 +133,15 @@ class ExperimentPlan:
                 f"unknown tau2 method {self.tau2_method!r}; choose from {TAU2_METHODS}"
             )
         for scenario in self.scenarios:
+            cell = f"cell {scenario.effect.kind}/{scenario.grid_name}"
             if scenario.contexts < 3:
-                raise ConfigError(
-                    f"cell {scenario.effect.kind}/{scenario.grid_name} has "
-                    f"{scenario.contexts} contexts; the trend test needs >= 3"
-                )
+                raise ConfigError(f"{cell} has {scenario.contexts} contexts; "
+                                  "the trend test needs >= 3")
+            alpha = max(scenario.alphas, key=abs)
+            if abs(alpha) > _MAX_ABS_ALPHA:
+                raise ConfigError(f"{cell} has alpha_k = {alpha:g}; beyond |alpha_k| = "
+                                  f"{_MAX_ABS_ALPHA:.3g} the exposure x = z + alpha_k "
+                                  "loses z's variation to rounding")
 
 
 @dataclass(frozen=True)

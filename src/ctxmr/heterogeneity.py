@@ -5,7 +5,8 @@ compare a weighted sum of squared deviations from a pooled value against
 a chi-square with K - 1 degrees of freedom:
 
 * first-order weights: Q = sum_k (r_k - b_ivw)^2 (se(by_k)/bx_k)^{-2},
-  with b_ivw the inverse-variance weighted pooled estimate. Fast and
+  with b_ivw = sum_k by_k bx_k se(by_k)^-2 / sum_k bx_k^2 se(by_k)^-2
+  the inverse-variance weighted pooled estimate. Fast and
   simple, but over-rejects under homogeneity because it ignores the
   sampling error of bx_k.
 
@@ -21,14 +22,15 @@ Both tests read their inputs from the columns of one ``ContextTable``,
 with the outcome side per the table's ``scale`` exposure units. Both
 statistics are computed in the numerically safe "radial" form
 (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2), which avoids dividing
-by small bx_k. Contexts whose bx is indistinguishable from zero are
-masked out (and named in the result) and the degrees of freedom reduced.
-A statistic that overflows raises ``EstimationError``.
+by small bx_k (the table refuses a zero one). The first-order test's
+``pooled_beta`` is the package's one IVW estimate, with first-order
+weights (Burgess, Butterworth & Thompson 2013). A statistic that
+overflows raises ``EstimationError``.
 
 Each test has a stacked form over a list of tables (``*_lanes``), which
 returns per table its result or the error it raises, and runs the tables
-whose usable rows are equally many in lockstep. The one-table functions
-are its one-lane case.
+with equally many rows in lockstep. The one-table functions are its
+one-lane case.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EstimationError, lane_result, one_lane
-from .ivcore import INSTRUMENT_FLOOR, ContextTable, ivw_sums, pooled_beta
+from .ivcore import ContextTable
 from .numerics import chi_square_sf, lane_groups, newton_in_bracket
 
 #: The modified-Q scan evaluates Q(b) at b = c + h tan(phi), for this many
@@ -61,95 +63,78 @@ class HeterogeneityResult:
     p: float
     pooled_beta: float
     iterations: int
-    excluded: tuple[str, ...] = ()
 
 
-def _usable(table: ContextTable) -> np.ndarray:
-    """Mask of the contexts whose bx is distinguishable from zero; at least 2 must be."""
-    keep = np.abs(table.bx) >= INSTRUMENT_FLOOR
-    kept = int(np.count_nonzero(keep))
-    if kept < 2:
-        raise ConfigError(
-            f"heterogeneity needs >= 2 usable contexts, got {kept} "
-            f"({len(table) - kept} excluded for zero instrument association)"
-        )
-    return keep
+def _lanes(tables, outcomes):
+    """The ``numerics.lane_groups`` of the tables' bx, se(bx), by and se(by) (per ``scale``).
 
-
-def _usable_lanes(tables, outcomes):
-    """Each table's usable-row mask, and its usable rows stacked by their count.
-
-    Returns the masks by lane and the groups of ``numerics.lane_groups``,
-    with the columns bx, se(bx), by and se(by), the outcome side per the
-    table's ``scale``. A table with fewer than 2 usable rows gets its
-    ConfigError in ``outcomes`` and no lane.
+    A table of fewer than 2 rows gets its ConfigError in ``outcomes`` and no lane.
     """
-    keeps, lanes = {}, {}
+    lanes = {}
     for lane, table in enumerate(tables):
-        keep = lane_result(_usable, table)
-        if isinstance(keep, ConfigError):
-            outcomes[lane] = keep
-            continue
-        by, by_se = table.outcome()
-        keeps[lane] = keep
-        lanes[lane] = table.bx[keep], table.bx_se[keep], by[keep], by_se[keep]
-    return keeps, lane_groups(lanes)
+        if len(table) < 2:
+            outcomes[lane] = ConfigError(f"heterogeneity needs >= 2 contexts, got {len(table)}")
+        else:
+            lanes[lane] = table.bx, table.bx_se, *table.outcome()
+    return lane_groups(lanes)
 
 
-def _result(scheme, q, pooled_beta, iterations, table, keep) -> HeterogeneityResult:
+def _result(scheme, q, pooled_beta, iterations, k) -> HeterogeneityResult:
     q = float(q)
     if not math.isfinite(q):
         raise EstimationError(
             f"{scheme} Q statistic is {q}: the estimates are too extreme to test"
         )
-    df = int(np.count_nonzero(keep)) - 1
     return HeterogeneityResult(
         scheme=scheme,
         q=q,
-        df=df,
-        p=chi_square_sf(q, df),
+        df=k - 1,
+        p=chi_square_sf(q, k - 1),
         pooled_beta=float(pooled_beta),
         iterations=int(iterations),
-        excluded=tuple(table.labels[~keep].tolist()),
     )
 
 
 def q_first_order_lanes(tables) -> list:
-    """``q_first_order`` of each table: its result, or the CtxMRError it raises."""
+    """``q_first_order`` of each table: its result, or the CtxMRError it raises.
+
+    A weight sum or IVW estimate out of the float range, as outcome
+    standard errors scaled beyond it give, is an EstimationError.
+    """
     outcomes = [None] * len(tables)
-    keeps, groups = _usable_lanes(tables, outcomes)
-    for lanes, (bx, _, by, by_se) in groups:
-        numer, denom = ivw_sums(bx, by, by_se)
-        betas = [lane_result(pooled_beta, float(n), float(d)) for n, d in zip(numer, denom)]
-        beta = np.array([b if isinstance(b, float) else math.nan for b in betas])
-        # A lane whose pooled estimate failed has a zero se(by) or worse:
-        # its q is not used, and its division by zero is not a warning.
+    for lanes, (bx, _, by, by_se) in _lanes(tables, outcomes):
+        # A failing lane has a zero se(by) or worse: its division by zero
+        # is not a warning, and its q is not used.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = by_se**-2.0
+            numer, denom = np.sum(by * bx * w, axis=-1), np.sum(bx * bx * w, axis=-1)
+            beta = np.where((0.0 < denom) & (denom < math.inf), numer / denom, math.nan)
             q = np.sum((by - beta[:, None] * bx) ** 2 / by_se**2, axis=-1)
-        for lane, b, q_lane in zip(lanes, betas, q):
-            if isinstance(b, EstimationError):
-                outcomes[lane] = b
+        for lane, b, d, q_lane in zip(lanes, beta.tolist(), denom.tolist(), q):
+            if math.isfinite(b):
+                outcomes[lane] = lane_result(_result, FIRST_ORDER, q_lane, b, 1, bx.shape[1])
             else:
-                outcomes[lane] = lane_result(_result, FIRST_ORDER, q_lane, b, 1, tables[lane],
-                                             keeps[lane])
+                outcomes[lane] = EstimationError(
+                    f"IVW pooled estimate is {b} (weight sum {d:g}): the outcome "
+                    "associations or their standard errors are too extreme to pool"
+                )
     return outcomes
 
 
 def q_first_order(table: ContextTable) -> HeterogeneityResult:
-    """Cochran's Q with first-order weights, evaluated at the IVW estimate."""
+    """Cochran's Q with first-order weights, evaluated at the IVW estimate ``pooled_beta``."""
     return one_lane(q_first_order_lanes([table]))
 
 
 def q_modified_second_order_lanes(tables) -> list:
     """``q_modified_second_order`` of each table: its result, or the CtxMRError it raises.
 
-    The tables whose usable rows are equally many run in lockstep: one
-    scan over (tables, points, rows) and one ``newton_in_bracket`` call,
-    a lane per table.
+    The tables with equally many rows run in lockstep: one scan over
+    (tables, points, rows) and one ``newton_in_bracket`` call, a lane per
+    table.
     """
     outcomes = [None] * len(tables)
-    keeps, groups = _usable_lanes(tables, outcomes)
-    for lanes, (bx, bx_se, by, by_se) in groups:
+    for lanes, (bx, bx_se, by, by_se) in _lanes(tables, outcomes):
         by_var = by_se**2
         bx_var = bx_se**2
 
@@ -183,7 +168,7 @@ def q_modified_second_order_lanes(tables) -> list:
             q = q_at(beta[:, None])[:, 0]
         for j, lane in enumerate(lanes):
             outcomes[lane] = lane_result(_result, MODIFIED_SECOND_ORDER, q[j], beta[j],
-                                         iterations[j], tables[lane], keeps[lane])
+                                         iterations[j], bx.shape[1])
     return outcomes
 
 

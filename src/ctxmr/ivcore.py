@@ -1,29 +1,25 @@
-"""Per-context ratio instrumental-variable estimates, the context table, IVW pooling.
+"""Per-context ratio instrumental-variable estimates and the context table.
 
 The causal estimate in each context is the ratio of the instrument-outcome
 association to the instrument-exposure association, with the first-order
 standard error se(by) / |bx|. ``context_iv`` fits both associations on
 one design: the context's instrument and covariates, checked and centred
 once. Every test across contexts reads the per-context statistics from
-one :class:`ContextTable`, a set of columns. The pooled estimate weights
-the per-context outcome associations by their inverse variances:
-
-    beta = sum(by_k bx_k / se(by_k)^2) / sum(bx_k^2 / se(by_k)^2)
-    se   = sum(bx_k^2 / se(by_k)^2)^{-1/2}
+one :class:`ContextTable`, a set of columns, which refuses a context
+whose bx is indistinguishable from zero: its ratio is undefined.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datamodel import Dataset, summarize_context
-from .errors import ConfigError, DomainError, EstimationError
+from .errors import DomainError, EstimationError
 from .regress import AssocEstimate, design, fit_linear, fit_logistic
 
-#: |bx| below this is treated as a zero denominator (hard error).
+#: |bx| below this is a zero denominator, which ``ContextTable.from_columns`` refuses.
 INSTRUMENT_FLOOR = 1e-12
 
 
@@ -48,7 +44,7 @@ class ContextTable:
     columns hold the raw associations; ``scale``, which ``rescaled``
     sets, expresses the outcome side per ``scale`` exposure units (see
     ``outcome`` and ``ratio``). ``from_columns`` orders the rows by mean
-    exposure, then label: the one rule that orders contexts.
+    exposure, then label, and refuses a zero bx: the one rule for each.
     """
 
     labels: np.ndarray
@@ -62,11 +58,22 @@ class ContextTable:
 
     @classmethod
     def from_columns(cls, labels, bx, bx_se, by, by_se, xmean, n) -> "ContextTable":
-        """A table of these columns, its rows sorted by mean exposure, then label."""
+        """A table of these columns, its rows sorted by mean exposure, then label.
+
+        The first context given whose |bx| is not at least ``INSTRUMENT_FLOOR``
+        (NaN too, as a constant instrument gives) raises EstimationError.
+        """
         labels, n = np.asarray(labels, dtype=object), np.asarray(n, dtype=int)
         columns = [np.asarray(col, dtype=float) for col in (bx, bx_se, by, by_se, xmean)]
         if labels.ndim != 1 or any(col.shape != labels.shape for col in (*columns, n)):
             raise DomainError("context table columns must be equal-length vectors")
+        zero = ~(np.abs(columns[0]) >= INSTRUMENT_FLOOR)
+        if zero.any():
+            k = int(np.argmax(zero))
+            raise EstimationError(
+                f"context {labels[k]!r}: instrument-exposure association "
+                f"{columns[0][k]:.3e} is indistinguishable from zero"
+            )
         order = np.lexsort((labels, columns[-1]))
         return cls(labels[order], *(col[order] for col in columns), n[order])
 
@@ -112,25 +119,14 @@ class ContextTable:
         return self.by_se / np.abs(self.bx) * self.scale
 
 
-@dataclass(frozen=True)
-class PooledEstimate:
-    beta: float
-    se: float
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"pooled estimate needs >= 2 contexts, got {self.k}")
-
-
 def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult:
     """Ratio IV estimate within one context.
 
     Builds one design from the instrument and the covariates, fits the
     exposure (linear) and the outcome (``family``, linear or logistic)
-    on it, and combines them. An essentially zero bx is a hard error
-    because the ratio is undefined; a weak but nonzero one is noted by
-    the report (``report.DEFAULT_WEAK_T``).
+    on it, and combines them. An essentially zero bx is refused by the
+    ``ContextTable`` the result goes into; a weak but nonzero one is
+    noted by the report (``report.DEFAULT_WEAK_T``).
     """
     if family not in ("linear", "logistic"):
         raise DomainError(f"unknown outcome family {family!r}")
@@ -142,48 +138,6 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
             f"context {label!r}: outcome association has zero standard error; "
             "the ratio estimate has no usable uncertainty"
         )
-    if abs(bx.beta) < INSTRUMENT_FLOOR:
-        raise EstimationError(
-            f"context {label!r}: instrument-exposure association "
-            f"{bx.beta:.3e} is indistinguishable from zero"
-        )
     n, exposure_mean = summarize_context(label, ds)
     return ContextResult(context=label, bx=bx, by=by, n=n, exposure_mean=exposure_mean)
 
-
-def ivw_sums(bx, by, by_se) -> tuple[np.ndarray, np.ndarray]:
-    """The IVW numerator sum(by bx / se(by)^2) and weight sum sum(bx^2 / se(by)^2).
-
-    The sums run over the last axis, so stacked (C, K) columns give C of each.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = by_se**-2.0
-        return np.sum(by * bx * w, axis=-1), np.sum(bx * bx * w, axis=-1)
-
-
-def pooled_beta(numer: float, denom: float) -> float:
-    """The IVW estimate numer / denom from ``ivw_sums``.
-
-    Raises EstimationError when the weight sum or the estimate is not a
-    finite positive number, as outcome standard errors scaled beyond the
-    float range make them.
-    """
-    beta = numer / denom if 0.0 < denom < math.inf else math.nan
-    if not math.isfinite(beta):
-        raise EstimationError(
-            f"IVW pooled estimate is {beta} (weight sum {denom:g}): the outcome "
-            "associations or their standard errors are too extreme to pool"
-        )
-    return beta
-
-
-def ivw_pool(table: ContextTable) -> PooledEstimate:
-    """Inverse-variance weighted pooled estimate with first-order weights.
-
-    Raises EstimationError as ``pooled_beta`` does.
-    """
-    if len(table) < 2:
-        raise ConfigError(f"IVW pooling needs >= 2 contexts, got {len(table)}")
-    by, by_se = table.outcome()
-    numer, denom = (float(s) for s in ivw_sums(table.bx, by, by_se))
-    return PooledEstimate(beta=pooled_beta(numer, denom), se=denom**-0.5, k=len(table))

@@ -10,6 +10,9 @@ read its columns. Both return an :class:`AnalysisReport`, which
 serializes losslessly to JSON and renders to human-readable text (3
 significant figures) and machine CSV (full precision).
 
+A context with a zero bx has no ratio: ``load_summary_csv`` refuses its
+row by line, ``ContextTable`` a fitted one, so every context enters every test.
+
 Scaling: the report's per-context columns keep the raw instrument
 associations (bx, by) while the MR estimate columns are expressed per
 ``scale`` exposure units. Heterogeneity statistics are invariant to this
@@ -293,17 +296,13 @@ _JSON_VALUES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "float | None": ((int, float, type(None)), "a number or null"),
-    "tuple[str, ...]": ((list,), "a list of strings"),
 }
 
 
 def _check_value(where: str, name: str, kind: str, value) -> None:
     """Raise IngestError unless ``value`` is a JSON value of the field type ``kind``."""
     types, wanted = _JSON_VALUES[kind]
-    fits = isinstance(value, types) and not isinstance(value, bool)
-    if fits and isinstance(value, list):
-        fits = all(isinstance(item, str) for item in value)
-    if not fits:
+    if not isinstance(value, types) or isinstance(value, bool):
         raise IngestError(f"report {where} field {name!r} is not {wanted}: {value!r}")
 
 
@@ -319,7 +318,7 @@ def _record(cls, where: str, entry):
     for f in fields(cls):
         if f.name in entry:
             _check_value(where, f.name, f.type, entry[f.name])
-    return cls(**{name: tuple(v) if isinstance(v, list) else v for name, v in entry.items()})
+    return cls(**entry)
 
 
 def report_from_dict(payload) -> AnalysisReport:

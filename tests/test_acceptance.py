@@ -16,7 +16,7 @@ import pytest
 
 from ctxmr.harness import ExperimentPlan, default_plan, run_experiment
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
-from ctxmr.ivcore import ContextTable, ivw_pool
+from ctxmr.ivcore import ContextTable
 from ctxmr.metareg import meta_regress, trend_test
 from ctxmr.numerics import chi_square_sf
 from ctxmr.report import AnalysisOptions, analyze_dataset
@@ -179,7 +179,7 @@ def test_criterion_5a_modified_q_matches_grid_search():
     for _ in range(100):
         t = _random_summary_instance(rng)
         het = q_modified_second_order(t)
-        center = ivw_pool(t).beta
+        center = q_first_order(t).pooled_beta
         _, q_grid = modified_q_grid_min(
             t.bx, t.bx_se, t.by, t.by_se, lo=center - 1.0, hi=center + 1.0
         )
@@ -246,7 +246,7 @@ def test_criterion_6_invariance_suite():
     convex_ok = True
     for _ in range(200):
         t = _random_summary_instance(rng, k=6)
-        pooled = ivw_pool(t).beta
+        pooled = q_first_order(t).pooled_beta
         convex_ok &= t.ratio.min() - 1e-12 <= pooled <= t.ratio.max() + 1e-12
     checks["ivw-convexity"] = convex_ok
 
@@ -255,7 +255,7 @@ def test_criterion_6_invariance_suite():
     for _ in range(20):
         t = _random_summary_instance(rng)
         shuffled = t.subset(rng.permutation(len(t)))
-        perm_ok &= abs(ivw_pool(shuffled).beta - ivw_pool(t).beta) < 1e-12
+        perm_ok &= abs(q_first_order(shuffled).pooled_beta - q_first_order(t).pooled_beta) < 1e-12
         perm_ok &= abs(q_first_order(shuffled).q - q_first_order(t).q) < 1e-12
         perm_ok &= (
             abs(q_modified_second_order(shuffled).q - q_modified_second_order(t).q)

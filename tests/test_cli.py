@@ -333,33 +333,34 @@ class TestSimulate:
         assert repr(line.split("=")[1].split(",")[-1].strip()) in err
 
 
-    @pytest.mark.parametrize("lines, problem", [
+    @pytest.mark.parametrize("lines, code, line", [
         ("effect = quadratic\nquadratic_coefficient = 1e308\nper_context_n = 100",
-         "quadratic/larger: 2/2 replications failed "
+         EXIT_ESTIMATION, "estimation error: cell quadratic/larger: 2/2 replications failed "
          "(2x the simulated outcome overflows the float range)"),
         ("linear_slope = 1e300\nper_context_n = 100",
-         "linear/larger: 2/2 replications failed "
+         EXIT_ESTIMATION, "estimation error: cell linear/larger: 2/2 replications failed "
          "(2x the simulated outcome overflows the float range)"),
         ("alpha_grid = 1e300,-1e300,1e300\nper_context_n = 100",
-         "linear/custom: 2/2 replications failed "
-         "(2x the simulated outcome overflows the float range)"),
+         EXIT_CONFIG, "configuration error: cell linear/custom has alpha_k = 1e+300; beyond "
+         "|alpha_k| = 1.9e+08 the exposure x = z + alpha_k loses z's variation to rounding"),
         ("instrument_effect = 1e308\nper_context_n = 100",
-         "linear/larger: 2/2 replications failed "
+         EXIT_ESTIMATION, "estimation error: cell linear/larger: 2/2 replications failed "
          "(2x the simulated exposure overflows the float range)"),
         ("maf = 0.001\nper_context_n = 10",
-         "linear/larger: 2/2 replications failed (2x heterogeneity needs >= 2 usable "
-         "contexts, got 0 (10 excluded for zero instrument association))"),
+         EXIT_ESTIMATION, "estimation error: cell linear/larger: 2/2 replications failed "
+         "(2x context '1': instrument-exposure association nan is indistinguishable from zero)"),
     ], ids=["quadratic", "slope", "alphas", "instrument", "constant-instrument"])
-    def test_failing_cell_is_one_line_estimation_error(self, tmp_path, capsys, lines, problem):
+    def test_failing_cell_is_one_line_estimation_error(self, tmp_path, capsys, lines, code,
+                                                       line):
         # Finite parameters whose exposure or outcome leaves the float range
         # fail with one line that names the overflow, and no numpy warning; a
-        # constant instrument keeps its own message.
+        # constant instrument names its context. Shifts too large for the
+        # exposure to keep its variation are a configuration error of the plan.
         config = tmp_path / "cell.cfg"
         config.write_text(lines + "\n", encoding="utf-8")
-        code = main(["simulate", "--config", str(config), "--reps", "2",
-                     "--out-dir", str(tmp_path)])
-        assert code == EXIT_ESTIMATION
-        assert capsys.readouterr().err.splitlines() == [f"estimation error: cell {problem}"]
+        assert main(["simulate", "--config", str(config), "--reps", "2",
+                     "--out-dir", str(tmp_path)]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_two_context_cell_is_config_error_before_any_replication(
         self, tmp_path, capsys, monkeypatch
@@ -512,9 +513,9 @@ class TestPlotdata:
         ("contexts", "by", "0.1", "context 2 field 'by' is not a number"),
         ("config", "ci_z", "abc", "config field 'ci_z' is not a number"),
         ("contexts", "context", 7, "context 2 field 'context' is not a string"),
-        ("heterogeneity_modified", "excluded", 5,
-         "heterogeneity_modified field 'excluded' is not a list of strings"),
-    ], ids=["by", "ci_z", "context", "excluded"])
+        ("heterogeneity_modified", "df", 2.5,
+         "heterogeneity_modified field 'df' is not an integer"),
+    ], ids=["by", "ci_z", "context", "df"])
     def test_value_of_the_wrong_type(self, cohort_csv, tmp_path, capsys, entry, field, value,
                                      message):
         payload = self._saved_report(cohort_csv, tmp_path, capsys)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from ctxmr import harness
 from ctxmr.datamodel import partition_by_context
-from ctxmr.errors import ConfigError, ExperimentError
+from ctxmr.errors import ConfigError, EstimationError, ExperimentError
 from ctxmr.harness import (
     CellResult,
     ExperimentPlan,
@@ -69,6 +70,16 @@ class TestPlan:
         with pytest.raises(ConfigError, match="custom has 2 contexts; the trend test needs >= 3"):
             small_plan(scenarios=(SimScenario(per_context_n=300),
                                   SimScenario(alphas=(8.0, 9.0), per_context_n=300)))
+
+    @pytest.mark.parametrize("alpha", [1.9e8, -1e300])
+    def test_shift_that_rounds_away_the_exposure_variation_is_rejected(self, alpha):
+        # x = z + alpha_k would keep under half of float64's precision of z's
+        # variation, so the engine's bx, fitted on z alone, would not be x's.
+        message = (f"cell linear/custom has alpha_k = {alpha:g}; beyond |alpha_k| = 1.9e+08 "
+                   "the exposure x = z + alpha_k loses z's variation to rounding")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_plan(scenarios=(SimScenario(alphas=(8.0, alpha, 9.0), per_context_n=300),))
+        small_plan(scenarios=(SimScenario(alphas=(8.0, -1.8e8, 9.0), per_context_n=300),))
 
     def test_unknown_tau2_method_fails_before_any_replication(self):
         with pytest.raises(ConfigError, match="unknown tau2 method 'bogus'"):
@@ -230,6 +241,20 @@ class TestSharedDraws:
         assert bad.error == "the simulated outcome overflows the float range"
         assert first == last == run_replication(good, 5, 1)
         assert first.error is None
+
+    def test_constant_instrument_fails_naming_its_context(self):
+        # With maf 0.03 and 10 people per context, about half the contexts
+        # draw no allele: bx = 0/0, which the context table refuses, so no
+        # test sees the replication.
+        cell = SimScenario(per_context_n=10, maf=0.03)
+        outcomes = [outcome for (outcome,) in run_cells((cell,), 5, range(4))]
+        for outcome in outcomes:
+            assert re.fullmatch(r"context '\d+': instrument-exposure association nan is "
+                                "indistinguishable from zero", outcome.error), outcome.error
+        workspace = Workspace(master_seed=5)
+        workspace.reset(0)
+        with pytest.raises(EstimationError, match=re.escape(outcomes[0].error)):
+            workspace.context_table(cell)
 
 
 class TestBlocks:

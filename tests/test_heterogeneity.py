@@ -14,7 +14,7 @@ from ctxmr.heterogeneity import (
     q_modified_second_order,
     q_modified_second_order_lanes,
 )
-from ctxmr.ivcore import ContextTable, ivw_pool
+from ctxmr.ivcore import ContextTable
 from ctxmr.numerics import chi_square_sf
 
 from oracles import ks_uniform_pvalue, modified_q_grid_min
@@ -53,7 +53,7 @@ class TestFirstOrder:
         het = q_first_order(t)
         assert het.q == pytest.approx(0.5, abs=1e-12)
         assert het.p == pytest.approx(0.4795001221869535, abs=1e-9)
-        assert het.pooled_beta == pytest.approx(ivw_pool(t).beta)
+        assert het.pooled_beta == 1.5
         assert het.iterations == 1
 
     def test_needs_two_contexts(self):
@@ -99,7 +99,7 @@ class TestModifiedSecondOrder:
         for _ in range(30):
             t = random_instance(rng)
             het = q_modified_second_order(t)
-            ivw = ivw_pool(t).beta
+            ivw = q_first_order(t).pooled_beta
             _, q_grid = modified_q_grid_min(t.bx, t.bx_se, t.by, t.by_se,
                                             lo=ivw - 1.0, hi=ivw + 1.0)
             assert het.q == pytest.approx(q_grid, abs=1e-6)
@@ -110,7 +110,7 @@ class TestModifiedSecondOrder:
         for _ in range(30):
             t = random_instance(rng)
             het = q_modified_second_order(t)
-            b_ivw = ivw_pool(t).beta
+            b_ivw = q_first_order(t).pooled_beta
             v = t.by_se**2 + b_ivw * b_ivw * t.bx_se**2
             q_at_ivw = float(np.sum((t.by - b_ivw * t.bx) ** 2 / v))
             assert het.q <= q_at_ivw + 1e-10
@@ -132,18 +132,6 @@ class TestModifiedSecondOrder:
         for fn in (q_first_order, q_modified_second_order):
             assert fn(shuffled).q == pytest.approx(fn(t).q, abs=1e-12)
 
-    def test_near_zero_bx_context_excluded_with_df_reduction(self):
-        t = random_instance(np.random.default_rng(6))
-        with_dead = make_table(
-            [*t.bx, 0.0], [*t.bx_se, 0.01], [*t.by, t.by[0]], [*t.by_se, t.by_se[0]],
-            labels=[*t.labels, "dead"],
-        )
-        for fn in (q_first_order, q_modified_second_order):
-            het = fn(with_dead)
-            assert het.excluded == ("dead",)
-            assert het.df == len(t) - 1
-            assert het.q == pytest.approx(fn(t).q, abs=1e-12)
-
     def test_p_value_consistent_with_chi_square(self):
         t = random_instance(np.random.default_rng(7))
         het = q_modified_second_order(t)
@@ -151,14 +139,11 @@ class TestModifiedSecondOrder:
 
 
 def _lane_tables():
-    """Tables of 10, 7 and 8 usable rows, and two that fail."""
+    """Tables of 10, 7 and 8 rows, and two that fail."""
     rng = np.random.default_rng(41)
     tables = [random_instance(rng) for _ in range(3)] + [random_instance(rng, k=7)]
-    partly = random_instance(rng)
-    bx = partly.bx.copy()
-    bx[[2, 5]] = 0.0
-    tables.insert(2, make_table(bx, partly.bx_se, partly.by, partly.by_se))
-    tables.insert(1, make_table([0.5, 0.0, 0.0], 0.01, [0.4, 0.1, 0.2], 0.05))  # 1 usable
+    tables.insert(2, random_instance(rng, k=8))
+    tables.insert(1, make_table(0.5, 0.01, 0.4, 0.05))  # 1 row
     tables.append(make_table(bx=[1e-5, 0.5, 0.5], bx_se=0.01, by=[1e300, 0.4, 0.3],
                              by_se=0.1))  # Q overflows
     return tables
@@ -170,8 +155,7 @@ def _lane_tables():
 def test_each_lane_of_a_stacked_call_equals_its_table_alone(lanes, alone):
     tables = _lane_tables()
     outcomes = lanes(tables)
-    assert [len(t) - len(o.excluded) for t, o in zip(tables, outcomes)
-            if not isinstance(o, CtxMRError)] == [10, 10, 8, 10, 7]
+    assert [o.df + 1 for o in outcomes if not isinstance(o, CtxMRError)] == [10, 10, 8, 10, 7]
     for table, outcome in zip(tables, outcomes):
         try:
             expected = alone(table)

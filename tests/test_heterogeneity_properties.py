@@ -17,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order  # noqa: E402
-from ctxmr.ivcore import ContextTable, ivw_pool  # noqa: E402
+from ctxmr.ivcore import ContextTable  # noqa: E402
 
 from oracles import modified_q_grid_min  # noqa: E402
 
@@ -109,7 +109,7 @@ def test_first_order_q(contexts, rng, factor):
     assert het.q >= 0.0 and 0.0 <= het.p <= 1.0 and het.df == len(t) - 1
     # Directly: the squared deviations of the ratios from the IVW estimate,
     # weighted by the inverse first-order ratio variances.
-    direct = float(np.sum((t.ratio - ivw_pool(t).beta) ** 2 / t.ratio_se**2))
+    direct = float(np.sum((t.ratio - het.pooled_beta) ** 2 / t.ratio_se**2))
     assert het.q == pytest.approx(direct, rel=1e-9, abs=1e-9)
     order = list(range(len(t)))
     rng.shuffle(order)
@@ -122,4 +122,4 @@ def test_first_order_q(contexts, rng, factor):
 def test_ivw_estimate_lies_within_the_ratio_range(contexts):
     t = first_order_table(contexts)
     slack = 1e-12 * float(np.abs(t.ratio).max())
-    assert t.ratio.min() - slack <= ivw_pool(t).beta <= t.ratio.max() + slack
+    assert t.ratio.min() - slack <= q_first_order(t).pooled_beta <= t.ratio.max() + slack

@@ -1,6 +1,8 @@
-"""Tests for per-context ratio estimates and IVW pooling."""
+"""Tests for per-context ratio estimates, the context table and the IVW pooled estimate."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from ctxmr import ivcore, regress
 from ctxmr.datamodel import Dataset
 from ctxmr.errors import ConfigError, DomainError, EstimationError
 from ctxmr.heterogeneity import q_first_order
-from ctxmr.ivcore import ContextTable, context_iv, ivw_pool
+from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.report import analyze_summary_results
 
 
@@ -76,8 +78,10 @@ class TestContextIv:
             context=ds.context,
             covariates=ds.covariates,
         )
-        with pytest.warns(Warning), pytest.raises(EstimationError):
-            context_iv("1", ds)
+        with pytest.warns(Warning):
+            result = context_iv("1", ds)
+        with pytest.raises(EstimationError, match="context '1': instrument-exposure association"):
+            ContextTable.from_results([result])
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_both_fits_share_one_design(self, monkeypatch, family):
@@ -131,47 +135,89 @@ class TestContextTable:
         assert t.by.tolist() == [r.by.beta for r in reversed(results)]
         assert t.xmean.tolist() == [r.exposure_mean for r in reversed(results)]
 
+    @pytest.mark.parametrize("bx", [0.0, -1e-13, float("nan")])
+    def test_zero_or_nan_bx_is_refused(self, bx):
+        with pytest.raises(EstimationError) as caught:
+            ContextTable.from_columns(["a", "b", "c"], [0.5, bx, 0.0], [0.1] * 3, [1.0] * 3,
+                                      [0.5] * 3, [9.0, 8.0, 7.0], [100] * 3)
+        assert str(caught.value) == (f"context 'b': instrument-exposure association "
+                                     f"{bx:.3e} is indistinguishable from zero")
+
     def test_unequal_columns_rejected(self):
         with pytest.raises(DomainError):
             ContextTable.from_columns(["a", "b"], [1.0], [0.1], [1.0], [0.5], [9.0], [100])
 
 
+def closed_form_ivw(t):
+    """The IVW estimate sum(by bx / se(by)^2) / sum(bx^2 / se(by)^2), per ``t.scale`` units."""
+    by, by_se = t.by * t.scale, t.by_se * t.scale
+    return float(np.sum(by * t.bx / by_se**2) / np.sum(t.bx**2 / by_se**2))
+
+
 class TestIvwPool:
+    """The IVW pooled estimate, which the first-order Q reports as ``pooled_beta``."""
+
     def test_requires_two_contexts(self):
         with pytest.raises(ConfigError):
-            ivw_pool(make_table(1.0, 0.0, 1.0, 1.0))
+            q_first_order(make_table(1.0, 0.0, 1.0, 1.0))
 
     def test_identical_contexts_pool_to_common_ratio(self):
-        pooled = ivw_pool(make_table(bx=[0.5, 0.5], bx_se=0.01, by=[0.4, 0.4], by_se=0.1))
-        assert pooled.beta == pytest.approx(0.8)
-        assert pooled.k == 2
+        t = make_table(bx=[0.5, 0.5], bx_se=0.01, by=[0.4, 0.4], by_se=0.1)
+        assert q_first_order(t).pooled_beta == pytest.approx(0.8, rel=1e-12)
 
     def test_hand_example(self):
-        pooled = ivw_pool(make_table(bx=[1.0, 1.0], bx_se=0.0, by=[1.0, 2.0], by_se=1.0))
-        assert pooled.beta == pytest.approx(1.5)
-        assert pooled.se == pytest.approx(2.0**-0.5)
+        t = make_table(bx=[1.0, 1.0], bx_se=0.0, by=[1.0, 2.0], by_se=1.0)
+        assert q_first_order(t).pooled_beta == 1.5
+
+    def test_matches_closed_form(self):
+        rng = np.random.default_rng(2)
+        for k in (2, 3, 10, 40):
+            size = rng.uniform(0.05, 1.0, k)
+            t = make_table(bx=np.where(rng.random(k) < 0.3, -size, size), bx_se=0.01,
+                           by=rng.normal(scale=0.5, size=k), by_se=rng.uniform(0.005, 0.3, k))
+            assert q_first_order(t).pooled_beta == pytest.approx(closed_form_ivw(t), rel=1e-12)
+
+    def test_scales_with_the_scale(self):
+        rng = np.random.default_rng(6)
+        t = make_table(bx=rng.uniform(0.3, 1.0, 8), bx_se=0.01,
+                       by=rng.normal(scale=0.5, size=8), by_se=rng.uniform(0.05, 0.3, 8))
+        beta = q_first_order(t).pooled_beta
+        for factor in (1e-3, 10.0, 1e6):
+            scaled = t.rescaled(factor)
+            pooled = q_first_order(scaled).pooled_beta
+            assert pooled == pytest.approx(closed_form_ivw(scaled), rel=1e-12)
+            assert pooled == pytest.approx(factor * beta, rel=1e-12)
 
     def test_pooled_beta_within_ratio_range(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             t = make_table(bx=rng.uniform(0.3, 1.0, 6), bx_se=0.01,
                            by=rng.normal(scale=0.5, size=6), by_se=rng.uniform(0.05, 0.3, 6))
-            pooled = ivw_pool(t)
-            assert t.ratio.min() - 1e-12 <= pooled.beta <= t.ratio.max() + 1e-12
+            pooled = q_first_order(t).pooled_beta
+            assert t.ratio.min() - 1e-12 <= pooled <= t.ratio.max() + 1e-12
 
     def test_order_invariance(self):
         rng = np.random.default_rng(4)
         bx = rng.uniform(0.3, 1.0, 8)
         by = rng.normal(scale=0.5, size=8)
         by_se = rng.uniform(0.05, 0.3, 8)
-        a = ivw_pool(make_table(bx, 0.01, by, by_se))
-        b = ivw_pool(make_table(bx[::-1], 0.01, by[::-1], by_se[::-1]))
-        assert a.beta == pytest.approx(b.beta, abs=1e-12)
+        a = q_first_order(make_table(bx, 0.01, by, by_se))
+        b = q_first_order(make_table(bx[::-1], 0.01, by[::-1], by_se[::-1]))
+        assert a.pooled_beta == pytest.approx(b.pooled_beta, abs=1e-12)
+        assert a.pooled_beta == pytest.approx(closed_form_ivw(make_table(bx, 0.01, by, by_se)),
+                                              rel=1e-12)
 
     def test_dominant_weight_limit(self):
         t = make_table(bx=[1.0, 1.0], bx_se=0.0, by=[0.25, 5.0], by_se=[1e-4, 1.0])
-        pooled = ivw_pool(t)
-        assert pooled.beta == pytest.approx(0.25, rel=1e-6)
+        assert q_first_order(t).pooled_beta == pytest.approx(0.25, rel=1e-6)
+
+    def test_weight_sum_beyond_the_float_range_is_an_estimation_error(self):
+        t = make_table(bx=[0.5, 0.5], bx_se=0.01, by=[0.4, 0.3], by_se=1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError,
+                               match=r"IVW pooled estimate is nan \(weight sum inf\)"):
+                q_first_order(t)
 
 
 class TestRescale:
