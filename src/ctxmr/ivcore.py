@@ -11,12 +11,13 @@ whose bx is indistinguishable from zero: its ratio is undefined.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datamodel import Dataset, summarize_context
-from .errors import DomainError, EstimationError
+from .errors import DegenerateFitWarning, DomainError, EstimationError
 from .regress import AssocEstimate, design, fit_linear, fit_logistic
 
 #: |bx| below this is a zero denominator, which ``ContextTable.from_columns`` refuses.
@@ -126,13 +127,18 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
     exposure (linear) and the outcome (``family``, linear or logistic)
     on it, and combines them. An essentially zero bx is refused by the
     ``ContextTable`` the result goes into; a weak but nonzero one is
-    noted by the report (``report.DEFAULT_WEAK_T``).
+    noted by the report (``report.DEFAULT_WEAK_T``). An exact fit emits
+    no ``DegenerateFitWarning`` here: an exposure that is an exact linear
+    function of the design is marked by ``bx.degenerate`` (se(bx) = 0),
+    and an exact outcome fit is refused below.
     """
     if family not in ("linear", "logistic"):
         raise DomainError(f"unknown outcome family {family!r}")
     shared = design(ds.instrument, ds.covariates)
-    bx = fit_linear(shared, ds.exposure)
-    by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateFitWarning)
+        bx = fit_linear(shared, ds.exposure)
+        by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
     if by.se <= 0:
         raise EstimationError(
             f"context {label!r}: outcome association has zero standard error; "

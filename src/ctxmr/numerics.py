@@ -3,8 +3,9 @@
 The rest of the package needs four numerical primitives: the chi-square
 survival function (for heterogeneity p-values), the normal survival
 function (for two-sided z-tests), the inverse of a p x p cross-product
-matrix X'WX with a rank test (``gram_inverse``: one Cholesky
-factorization, never one of the n x p design) and a safeguarded Newton
+matrix X'WX with a rank test (``gram_inverse``: one LAPACK Cholesky
+factorization of the unit-diagonal X'WX, never one of the n x p design;
+its pivots give the rank test) and a safeguarded Newton
 search inside a bracket (the one 1-D minimizer, shared by the modified Q
 and the REML trend test). ``gram_inverse`` is the backbone of both
 regression fits: ``wls_solve``, the least-squares solve of the linear
@@ -133,28 +134,51 @@ def normal_sf(z: float) -> float:
 def gram_inverse(gram: np.ndarray) -> np.ndarray:
     """The inverse of a p x p cross-product matrix X'WX, with a rank test.
 
-    X'WX is scaled to a unit diagonal and factored by Cholesky; this is
-    the one factorization behind every fit of the package. A column whose
-    Cholesky pivot is at most ``_PIVOT_FLOOR`` is a linear combination of
-    the columns before it, and the first such column is reported in
+    X'WX is scaled to a unit diagonal and factored by LAPACK's Cholesky
+    (``np.linalg.cholesky``); this is the one factorization behind every
+    fit of the package, and the inverse is formed from its triangular
+    factor. A column whose Cholesky pivot (a diagonal entry of the factor)
+    is at most ``_PIVOT_FLOOR`` is a linear combination of the columns
+    before it, and the first such column is reported in
     ``RankDeficiencyError``. A non-finite entry (from a non-finite design,
     or a product that overflowed) raises ``DomainError``.
     """
     if not np.isfinite(gram).all():
         raise DomainError("design matrix contains non-finite entries, or X'WX overflows")
-    p = gram.shape[0]
-    scale = np.sqrt(np.diag(gram))
+    scale = np.sqrt(gram.diagonal())
     scale[scale == 0.0] = 1.0  # a zero column keeps a zero pivot below
-    unit = gram / np.outer(scale, scale)
-    chol = np.zeros((p, p))
-    for j in range(p):
-        pivot2 = unit[j, j] - chol[j, :j] @ chol[j, :j]
-        if not pivot2 > _PIVOT_FLOOR**2:
-            raise RankDeficiencyError(column=j)
-        chol[j, j] = math.sqrt(pivot2)
-        chol[j + 1:, j] = (unit[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
+    outer = scale[:, None] * scale
+    unit = gram / outer
+    try:
+        chol = np.linalg.cholesky(unit)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError(column=_refused_column(unit)) from None
+    pivots = chol.diagonal()
+    if not pivots.min() > _PIVOT_FLOOR:
+        raise RankDeficiencyError(column=int(np.argmax(~(pivots > _PIVOT_FLOOR))))
     chol_inv = np.linalg.inv(chol)
-    return (chol_inv.T @ chol_inv) / np.outer(scale, scale)
+    return (chol_inv.T @ chol_inv) / outer
+
+
+def _refused_column(unit: np.ndarray) -> int:
+    """The column to report for a unit-diagonal Gram matrix that LAPACK refused.
+
+    LAPACK stops at a squared pivot <= 0 (a zero or exactly dependent
+    column) without saying where, and an earlier column may already fail
+    the floor. The leading k x k blocks are factored for k = 1, 2, ...;
+    the first one refused, or whose last pivot is at most
+    ``_PIVOT_FLOOR``, names column k - 1. The whole matrix is the last
+    block, so it names the last column if no smaller block does.
+    """
+    p = unit.shape[0]
+    for k in range(1, p):
+        try:
+            pivot = np.linalg.cholesky(unit[:k, :k])[k - 1, k - 1]
+        except np.linalg.LinAlgError:
+            return k - 1
+        if not pivot > _PIVOT_FLOOR:
+            return k - 1
+    return p - 1
 
 
 def wls_solve(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -111,8 +111,12 @@ def design(predictor, covariates=None) -> Design:
         require_finite("predictor" if j == 0 else f"covariate {j - 1}", col)
     if n < 1 + len(cols):
         raise DomainError(f"need at least as many rows as columns, got {n} < {1 + len(cols)}")
-    center = np.array([col.mean() for col in cols])
-    X = np.array([np.ones(n), *(col - m for col, m in zip(cols, center))]).T
+    X = np.empty((n, 1 + len(cols)), order="F")
+    X[:, 0] = 1.0
+    X[:, 1] = predictor
+    X[:, 2:] = covariates
+    center = np.array([col.mean() for col in X.T[1:]])
+    X[:, 1:] -= center
     return Design(X=X, center=center)
 
 
@@ -200,10 +204,11 @@ def fit_logistic_detail(design: Design, y) -> LogisticFit:
     """
     X, y = design.X, _response(design, y)
     n, p = X.shape
-    levels = np.unique(y)
-    if not np.isin(levels, (0.0, 1.0)).all():
-        raise DomainError(f"logistic response must be coded 0/1, found values {levels}")
-    if levels.size < 2:
+    # Counts, not a sort of y: every nonzero entry must be a 1.
+    ones = int(np.count_nonzero(y == 1.0))
+    if ones != np.count_nonzero(y):
+        raise DomainError(f"logistic response must be coded 0/1, found values {np.unique(y)}")
+    if ones in (0, n):
         raise EstimationError("logistic response has a single class; no fit possible")
 
     # Divergence is judged on coefficients per column sd and on the
@@ -212,7 +217,7 @@ def fit_logistic_detail(design: Design, y) -> LogisticFit:
     spread = X[:, 1:].std(axis=0)
 
     # The single-class check above keeps the mean of y inside (0, 1).
-    ybar = float(y.mean())
+    ybar = ones / n
     coef = np.zeros(p)
     coef[0] = np.log(ybar / (1.0 - ybar))
     dev, prob = _deviance(X @ coef, y)

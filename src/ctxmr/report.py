@@ -174,7 +174,9 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
     """Context-stratified MR on individual-level data.
 
     A non-finite number in the dataset is reported with its column and
-    its dataset row before the data are split by context.
+    its dataset row before the data are split by context. A context whose
+    exposure is an exact linear function of its instrument and
+    covariates (se(bx) = 0) gets one note in ``warnings``.
     """
     if options.family == "logistic" and ds.outcome_family != "logistic":
         raise ConfigError(
@@ -192,6 +194,11 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
     ]
     if ds.n_dropped:
         warnings.append(f"{ds.n_dropped} input rows dropped during ingestion")
+    warnings += [
+        f"context {r.context!r}: the exposure is an exact linear function of the "
+        "instrument and covariates; se(bx) reported as 0"
+        for r in raw if r.bx.degenerate
+    ]
     config = {
         "mode": "individual",
         "family": options.family,

@@ -6,7 +6,9 @@ tail from a power series for erf, the modified-weights heterogeneity
 statistic from a brute-force grid minimization, and the logistic maximum
 likelihood from plain Newton-Raphson solved by ``np.linalg.solve``. The
 scalar safeguarded Newton search is the reference that the package's
-lane-vectorized ``numerics.newton_in_bracket`` must match step for step.
+lane-vectorized ``numerics.newton_in_bracket`` must match step for step,
+and the column-by-column Cholesky loop the reference for the LAPACK
+factor of ``numerics.gram_inverse``.
 """
 
 from __future__ import annotations
@@ -117,6 +119,28 @@ def newton_in_bracket_scalar(derivatives, lo, hi, x):
         if step <= 4.0 * np.spacing(abs(x)):
             break
     return x, steps
+
+
+def gram_inverse_loop(gram, floor):
+    """``numerics.gram_inverse`` as a Python loop over the columns of the factor.
+
+    Scales the p x p matrix X'WX to a unit diagonal and factors it by
+    Cholesky one column at a time. Returns (inverse, None), or (None, j)
+    for the first column j whose squared pivot is not above ``floor``**2.
+    """
+    p = gram.shape[0]
+    scale = np.sqrt(np.diag(gram))
+    scale[scale == 0.0] = 1.0  # a zero column keeps a zero pivot below
+    unit = gram / np.outer(scale, scale)
+    chol = np.zeros((p, p))
+    for j in range(p):
+        pivot2 = unit[j, j] - chol[j, :j] @ chol[j, :j]
+        if not pivot2 > floor**2:
+            return None, j
+        chol[j, j] = math.sqrt(pivot2)
+        chol[j + 1:, j] = (unit[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
+    chol_inv = np.linalg.inv(chol)
+    return (chol_inv.T @ chol_inv) / np.outer(scale, scale), None
 
 
 def _design(means):

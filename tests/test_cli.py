@@ -131,6 +131,59 @@ class TestAnalyze:
         assert "reported as missing" in (tmp_path / "report.txt").read_text()
         assert report_to_json(report_from_json(text)) == text
 
+    @staticmethod
+    def _degenerate_exposure_csv(path, exposure_b):
+        """Three centres of 200 rows; centre b's exposure is ``exposure_b(g)``."""
+        rng = np.random.default_rng(9)
+        rows = ["score,vitd,chd,centre"]
+        for centre, mean in (("a", 40.0), ("b", 50.0), ("c", 60.0)):
+            g = rng.binomial(2, 0.3, size=200).astype(float)
+            x = exposure_b(g) if centre == "b" else mean + 0.5 * g + rng.normal(size=200)
+            y = (rng.random(200) < 0.3).astype(int)
+            rows += [f"{gi},{xi!r},{yi},{centre}"
+                     for gi, xi, yi in zip(g.tolist(), x.tolist(), y.tolist())]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return ["analyze", "--data", str(path), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                "--family", "logistic", "--out-dir", str(path.parent)]
+
+    @pytest.mark.parametrize("exposure_b", [lambda g: np.full(g.size, 9.0),
+                                            lambda g: 50.0 + 0.5 * g],
+                             ids=["constant", "exact-linear"])
+    def test_degenerate_exposure_fit_emits_no_python_warning(self, exposure_b, tmp_path,
+                                                             capsys):
+        argv = self._degenerate_exposure_csv(tmp_path / "cohort.csv", exposure_b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_ESTIMATION)
+        assert [str(w.message) for w in caught] == []
+        assert len(capsys.readouterr().err.splitlines()) == (code == EXIT_ESTIMATION)
+
+    def test_constant_exposure_is_one_line_estimation_error(self, tmp_path):
+        argv = self._degenerate_exposure_csv(tmp_path / "cohort.csv",
+                                             lambda g: np.full(g.size, 9.0))
+        proc = subprocess.run([sys.executable, "-m", "ctxmr.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_ESTIMATION
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("estimation error: context 'b': instrument-exposure association")
+        assert line.endswith("is indistinguishable from zero")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_exact_linear_exposure_is_one_report_warning(self, tmp_path):
+        argv = self._degenerate_exposure_csv(tmp_path / "cohort.csv", lambda g: 50.0 + 0.5 * g)
+        proc = subprocess.run([sys.executable, "-m", "ctxmr.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        payload = json.loads((tmp_path / "report.json").read_text())
+        row = next(row for row in payload["contexts"] if row["context"] == "b")
+        assert row["bx"] == pytest.approx(0.5, abs=1e-12) and row["bx_se"] == 0.0
+        assert [note for note in payload["warnings"] if "exact linear function" in note] == [
+            "context 'b': the exposure is an exact linear function of the instrument "
+            "and covariates; se(bx) reported as 0"
+        ]
+
 
 class TestMeta:
     def test_hand_example(self, tmp_path, capsys):

@@ -78,8 +78,10 @@ class TestContextIv:
             context=ds.context,
             covariates=ds.covariates,
         )
-        with pytest.warns(Warning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the exact fit is flagged, not warned about
             result = context_iv("1", ds)
+        assert result.bx.degenerate and result.bx.se == 0.0
         with pytest.raises(EstimationError, match="context '1': instrument-exposure association"):
             ContextTable.from_results([result])
 

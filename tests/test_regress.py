@@ -157,12 +157,14 @@ class TestFitLogistic:
         assert fit.cov[0, :] == pytest.approx(cov_ref[0, :], rel=1e-7)
 
     def test_single_class_raises(self):
-        with pytest.raises(EstimationError, match="single class"):
-            fit_logistic(design(np.arange(20.0)), np.zeros(20))
+        for y in (np.zeros(20), np.ones(20)):
+            with pytest.raises(EstimationError, match="single class"):
+                fit_logistic(design(np.arange(20.0)), y)
 
     def test_non_binary_response_rejected(self):
-        with pytest.raises(DomainError, match="0/1"):
-            fit_logistic(design(np.arange(3.0)), np.array([0.0, 1.0, 2.0]))
+        for y in ([0.0, 1.0, 2.0], [0.0, 1.0, -1.0], [1.0, 1.0, 0.5], [0.5, 0.5, 0.5]):
+            with pytest.raises(DomainError, match="0/1"):
+                fit_logistic(design(np.arange(3.0)), np.array(y))
 
     def test_deviance_trace_non_increasing(self):
         rng = np.random.default_rng(12)
