@@ -9,10 +9,13 @@ column of a chunk with one numpy call (numpy parses a ``str`` exactly as
 rejects is parsed cell by cell. The cyclic garbage collector is paused
 while the file is read, since it would otherwise walk every row list.
 
-``partition_by_context`` copies no context whose rows sit in one run of
-the file: that context's columns are views of the dataset's. Other
-contexts are gathered with ``take``. Either way a context's columns are
-read-only, so nothing downstream can write into the caller's arrays.
+``partition_by_context`` finds the runs of equal labels in one
+comparison pass and sorts the runs, not the rows, by label; a file
+whose runs are mostly single rows has its rows sorted instead. It copies
+no context whose rows sit in one run of the file: that context's
+columns are views of the dataset's. Other contexts are gathered with
+``take``, in file order. Either way a context's columns are read-only,
+so nothing downstream can write into the caller's arrays.
 
 ``csv_text`` is the one CSV writer of the package: ``report.csv``,
 ``table.csv`` and both plot files go through it. ``shallow_dict`` turns
@@ -293,28 +296,40 @@ def partition_by_context(
     if len(ds) == 0:
         raise ConfigError("cannot partition an empty dataset")
     ctx = ds.context if ds.context.dtype.kind in ("U", "S") else ds.context.astype(str)
-    # One stable sort groups the rows by label and keeps each group in file
-    # order, so every context's sums run over its rows as they were read.
-    order = np.argsort(ctx, kind="stable")
-    ordered = ctx.take(order)
-    cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(ctx)]
+    # One comparison pass finds the runs of equal labels; a stable sort of
+    # the runs, not the rows, groups them by label and keeps each label's
+    # runs in file order, so every context's sums run over its rows as they
+    # were read. Where most runs are one row long (a file in random order)
+    # the rows themselves are sorted, as runs of one: that sort costs no
+    # more, and needs no gather of run labels and sizes.
+    starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))
+    if 2 * starts.size > ctx.size:
+        starts = sizes = None
+        keys = ctx
+    else:
+        sizes = np.diff(starts, append=ctx.size)
+        keys = ctx[starts]
+    order = np.argsort(keys, kind="stable")
+    labels = keys.take(order)
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(order)]
     retained: list[tuple[str, Dataset]] = []
     excluded: list[ExcludedContext] = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        label = str(ordered[lo])
-        if hi - lo < min_n:
-            excluded.append(
-                ExcludedContext(
-                    context=label,
-                    n=hi - lo,
-                    reason=f"fewer than min_n={min_n} records",
-                )
-            )
+        label = str(labels[lo])
+        runs = order[lo:hi]
+        if starts is None:  # each run is one row: the run numbers are the rows
+            rows = runs
+        else:  # row i of a run is the run's start plus i
+            run_sizes = sizes[runs]
+            offsets = starts[runs] - (np.cumsum(run_sizes) - run_sizes)
+            rows = np.repeat(offsets, run_sizes) + np.arange(run_sizes.sum())
+        if rows.size < min_n:
+            excluded.append(ExcludedContext(
+                context=label, n=rows.size, reason=f"fewer than min_n={min_n} records"))
             continue
-        rows = order[lo:hi]
         first, last = int(rows[0]), int(rows[-1])
         # Rows in one run of the file are a slice: views, not copies.
-        sub = ds.subset(slice(first, last + 1) if last - first == hi - lo - 1 else rows)
+        sub = ds.subset(slice(first, last + 1) if last - first == rows.size - 1 else rows)
         retained.append((label, sub))
     if len(retained) < 2:
         raise ConfigError(

@@ -9,6 +9,13 @@ returns the predictor's coefficient with its standard error, adjusted
 for the covariates. An intercept is always included. Standard errors are
 classical model-based ones; no robust or small-sample corrections are
 applied.
+
+The logistic fit's cost is its passes over the rows. Each Newton step
+makes one product X'WX and one score X'(y - p), and ``_deviance`` reads
+a candidate's deviance and probabilities from one exp pass; the start
+(one linear predictor for every row) and a final step below the
+tolerance are not scored, and every row-length array is allocated once
+per fit and written in place.
 """
 
 from __future__ import annotations
@@ -156,24 +163,27 @@ def fit_linear(design: Design, y) -> AssocEstimate:
     return AssocEstimate(beta=float(coef[1]), se=float(np.sqrt(sigma2 * cov[1, 1])), n=n)
 
 
-def _deviance(eta: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _deviance(eta: np.ndarray, y: np.ndarray, out=None) -> tuple[float, np.ndarray]:
     """The deviance 2 * sum[log(1 + e^eta) - y eta] and the fitted probabilities.
 
     Both are read from one exp pass, t = exp(-|eta|), which never
     overflows: log(1 + e^eta) = max(eta, 0) + log1p(t), the algorithm of
     numpy's ``logaddexp(0, eta)``, and the probability 1 / (1 + e^-eta) is
-    1 / (1 + t) where eta >= 0 and t / (1 + t) where eta < 0.
+    1 / (1 + t) where eta >= 0 and t / (1 + t) where eta < 0. ``out``, a
+    (3, n) array for n rows, lets a caller reuse its buffers: the
+    probabilities are written into its first row and returned as that
+    row, and the other two rows are overwritten.
     """
-    # In place: on IRLS-sized rows a fresh temporary costs about as much
-    # as the arithmetic that fills it.
-    t = np.abs(eta)
+    prob, t, s = np.empty((3, eta.size)) if out is None else out
+    np.abs(eta, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
-    prob = np.where(eta < 0.0, t, 1.0)
-    prob /= 1.0 + t
+    np.copyto(prob, t)
+    np.copyto(prob, 1.0, where=eta >= 0.0)
+    prob /= np.add(t, 1.0, out=s)
     terms = np.log1p(t, out=t)
-    terms += np.maximum(eta, 0.0)
-    terms -= y * eta
+    terms += np.maximum(eta, 0.0, out=s)
+    terms -= np.multiply(y, eta, out=s)
     return float(2.0 * terms.sum()), prob
 
 
@@ -187,20 +197,26 @@ def fit_logistic_detail(design: Design, y) -> LogisticFit:
     1e-10 and X'WX inverted by ``numerics.gram_inverse`` (its rank test
     included); no working response is formed. The fit starts from the
     intercept-only maximum, logit(mean y) at the column means with all
-    slopes zero. A candidate step that increases the deviance is halved
-    back toward the previous iterate. ``_deviance`` gives each candidate's
-    deviance and probabilities from one exp pass over the rows, and the
-    next step weights the rows by the probabilities of the accepted
-    candidate, halved or not. Convergence is declared when no
-    coefficient (the intercept taken at the column means) moves by more
-    than 1e-10. Divergence of the coefficients is treated as separation
-    and raised as such. It is judged free of each column's location and
-    scale: a slope times its column's standard deviation, or the linear
-    predictor at the column means (the centred intercept), beyond 15 in
-    absolute value. The returned ``coef`` and ``cov`` are those of the
-    uncentred columns: ``coef[0]`` is the linear predictor at all-zero
-    covariates, and ``cov`` is mapped to match. ``cov`` is (X'WX)^{-1} at
-    the iterate the last step started from.
+    slopes zero: the linear predictor is one number there, so its
+    probabilities and its deviance come from that number and the count
+    of ones, with no pass over the rows. A candidate step that increases
+    the deviance is halved back toward the previous iterate.
+    ``_deviance`` gives each candidate's deviance and probabilities from
+    one exp pass over the rows, and the next step weights the rows by
+    the probabilities of the accepted candidate, halved or not.
+    Convergence is declared when no coefficient (the intercept taken at
+    the column means) moves by more than 1e-10; such a step is taken
+    without scoring its deviance, so ``deviance_trace`` ends at the last
+    iterate whose deviance was evaluated, the one the final step started
+    from. Divergence of the coefficients is treated as separation and
+    raised as such; every accepted iterate is checked, the final one
+    included. It is judged free of each column's location and scale: a
+    slope times its column's standard deviation, or the linear predictor
+    at the column means (the centred intercept), beyond 15 in absolute
+    value. The returned ``coef`` and ``cov`` are those of the uncentred
+    columns: ``coef[0]`` is the linear predictor at all-zero covariates,
+    and ``cov`` is mapped to match. ``cov`` is (X'WX)^{-1} at the iterate
+    the last step started from.
     """
     X, y = design.X, _response(design, y)
     n, p = X.shape
@@ -211,36 +227,55 @@ def fit_logistic_detail(design: Design, y) -> LogisticFit:
     if ones in (0, n):
         raise EstimationError("logistic response has a single class; no fit possible")
 
-    # Divergence is judged on coefficients per column sd and on the
-    # intercept at the column means, so a covariate's units or offset
-    # (age in years, say) cannot make a valid fit look separated.
-    spread = X[:, 1:].std(axis=0)
-
-    # The single-class check above keeps the mean of y inside (0, 1).
+    # Row buffers, written in place by every step: ``fitted`` holds the
+    # deviance pass's probabilities and scratch, ``xtw`` the product X'W.
+    # They are one allocation: freeing several large blocks at once can
+    # make malloc hand the memory back to the system after every fit, and
+    # each fit would then fault its pages in again.
+    work = np.empty((6 + p, n))
+    eta, w, resid = work[:3]
+    fitted, xtw = work[3:6], work[6:]
+    # The start, logit(mean y): the single-class check above keeps the
+    # mean inside (0, 1). Its one linear predictor gives the probability
+    # and the per-row deviance terms of ``_deviance``, with the same bits.
     ybar = ones / n
     coef = np.zeros(p)
-    coef[0] = np.log(ybar / (1.0 - ybar))
-    dev, prob = _deviance(X @ coef, y)
+    coef[0] = start = np.log(ybar / (1.0 - ybar))
+    t = np.exp(-abs(start))
+    prob = fitted[0]
+    prob.fill((t if start < 0.0 else 1.0) / (1.0 + t))
+    term = np.log1p(t) + max(start, 0.0)
+    dev = float(2.0 * (ones * (term - start) + (n - ones) * term))
     trace = [dev]
+    spread = None
     for iteration in range(1, _IRLS_MAX_ITER + 1):
-        w = np.maximum(prob * (1.0 - prob), 1e-10)
-        cov = gram_inverse((X * w[:, None]).T @ X)
-        step = cov @ (X.T @ (y - prob))
-        candidate = coef + step
-        new_dev, new_prob = _deviance(X @ candidate, y)
+        np.subtract(1.0, prob, out=w)
+        w *= prob
+        np.maximum(w, 1e-10, out=w)
+        gram = np.multiply(X.T, w, out=xtw) @ X
+        if spread is None:
+            # Divergence is judged on coefficients per column sd and on the
+            # intercept at the column means, so a covariate's units or offset
+            # (age in years, say) cannot make a valid fit look separated. At
+            # the start the weights are one constant, so the diagonal of X'WX
+            # over it holds n times each centred column's variance.
+            spread = np.sqrt(np.diag(gram)[1:] / (w[0] * n))
+        cov = gram_inverse(gram)
+        step = cov @ (X.T @ np.subtract(y, prob, out=resid))
         halvings = 0
-        while new_dev > dev + 1e-10 and halvings < 30:
+        while (moved := float(np.abs(step).max())) >= _IRLS_TOL:
+            new_dev, prob = _deviance(np.matmul(X, coef + step, out=eta), y, fitted)
+            if not new_dev > dev + 1e-10:
+                dev = new_dev
+                trace.append(dev)
+                break
+            if halvings == 30:
+                raise SeparationError(
+                    "logistic deviance could not be decreased; data look separated"
+                )
             step *= 0.5
-            candidate = coef + step
-            new_dev, new_prob = _deviance(X @ candidate, y)
             halvings += 1
-        if halvings == 30 and new_dev > dev + 1e-10:
-            raise SeparationError(
-                "logistic deviance could not be decreased; data look separated"
-            )
-        moved = float(np.abs(step).max())
-        coef, dev, prob = candidate, new_dev, new_prob
-        trace.append(dev)
+        coef = coef + step
         if abs(coef[0]) > _SEPARATION_COEF or np.abs(coef[1:] * spread).max() > _SEPARATION_COEF:
             raise SeparationError(
                 "logistic coefficients diverged (|coef| > "

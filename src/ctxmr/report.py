@@ -68,6 +68,8 @@ class AnalysisOptions:
             raise ConfigError(f"unknown outcome family {self.family!r}")
         if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not self.min_context_n >= 2:
+            raise ConfigError(f"min_context_n must be at least 2, got {self.min_context_n}")
         if self.tau2_method not in TAU2_METHODS:
             raise ConfigError(
                 f"unknown tau2 method {self.tau2_method!r}; choose from {TAU2_METHODS}"

@@ -7,8 +7,10 @@ statistic from a brute-force grid minimization, and the logistic maximum
 likelihood from plain Newton-Raphson solved by ``np.linalg.solve``. The
 scalar safeguarded Newton search is the reference that the package's
 lane-vectorized ``numerics.newton_in_bracket`` must match step for step,
-and the column-by-column Cholesky loop the reference for the LAPACK
-factor of ``numerics.gram_inverse``.
+the column-by-column Cholesky loop the reference for the LAPACK factor
+of ``numerics.gram_inverse``, and a logistic IRLS loop that scores every
+iterate the reference that ``regress.fit_logistic_detail`` must match
+iterate for iterate.
 """
 
 from __future__ import annotations
@@ -141,6 +143,57 @@ def gram_inverse_loop(gram, floor):
         chol[j + 1:, j] = (unit[j + 1:, j] - chol[j + 1:, :j] @ chol[j, :j]) / chol[j, j]
     chol_inv = np.linalg.inv(chol)
     return (chol_inv.T @ chol_inv) / np.outer(scale, scale), None
+
+
+def _logistic_deviance(eta, y):
+    """The deviance of a logistic linear predictor and its probabilities, from fresh arrays."""
+    t = np.exp(-np.abs(eta))
+    prob = np.where(eta < 0.0, t, 1.0) / (1.0 + t)
+    terms = np.log1p(t) + np.maximum(eta, 0.0) - y * eta
+    return float(2.0 * terms.sum()), prob
+
+
+def fit_logistic_loop(X, center, y, invert):
+    """``regress.fit_logistic_detail`` as a plain loop that scores every iterate.
+
+    X is a design of ``regress.design`` (an intercept, then centred
+    columns) and ``center`` its column means; ``invert`` inverts X'WX
+    (pass ``numerics.gram_inverse``). Every iterate's deviance is read
+    from a pass over the rows, the start's and the final one's included,
+    and every array is fresh. Returns (coef, cov, iterations, trace), the
+    first two for the uncentred columns; raises ArithmeticError where the
+    fit would report separation or no convergence.
+    """
+    n, p = X.shape
+    ybar = np.count_nonzero(y) / n
+    spread = X[:, 1:].std(axis=0)
+    coef = np.zeros(p)
+    coef[0] = np.log(ybar / (1.0 - ybar))
+    dev, prob = _logistic_deviance(X @ coef, y)
+    trace = [dev]
+    for iteration in range(1, 51):
+        w = np.maximum(prob * (1.0 - prob), 1e-10)
+        cov = invert((X * w[:, None]).T @ X)
+        step = cov @ (X.T @ (y - prob))
+        new_dev, new_prob = _logistic_deviance(X @ (coef + step), y)
+        halvings = 0
+        while new_dev > dev + 1e-10 and halvings < 30:
+            step *= 0.5
+            new_dev, new_prob = _logistic_deviance(X @ (coef + step), y)
+            halvings += 1
+        if new_dev > dev + 1e-10:
+            raise ArithmeticError("the deviance could not be decreased")
+        coef, dev, prob = coef + step, new_dev, new_prob
+        trace.append(dev)
+        if abs(coef[0]) > 15.0 or np.abs(coef[1:] * spread).max() > 15.0:
+            raise ArithmeticError("the coefficients diverged")
+        if np.abs(step).max() < 1e-10:
+            break
+    else:
+        raise ArithmeticError("no convergence in 50 steps")
+    uncentre = np.eye(p)
+    uncentre[0, 1:] = -center
+    return uncentre @ coef, uncentre @ cov @ uncentre.T, iteration, trace
 
 
 def _design(means):

@@ -77,6 +77,25 @@ class TestAnalyze:
         code = main(analyze_args(cohort_csv, tmp_path, ["--scale", "-1"]))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("rows_c, reason", [
+        (3, "need at least as many rows as columns, got 3 < 4"),
+        (4, "need n > p for a residual variance estimate, got n=4, p=4"),
+    ], ids=["fewer-rows-than-columns", "no-residual-variance"])
+    def test_undersized_context_is_named(self, rows_c, reason, tmp_path, capsys):
+        ds = synthetic_cohort(seed=4, sizes=(200, 200, rows_c), means=(50.0, 52.0, 54.0))
+        write_cohort_csv(tmp_path / "small.csv", ds)
+        code = main(analyze_args(tmp_path / "small.csv", tmp_path, ["--min-context-n", "3"]))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: context 'C03': {reason}\n"
+
+    @pytest.mark.parametrize("value", ["-5", "0", "1"])
+    def test_min_context_n_below_two_is_config_error(self, value, cohort_csv, tmp_path, capsys):
+        code = main(analyze_args(cohort_csv, tmp_path, ["--min-context-n", value]))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: min_context_n must be at least 2, got {value}\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_separation_is_estimation_error(self, tmp_path, capsys):
         path = tmp_path / "sep.csv"
         rows = ["score,vitd,chd,centre"]

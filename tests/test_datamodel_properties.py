@@ -1,4 +1,7 @@
-"""Property test: the chunked, columnar ``load_csv`` against a per-cell reference.
+"""Property tests: ``load_csv`` and ``partition_by_context`` against plain references.
+
+The first test checks the chunked, columnar ``load_csv`` against a
+per-cell reference.
 
 The reference below applies the ingestion rules one cell at a time: a
 blank line or an all-blank row is skipped; a row shorter than the header
@@ -9,6 +12,11 @@ outcome other than 0/1 is an error naming the physical line on which the
 row starts, which a quoted newline in an earlier row moves past the
 record count. The chunk size is cut
 to a few rows so that generated files cross many chunk boundaries.
+
+The second checks each context of ``partition_by_context`` against the
+rows ``np.flatnonzero(labels == label)`` picks, on files made of runs of
+equal labels: grouped files, interleaved ones, one-row runs and labels
+split across distant runs, with string, object and integer labels.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ctxmr import datamodel  # noqa: E402
-from ctxmr.datamodel import ColumnMap, load_csv  # noqa: E402
-from ctxmr.errors import IngestError  # noqa: E402
+from ctxmr.datamodel import ColumnMap, Dataset, load_csv, partition_by_context  # noqa: E402
+from ctxmr.errors import ConfigError, IngestError  # noqa: E402
 
 HEADER = ["centre", "score", "note", "vitd", "chd", "age"]
 CMAP = ColumnMap(instrument="score", exposure="vitd", outcome="chd", context="centre",
@@ -147,3 +155,58 @@ def test_load_csv_matches_per_cell_reference(csv_path, rows, family, chunk):
     assert np.array_equal(columns, values)
     assert got.context.tolist() == labels
     assert got.n_dropped == dropped
+
+
+#: A file as runs of equal labels: (label, run length). Short runs make
+#: interleaved files, the one-row runs among them shuffled ones, and a
+#: label drawn again later lies in runs far apart.
+RUNS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 40)), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), min_size=1, max_size=60),
+    st.lists(st.tuples(st.integers(0, 11), st.just(1)), min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=RUNS,
+    kind=st.sampled_from(["str", "object", "int"]),
+    boundary=st.tuples(st.integers(0, 11), st.sampled_from([0, 1])),
+)
+@example(runs=[(0, 3), (1, 2), (0, 4), (2, 5)], kind="object", boundary=(0, 0))
+@example(runs=[(0, 1), (1, 1)] * 20 + [(2, 6)], kind="str", boundary=(2, 1))
+def test_partition_matches_the_rows_of_each_label(runs, kind, boundary):
+    codes = np.repeat([code for code, _ in runs], [length for _, length in runs])
+    context = {"str": lambda: np.array([f"L{c}" for c in codes]),
+               "object": lambda: np.array([f"L{c}" for c in codes], dtype=object),
+               "int": lambda: codes.copy()}[kind]()
+    n = codes.size
+    ds = Dataset(instrument=np.arange(n, dtype=float), exposure=np.arange(n) * 0.5,
+                 outcome=np.arange(n) % 2.0, context=context,
+                 covariates=np.arange(2 * n, dtype=float).reshape(n, 2),
+                 covariate_names=("age", "sex"))
+    text = context.astype(str)
+    labels = sorted(set(text.tolist()))
+    sizes = {label: int(np.count_nonzero(text == label)) for label in labels}
+    # min_n at one context's size, or one above it: that context is kept, or not.
+    pick, above = boundary
+    min_n = sizes[labels[pick % len(labels)]] + above
+    kept = [label for label in labels if sizes[label] >= min_n]
+    if len(kept) < 2:
+        with pytest.raises(ConfigError, match="fewer than 2 contexts"):
+            partition_by_context(ds, min_n=min_n)
+        return
+    part = partition_by_context(ds, min_n=min_n)
+    assert [label for label, _ in part.contexts] == kept
+    assert [(e.context, e.n) for e in part.excluded] == [
+        (label, sizes[label]) for label in labels if sizes[label] < min_n]
+    for label, sub in part.contexts:
+        rows = np.flatnonzero(text == label)
+        assert sub.instrument.tolist() == rows.tolist()  # file order
+        for name in datamodel._ROW_COLUMNS:
+            column = getattr(sub, name)
+            assert np.array_equal(column, getattr(ds, name)[rows])
+            assert not column.flags.writeable
+            one_run = rows[-1] - rows[0] == rows.size - 1
+            assert np.shares_memory(column, getattr(ds, name)) == one_run
+    assert ds.instrument.flags.writeable and ds.context.flags.writeable

@@ -10,6 +10,7 @@ import pytest
 from ctxmr import regress
 from ctxmr.datamodel import partition_by_context
 from ctxmr.errors import DegenerateFitWarning, DomainError, EstimationError, SeparationError
+from ctxmr.numerics import gram_inverse
 from ctxmr.regress import (
     AssocEstimate,
     design,
@@ -18,7 +19,7 @@ from ctxmr.regress import (
     fit_logistic_detail,
 )
 from fixtures import synthetic_cohort
-from oracles import logistic_mle_newton
+from oracles import fit_logistic_loop, logistic_mle_newton
 
 
 def _simple_slope(g, y):
@@ -243,21 +244,25 @@ class TestFusedIrlsPass:
             cov = invert(gram)
             # The Newton step is cov @ score: the first one overshoots
             # eightfold, so the deviance rises and it is halved.
-            return 8.0 * cov if len(events) == 2 else cov
+            return 8.0 * cov if len(events) == 1 else cov
 
-        def recording_deviance(eta, y):
+        def recording_deviance(eta, y, out):
             events.append(("deviance", eta.copy()))
-            return deviance(eta, y)
+            return deviance(eta, y, out)
 
         monkeypatch.setattr(regress, "gram_inverse", overshooting_inverse)
         monkeypatch.setattr(regress, "_deviance", recording_deviance)
         fit = fit_logistic_detail(built, y)
         kinds = [kind for kind, _ in events]
-        first, second = kinds.index("factor"), kinds.index("factor", kinds.index("factor") + 1)
-        assert second - first > 2  # the overshooting candidate was halved at least once
+        # The start is scored without a pass over the rows.
+        assert kinds[0] == "factor"
+        second = kinds.index("factor", 1)
+        assert second > 2  # the overshooting candidate was halved at least once
+        start = np.full(y.size, np.log(y.mean() / (1.0 - y.mean())))
         for at, (kind, gram) in enumerate(events):
             if kind == "factor":
-                eta = events[at - 1][1]  # the last candidate evaluated: the accepted one
+                # The constant start, then the last candidate evaluated: the accepted one.
+                eta = start if at == 0 else events[at - 1][1]
                 prob = 1.0 / (1.0 + np.exp(-eta))
                 w = np.maximum(prob * (1.0 - prob), 1e-10)
                 want = built.X.T @ (built.X * w[:, None])
@@ -265,6 +270,25 @@ class TestFusedIrlsPass:
                 np.testing.assert_allclose(gram, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
         np.testing.assert_allclose(fit.coef, plain.coef, rtol=1e-8)
+
+
+    def test_a_fit_without_halving_makes_one_deviance_pass_per_scored_step(self, monkeypatch):
+        ds = synthetic_cohort(7)
+        built = design(ds.instrument, ds.covariates)
+        calls = []
+        deviance = regress._deviance
+
+        def counting_deviance(eta, y, out):
+            calls.append(eta.size)
+            return deviance(eta, y, out)
+
+        monkeypatch.setattr(regress, "_deviance", counting_deviance)
+        fit = fit_logistic_detail(built, ds.outcome)
+        # Five steps, none halved: neither the start nor the final step
+        # (below the tolerance) is scored, so the steps between make four.
+        assert fit.iterations == 5
+        assert len(fit.deviance_trace) == 5
+        assert calls == [len(ds)] * 4
 
 
 class TestLogisticOracle:
@@ -297,6 +321,21 @@ class TestLogisticOracle:
 
     def test_covariate_mean_of_a_million(self):
         self._check(*self._data(33, 5000, -0.4, offset=1e6))
+
+    def test_equals_the_loop_that_scores_every_iterate_on_the_cohort(self):
+        for seed in (7, 8):
+            for label, ctx in partition_by_context(synthetic_cohort(seed)).contexts:
+                built = design(ctx.instrument, ctx.covariates)
+                fit = fit_logistic_detail(built, ctx.outcome)
+                coef, cov, iterations, trace = fit_logistic_loop(
+                    built.X, built.center, ctx.outcome, gram_inverse)
+                assert (fit.coef == coef).all(), label
+                assert (fit.cov == cov).all(), label
+                assert fit.iterations == iterations, label
+                # The trace stops before the final, unscored iterate; the
+                # start's deviance is summed from the count of ones.
+                assert fit.deviance_trace[1:] == tuple(trace[1:-1]), label
+                assert fit.deviance_trace[0] == pytest.approx(trace[0], rel=1e-12), label
 
     def test_at_most_six_steps_on_the_cohort(self):
         for label, ctx in partition_by_context(synthetic_cohort(7)).contexts:
