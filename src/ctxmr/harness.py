@@ -15,11 +15,16 @@ shifts alpha_k, the instrument effect and the effect f. The outcome is
 f(x) plus the noise e_y - u, whose row-centred form wc and row sums of
 gc·wc and wc² are kept with the draws. The instrument-exposure slope bx
 does not depend on alpha_k, so its row sums are taken once per draw key
-and instrument effect, on z = instrument_effect·g + u + e_x. A cell
-therefore builds no outcome: it adds alpha_k to z, takes the context
-means, evaluates f in place (``simulate.effect_inplace``), centres it per
-context, and gets the instrument-outcome slope by and its residual sum of
-squares from three row dot products. Both slopes are closed-form simple
+and instrument effect, on z = instrument_effect·g + u + e_x. Its
+context means are kept with those row sums, so a cell's mean exposures
+are z's means plus alpha_k, with no pass over x. A cell therefore builds
+no outcome: it adds alpha_k to z, evaluates f in place
+(``simulate.effect_inplace``), centres it per context, and gets the
+instrument-outcome slope by and its residual sum of squares from three
+row dot products (of gc·f, f² and f·wc). Every row sum of products here
+is ``numerics.row_dot``, one BLAS dot per context; every centring is
+numpy's pairwise mean, which a BLAS sum would not match near
+``_MAX_ABS_ALPHA``. Both slopes are closed-form simple
 least squares with no Dataset, no context partition and no QR; they
 agree with the general ``context_iv`` fits to rounding. The slopes and
 the context means go straight into one ``ContextTable`` per cell. A cell
@@ -79,6 +84,7 @@ from .errors import ConfigError, CtxMRError, EstimationError, ExperimentError, l
 from .heterogeneity import q_first_order_lanes, q_modified_second_order_lanes
 from .ivcore import ContextTable
 from .metareg import TAU2_METHODS, trend_test_lanes
+from .numerics import row_dot
 from .simulate import (
     ALPHA_GRIDS,
     ContextDraws,
@@ -196,22 +202,17 @@ def default_plan(
     )
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a with the same row of b."""
-    return np.einsum("kn,kn->k", a, b)
-
-
 class _InstrumentRows:
     """Simple least squares of (K, n) responses on the instrument, row by row."""
 
     def __init__(self, g: np.ndarray, gc: np.ndarray):
         self.gc = np.subtract(g, g.mean(axis=1, keepdims=True), out=gc)
-        self.sgg = _row_dot(self.gc, self.gc)
+        self.sgg = row_dot(self.gc, self.gc)
         self.df = g.shape[1] - 2
 
     def sums(self, vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The row sums of gc·vc and vc² of the row-centred responses vc."""
-        return _row_dot(self.gc, vc), _row_dot(vc, vc)
+        return row_dot(self.gc, vc), row_dot(vc, vc)
 
     def slopes(self, sgv: np.ndarray, svv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slopes and standard errors from the row sums of gc·vc and vc²; RSS / (n - 2)."""
@@ -246,7 +247,8 @@ class Workspace:
     per draw key, the draws, the centred instrument and the row-centred
     outcome noise wc = e_y - u - mean with its row sums of gc·wc and wc²;
     per draw key and instrument effect, z = instrument_effect·g + u + e_x
-    with the row sums of its bx fit. Cells with one draw key share one x.
+    with its row means and the row sums of its bx fit. Cells with one
+    draw key share one x.
     """
 
     def __init__(self, master_seed: int):
@@ -265,9 +267,10 @@ class Workspace:
     def context_table(self, scenario: SimScenario) -> ContextTable:
         """The context table of one cell, its rows ordered by ``ContextTable.from_columns``.
 
-        That is by mean exposure, with the context label breaking ties.
-        The centred outcome is f + wc, with f = f(x) centred per context,
-        so by and its RSS follow from the row sums of gc·f, f² and f·wc.
+        That is by mean exposure, with the context label breaking ties,
+        the mean exposure being z's row mean plus alpha_k. The centred
+        outcome is f + wc, with f = f(x) centred per context, so by and
+        its RSS follow from the row sums of gc·f, f² and f·wc.
         Every (K, n) array is written into the workspace's buffers.
         """
         key = draw_key(scenario)
@@ -292,16 +295,17 @@ class Workspace:
                 np.multiply(scenario.instrument_effect, draws.g, out=z)
                 z += draws.u
                 z += draws.e_x
+                zmean = z.mean(axis=1)
                 # x holds the centred z until the cell overwrites it.
-                self._exposures[exposure_key] = rows.sums(
-                    np.subtract(z, z.mean(axis=1, keepdims=True), out=x))
-            sgz, szz = self._exposures[exposure_key]
-            np.add(z, np.asarray(scenario.alphas)[:, None], out=x)
-            xmean = x.mean(axis=1)
-            f = effect_inplace(scenario.effect, x)
+                self._exposures[exposure_key] = zmean, *rows.sums(
+                    np.subtract(z, zmean[:, None], out=x))
+            zmean, sgz, szz = self._exposures[exposure_key]
+            alphas = np.asarray(scenario.alphas)
+            xmean = zmean + alphas
+            f = effect_inplace(scenario.effect, np.add(z, alphas[:, None], out=x))
             f -= f.mean(axis=1, keepdims=True)
             sgf, sff = rows.sums(f)
-            sgy, syy = sgf + sgw, sff + 2.0 * _row_dot(f, wc) + sww
+            sgy, syy = sgf + sgw, sff + 2.0 * row_dot(f, wc) + sww
         for name, sums in (("exposure", (xmean, sgz, szz)), ("outcome", (sgy, syy))):
             if not np.isfinite(sums).all():
                 raise EstimationError(f"the simulated {name} overflows the float range")

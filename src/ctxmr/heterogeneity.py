@@ -24,7 +24,8 @@ statistics are computed in the numerically safe "radial" form
 (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2), which avoids dividing
 by small bx_k (the table refuses a zero one). The first-order test's
 ``pooled_beta`` is the package's one IVW estimate, with first-order
-weights (Burgess, Butterworth & Thompson 2013). A statistic that
+weights (Burgess, Butterworth & Thompson 2013), taken as the weighted
+mean of the ratios so that it stays within their range. A statistic that
 overflows raises ``EstimationError``.
 
 Each test has a stacked form over a list of tables (``*_lanes``), which
@@ -106,9 +107,18 @@ def q_first_order_lanes(tables) -> list:
         # A failing lane has a zero se(by) or worse: its division by zero
         # is not a warning, and its q is not used.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = by_se**-2.0
-            numer, denom = np.sum(by * bx * w, axis=-1), np.sum(bx * bx * w, axis=-1)
-            beta = np.where((0.0 < denom) & (denom < math.inf), numer / denom, math.nan)
+            # b_ivw as the weighted mean of the ratios, weights bx^2 se(by)^-2,
+            # taken on the ratios over their largest magnitude: a product
+            # such as by·bx·w would underflow for a subnormal by, and put
+            # the estimate outside the range of the ratios.
+            weight = bx * bx * by_se**-2.0
+            ratio = by / bx
+            top = np.abs(ratio).max(axis=-1)
+            top = np.where(top > 0.0, top, 1.0)
+            denom = np.sum(weight, axis=-1)
+            beta = np.where((0.0 < denom) & (denom < math.inf),
+                            top * (np.sum(weight * (ratio / top[:, None]), axis=-1) / denom),
+                            math.nan)
             q = np.sum((by - beta[:, None] * bx) ** 2 / by_se**2, axis=-1)
         for lane, b, d, q_lane in zip(lanes, beta.tolist(), denom.tolist(), q):
             if math.isfinite(b):

@@ -130,8 +130,9 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
     noted by the report (``report.DEFAULT_WEAK_T``). An exact fit emits
     no ``DegenerateFitWarning`` here: an exposure that is an exact linear
     function of the design is marked by ``bx.degenerate`` (se(bx) = 0),
-    and an exact outcome fit is refused below. A DomainError of the design
-    or the fits (too few rows for the columns, say) names the context.
+    and an exact outcome fit is refused below. A DomainError or
+    EstimationError of the design or the fits (too few rows for the
+    columns, a dependent covariate, a separated outcome) names the context.
     """
     if family not in ("linear", "logistic"):
         raise DomainError(f"unknown outcome family {family!r}")
@@ -141,8 +142,11 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
             warnings.simplefilter("ignore", DegenerateFitWarning)
             bx = fit_linear(shared, ds.exposure)
             by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
-    except DomainError as err:
-        raise DomainError(f"context {label!r}: {err}") from err
+    except (DomainError, EstimationError) as err:
+        # Same class and attributes (a rank error's column, a convergence
+        # error's trace); only the message gains the label.
+        err.args = (f"context {label!r}: {err}",)
+        raise
     if by.se <= 0:
         raise EstimationError(
             f"context {label!r}: outcome association has zero standard error; "

@@ -24,8 +24,8 @@ Both are the one-lane case of a stacked form (``meta_regress_lanes``,
 ``trend_test_lanes``), which returns per lane its result or the error it
 raises. Its lanes with equally many contexts run in lockstep, every fit
 and sum along the last axis of a (lanes, ..., contexts) array, and every
-dot product one BLAS call per lane, so that a lane's numbers equal its
-one-lane numbers to the last bit.
+dot product ``numerics.row_dot``, one BLAS dot per lane and point, so
+that a lane's numbers equal its one-lane numbers to the last bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CtxMRError, DomainError, EstimationError, lane_result, one_lane
-from .numerics import lane_groups, newton_in_bracket, normal_sf
+from .numerics import lane_groups, newton_in_bracket, normal_sf, row_dot
 
 # Not called here: the benchmark's tracer wraps these names where this
 # module would look them up. Drop them with the next benchmark change.
@@ -81,11 +81,6 @@ def _validate(estimates, variances, means):
     return y, v, x
 
 
-def _dot(a, b):
-    """a . b over the last axis, per lane: one BLAS dot each, as a 1-D ``a @ b`` is."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _square(a):
     """The square of a by the C library's pow, as a numpy scalar squares.
 
@@ -119,13 +114,13 @@ def _projection(w, xc, s2):
     """(a, b, a'a, b'b, tr P) with P = W - WX(X'WX)^{-1}X'W = W - a a' - b b'."""
     s0 = w.sum(axis=-1)
     a, b = w / np.sqrt(s0)[..., None], w * xc / np.sqrt(s2)[..., None]
-    aa, bb = _dot(a, a), _dot(b, b)
+    aa, bb = row_dot(a, a), row_dot(b, b)
     return a, b, aa, bb, s0 - aa - bb
 
 
 def _dl_tau2(y, v, x, k):
     w, xc, r, _, s2 = _gls(np.zeros((len(y), 1)), y, v, x)
-    tau2 = ((_dot(w, r * r) - (k - 2)) / _projection(w, xc, s2)[-1])[:, 0]
+    tau2 = ((row_dot(w, r * r) - (k - 2)) / _projection(w, xc, s2)[-1])[:, 0]
     return np.where(tau2 > 0.0, tau2, 0.0)
 
 
@@ -157,14 +152,14 @@ def _reml_tau2(y, v, x, k):
         w, xc, r, _, s2 = _gls(tau2[:, None], y, v, x)
         a, b, aa, bb, tr_p = _projection(w, xc, s2)
         u = w * r
-        tr_p2 = (_dot(w, w) - 2.0 * (_dot(a, w * a) + _dot(b, w * b))
-                 + _square(aa) + _square(bb) + 2.0 * _square(_dot(a, b)))
-        d2 = _dot(u, w * u) - _square(_dot(a, u)) - _square(_dot(b, u)) - 0.5 * tr_p2
-        return 0.5 * (tr_p - _dot(u, u))[:, 0], d2[:, 0]
+        tr_p2 = (row_dot(w, w) - 2.0 * (row_dot(a, w * a) + row_dot(b, w * b))
+                 + _square(aa) + _square(bb) + 2.0 * _square(row_dot(a, b)))
+        d2 = row_dot(u, w * u) - _square(row_dot(a, u)) - _square(row_dot(b, u)) - 0.5 * tr_p2
+        return 0.5 * (tr_p - row_dot(u, u))[:, 0], d2[:, 0]
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r_ols = _gls(np.zeros((len(y), 1)), y, np.ones_like(v), x)[2][:, 0]
-        grid = (_dot(r_ols, r_ols) / (k - 2) + v.max(axis=-1))[:, None] * _REML_SCAN
+        grid = (row_dot(r_ols, r_ols) / (k - 2) + v.max(axis=-1))[:, None] * _REML_SCAN
         criterion = f(grid)
         rows, i = np.arange(len(y)), np.argmin(criterion, axis=-1)
         tau2, steps = newton_in_bracket(
@@ -230,7 +225,7 @@ def meta_regress_lanes(estimates, variances, means, method: str = "reml") -> lis
         if not ok.all():
             ids, y, v, x, tau2, iterations = (a[ok] for a in (ids, y, v, x, tau2, iterations))
         w, _, _, slope, s2 = _gls(tau2[:, None], y, v, x)
-        intercept = _dot(w, (y - slope * x)[:, None]) / w.sum(axis=-1)
+        intercept = row_dot(w, (y - slope * x)[:, None]) / w.sum(axis=-1)
         for j, lane in enumerate(ids):
             outcomes[lane] = lane_result(_result, intercept[j, 0], slope[j, 0],
                                          1.0 / np.sqrt(s2[j, 0]), tau2[j], method, k,

@@ -18,7 +18,10 @@ them, each lane taking exactly the steps a scalar loop would take and
 freezing once it stops. A single test is the one-lane call; the
 simulation engine runs one lane per cell of a replication.
 ``lane_groups`` stacks the lanes of equal length into (C, K) arrays for
-it. All functions here are pure and reentrant.
+it, and ``row_dot`` is the one dot product over the last axis of such
+stacks (and of the simulation engine's per-context rows): one BLAS dot
+per row, so that each row equals its 1-D dot product to the last bit.
+All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -282,3 +285,13 @@ def lane_groups(lanes: dict) -> list[tuple[list, list[np.ndarray]]]:
         by_length.setdefault(columns[0].size, []).append(lane)
     return [(ids, [np.array(column) for column in zip(*(lanes[i] for i in ids))])
             for ids in by_length.values()]
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of a and b over the last axis, one BLAS dot per row.
+
+    Row k of the result equals the 1-D ``a[k] @ b[k]`` to the last bit,
+    for stacks of any shape, so a lane of a stacked computation keeps its
+    one-lane numbers.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]

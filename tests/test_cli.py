@@ -121,6 +121,30 @@ class TestAnalyze:
         assert code == EXIT_ESTIMATION
         assert "separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, covariate, reason", [
+        ("logistic", "noise", "logistic coefficients diverged (|coef| > 15 per column sd, "
+         "or at the column means); data are separated or nearly so"),
+        ("linear", "dose", "design matrix is rank deficient at column 2"),
+    ], ids=["separated-outcome", "dependent-covariate"])
+    def test_an_estimation_error_of_a_context_is_named(self, family, covariate, reason,
+                                                       tmp_path, capsys):
+        # Centre b alone fails: its outcome equals the instrument, and its
+        # dose is twice the instrument.
+        rng = np.random.default_rng(8)
+        rows = ["score,vitd,chd,centre,noise,dose"]
+        for centre in ("a", "b", "c"):
+            for i in range(200):
+                g = int(rng.binomial(2, 0.3))
+                y = min(g, 1) if centre == "b" else int(rng.random() < 0.3)
+                dose = 2 * g if centre == "b" else rng.normal()
+                rows.append(f"{g},{50 + g + rng.normal()},{y},{centre},{rng.normal()},{dose}")
+        path = tmp_path / "fails.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(analyze_args(path, tmp_path, ["--family", family,
+                                                  "--covariates", covariate]))
+        assert code == EXIT_ESTIMATION
+        assert capsys.readouterr().err == f"estimation error: context 'b': {reason}\n"
+
     def test_overflowing_odds_ratio_is_reported_missing(self, tmp_path, capsys):
         # The exposure moves by 1e-4 per allele, so by / bx, per 10 units,
         # is in the thousands and its exponential beyond the float range.

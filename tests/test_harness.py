@@ -227,6 +227,20 @@ class TestSharedDraws:
     def test_engine_matches_context_iv_far_from_zero(self, alpha):
         self._assert_engine_matches_context_iv(_far_cells(alpha), replication=2)
 
+    @pytest.mark.parametrize("alpha", [1e4, 1e6, 1.5e8])
+    def test_context_means_match_the_generated_exposure(self, alpha):
+        # The engine takes a context's mean exposure as z's row mean plus
+        # alpha_k, with no pass over x. Only xmean is compared: at these
+        # shifts the general path fits bx on the rounded x, so bx differs.
+        workspace = Workspace(master_seed=11)
+        workspace.reset(2)
+        for scenario in _far_cells(alpha):
+            fast = workspace.context_table(scenario)
+            exposure = generate_dataset(scenario, 11, 2).exposure
+            means = exposure.reshape(scenario.contexts, scenario.per_context_n).mean(axis=1)
+            rows = [int(label) - 1 for label in fast.labels]
+            np.testing.assert_allclose(fast.xmean, means[rows], rtol=1e-14, atol=0.0)
+
     def test_cell_outcome_does_not_depend_on_the_other_cells(self):
         cells = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
         alone = [run_replication(s, 4, 2) for s in cells]

@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import numpy as np  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order  # noqa: E402
@@ -119,6 +119,7 @@ def test_first_order_q(contexts, rng, factor):
 
 @settings(max_examples=100, deadline=None)
 @given(FIRST_ORDER_SETS)
+@example([(0.5, False, 5e-324, 0.5)] * 2)  # by * bx * w underflows to 0
 def test_ivw_estimate_lies_within_the_ratio_range(contexts):
     t = first_order_table(contexts)
     slack = 1e-12 * float(np.abs(t.ratio).max())

@@ -9,7 +9,13 @@ import pytest
 
 from ctxmr import ivcore, regress
 from ctxmr.datamodel import Dataset
-from ctxmr.errors import ConfigError, DomainError, EstimationError
+from ctxmr.errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    EstimationError,
+    RankDeficiencyError,
+)
 from ctxmr.heterogeneity import q_first_order
 from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.report import analyze_summary_results
@@ -114,6 +120,28 @@ class TestContextIv:
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError, match="family"):
             context_iv("1", _one_context_dataset(np.random.default_rng(47), n=200), "probit")
+
+    def test_a_rank_error_of_the_fits_names_the_context_and_keeps_its_column(self):
+        ds = _one_context_dataset(np.random.default_rng(48), n=200)
+        ds = Dataset(instrument=ds.instrument, exposure=ds.exposure, outcome=ds.outcome,
+                     context=ds.context, covariates=2.0 * ds.instrument[:, None],
+                     covariate_names=("dose",))
+        with pytest.raises(RankDeficiencyError) as caught:
+            context_iv("c7", ds)
+        assert str(caught.value) == "context 'c7': design matrix is rank deficient at column 2"
+        assert caught.value.column == 2
+
+    def test_a_convergence_error_of_the_fits_names_the_context_and_keeps_its_trace(
+            self, monkeypatch):
+        def stalled(design, y):
+            raise ConvergenceError("IRLS did not converge in 50 iterations", trace=(9.0, 8.5))
+
+        monkeypatch.setattr(ivcore, "fit_logistic", stalled)
+        ds = _one_context_dataset(np.random.default_rng(49), n=200)
+        with pytest.raises(ConvergenceError) as caught:
+            context_iv("c7", ds, "logistic")
+        assert str(caught.value) == "context 'c7': IRLS did not converge in 50 iterations"
+        assert caught.value.trace == (9.0, 8.5)
 
 
 class TestContextTable:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctxmr.errors import DomainError, RankDeficiencyError
-from ctxmr.numerics import chi_square_sf, newton_in_bracket, normal_sf, wls_solve
+from ctxmr.numerics import chi_square_sf, newton_in_bracket, normal_sf, row_dot, wls_solve
 
 from oracles import chi_square_sf_quadrature, normal_sf_series
 
@@ -147,6 +147,28 @@ class TestWlsSolve:
             wls_solve(np.ones((3, 1)), np.array([1.0, np.nan, 0.0]))
         with pytest.raises(DomainError):
             wls_solve(np.array([[1.0], [np.inf], [1.0]]), np.zeros(3))
+
+
+class TestRowDot:
+    """Each row of ``row_dot`` is, to the last bit, the 1-D dot product of that row."""
+
+    def test_a_block_of_rows(self):
+        a, b = np.random.default_rng(12).standard_normal((2, 10, 10_000))
+        got = row_dot(a, b)
+        assert got.shape == (10,)
+        assert got.tolist() == [a[k] @ b[k] for k in range(10)]
+
+    def test_a_stack_of_lanes_and_points(self):
+        a, b = np.random.default_rng(13).standard_normal((2, 4, 64, 23))
+        got = row_dot(a, b)
+        assert got.shape == (4, 64)
+        assert got.tolist() == [[a[c, g] @ b[c, g] for g in range(64)] for c in range(4)]
+
+    def test_a_row_broadcast_over_the_points(self):
+        rng = np.random.default_rng(14)
+        a, b = rng.standard_normal((4, 64, 23)), rng.standard_normal((4, 23))
+        got = row_dot(a, b[:, None])
+        assert got.tolist() == [[a[c, g] @ b[c] for g in range(64)] for c in range(4)]
 
 
 def one_lane(derivatives, lo, hi, x):
