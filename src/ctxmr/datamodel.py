@@ -48,13 +48,24 @@ DEFAULT_MIN_CONTEXT_SIZE = 100
 
 @dataclass(frozen=True)
 class ColumnMap:
-    """Binds dataset roles to CSV column names."""
+    """Binds dataset roles to CSV column names; a column may fill one role only."""
 
     instrument: str
     exposure: str
     outcome: str
     context: str
     covariates: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        roles: dict[str, list[str]] = {}
+        for role in ("instrument", "exposure", "outcome", "context"):
+            roles.setdefault(getattr(self, role), []).append(role)
+        for name in self.covariates:
+            roles.setdefault(name, []).append("covariate")
+        for column, named in roles.items():
+            if len(named) > 1:
+                raise ConfigError(f"column {column!r} is named more than once: as "
+                                  + " and ".join(named))
 
 
 #: The Dataset fields that hold one entry (or covariate row) per record.

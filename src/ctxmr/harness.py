@@ -9,35 +9,35 @@ chosen alpha level.
 Shared draws: replication r draws context k from the stream keyed by
 (master_seed, r, k) alone, so every cell with the same draw key
 (contexts, per_context_n, maf) sees the same (g, u, e_x, e_y): common
-random numbers across effect shapes and grids. One draw serves all those
-cells (one for the whole default plan), and they differ only in the
-shifts alpha_k, the instrument effect and the effect f. The outcome is
-f(x) plus the noise e_y - u, whose row-centred form wc and row sums of
-gc·wc and wc² are kept with the draws. The instrument-exposure slope bx
-does not depend on alpha_k, so its row sums are taken once per draw key
-and instrument effect, on z = instrument_effect·g + u + e_x. Its
-context means are kept with those row sums, so a cell's mean exposures
-are z's means plus alpha_k, with no pass over x. A cell therefore builds
-no outcome: it adds alpha_k to z, evaluates f in place
-(``simulate.effect_inplace``), centres it per context, and gets the
-instrument-outcome slope by and its residual sum of squares from three
-row dot products (of gc·f, f² and f·wc). Every row sum of products here
-is ``numerics.row_dot``, one BLAS dot per context; every centring is
-numpy's pairwise mean, which a BLAS sum would not match near
-``_MAX_ABS_ALPHA``. Both slopes are closed-form simple
-least squares with no Dataset, no context partition and no QR; they
-agree with the general ``context_iv`` fits to rounding. The slopes and
-the context means go straight into one ``ContextTable`` per cell. A cell
-whose exposure, outcome or row sums overflow the float range fails with
-an EstimationError that says so, as does a context whose instrument is
-constant (bx = 0/0), which ``ContextTable`` refuses.
+random numbers across effect shapes and grids. The cells differ only in
+the shifts alpha_k, the instrument effect and the effect f. The outcome
+is f(x) plus the noise e_y - u, whose row-centred form wc and row sums
+of gc·wc and wc² are taken once per draw key. The instrument-exposure
+slope bx does not depend on alpha_k, so its row sums are taken once per
+draw key and instrument effect, on z = instrument_effect·g + u + e_x,
+with z's context means: a cell's mean exposures are those plus alpha_k.
+A cell therefore builds no outcome: it adds alpha_k to z, evaluates f in
+place (``simulate.effect_inplace``), centres it per context, and gets
+the instrument-outcome slope by and its residual sum of squares from
+three row dot products (of gc·f, f² and f·wc). Every row sum of products
+here is ``numerics.row_dot``, one BLAS dot per context; every centring
+is numpy's pairwise mean, which a BLAS sum would not match near
+``_MAX_ABS_ALPHA``. Both slopes are closed-form simple least squares
+with no Dataset, no context partition and no QR; they agree with the
+general ``context_iv`` fits to rounding. A cell whose exposure, outcome
+or row sums overflow the float range fails with an EstimationError that
+says so, as does a context whose instrument is constant (bx = 0/0),
+which ``ContextTable`` refuses.
 
 Blocks and the workspace: ``run_cells`` runs a contiguous block of
-replications with one ``Workspace``, which owns every (K, n) array of
-the block: per draw key the four draws (filled in place by
-``simulate.draw_contexts``; wc is then written over e_y, which nothing
-else reads), gc, z per instrument effect and one x that the cells share.
-Each replication overwrites them, so only the first replication of a
+replications with one ``Workspace``. It groups the plan's cells once, by
+draw key and then by instrument effect, and owns one (7, K, n) array per
+draw key: the four draws (filled in place by ``simulate.draw_contexts``;
+wc is then written over e_y, which nothing else reads), gc, z and x.
+``Workspace.tables`` is one pass over the groups: it draws each key,
+builds z and its bx fit per instrument effect, then each cell's table
+(``_cell_table``), and returns the tables in plan order. Each
+replication overwrites the arrays, so only the first replication of a
 block allocates (and page-faults) them.
 
 Lockstep tests: once a replication's tables are built, each test runs
@@ -223,99 +223,71 @@ class _InstrumentRows:
         return beta, se
 
 
-class _Buffers:
-    """The (K, n) arrays of one draw key: the draws, gc, x, and z per instrument effect."""
+def _cell_table(scenario: SimScenario, rows: _InstrumentRows, z: np.ndarray, x: np.ndarray,
+                exposure: tuple, noise: tuple) -> ContextTable:
+    """One cell's context table, its rows ordered by ``ContextTable.from_columns``.
 
-    def __init__(self, shape: tuple[int, int]):
-        self.shape = shape
-        self.draws = ContextDraws(*(np.empty(shape) for _ in range(4)))
-        self.gc, self.x = np.empty(shape), np.empty(shape)
-        self.z: dict[float, np.ndarray] = {}
-
-    def exposure(self, instrument_effect: float) -> np.ndarray:
-        if instrument_effect not in self.z:
-            self.z[instrument_effect] = np.empty(self.shape)
-        return self.z[instrument_effect]
+    ``exposure`` holds z's row means and the row sums of its bx fit,
+    ``noise`` wc with its row sums of gc·wc and wc². The centred outcome is
+    f + wc, with f = f(z + alpha_k) written into x and centred per context.
+    """
+    zmean, sgz, szz = exposure
+    wc, sgw, sww = noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = np.asarray(scenario.alphas)
+        xmean = zmean + alphas
+        f = effect_inplace(scenario.effect, np.add(z, alphas[:, None], out=x))
+        f -= f.mean(axis=1, keepdims=True)
+        sgf, sff = rows.sums(f)
+        sgy, syy = sgf + sgw, sff + 2.0 * row_dot(f, wc) + sww
+    for name, sums in (("exposure", (xmean, sgz, szz)), ("outcome", (sgy, syy))):
+        if not np.isfinite(sums).all():
+            raise EstimationError(f"the simulated {name} overflows the float range")
+    bx, bx_se = rows.slopes(sgz, szz)
+    by, by_se = rows.slopes(sgy, syy)
+    k = scenario.contexts
+    return ContextTable.from_columns(
+        [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, xmean,
+        np.full(k, scenario.per_context_n),
+    )
 
 
 class Workspace:
-    """The arrays of one block of replications, and the cell-independent parts of their fits.
+    """One block's (7, K, n) array per draw key, and the plan's cells grouped for them."""
 
-    It owns, per draw key, the (K, n) arrays of ``_Buffers``, which every
-    replication of the block overwrites; ``reset`` starts a replication and
-    forgets the row sums of the one before. Within a replication it keeps,
-    per draw key, the draws, the centred instrument and the row-centred
-    outcome noise wc = e_y - u - mean with its row sums of gc·wc and wc²;
-    per draw key and instrument effect, z = instrument_effect·g + u + e_x
-    with its row means and the row sums of its bx fit. Cells with one
-    draw key share one x.
-    """
-
-    def __init__(self, master_seed: int):
+    def __init__(self, scenarios, master_seed: int):
         self.master_seed = master_seed
-        self.replication = 0
-        self._buffers: dict = {}
-        self._draws: dict = {}
-        self._exposures: dict = {}
+        self.size = len(scenarios)
+        groups: dict = {}
+        for j, scenario in enumerate(scenarios):
+            effects = groups.setdefault(draw_key(scenario), {})
+            effects.setdefault(scenario.instrument_effect, []).append((j, scenario))
+        self.groups = [(key, np.empty((7, *key[:2])), effects) for key, effects in groups.items()]
 
-    def reset(self, replication: int) -> None:
-        """Start replication ``replication``: its draws are made when a cell needs them."""
-        self.replication = replication
-        self._draws.clear()
-        self._exposures.clear()
-
-    def context_table(self, scenario: SimScenario) -> ContextTable:
-        """The context table of one cell, its rows ordered by ``ContextTable.from_columns``.
-
-        That is by mean exposure, with the context label breaking ties,
-        the mean exposure being z's row mean plus alpha_k. The centred
-        outcome is f + wc, with f = f(x) centred per context, so by and
-        its RSS follow from the row sums of gc·f, f² and f·wc.
-        Every (K, n) array is written into the workspace's buffers.
-        """
-        key = draw_key(scenario)
-        if key not in self._buffers:
-            self._buffers[key] = _Buffers((scenario.contexts, scenario.per_context_n))
-        buffers = self._buffers[key]
-        draws, x = buffers.draws, buffers.x
-        wc = draws.e_y  # e_y is read only to make wc, which takes its place
-        if key not in self._draws:
-            draw_contexts(self.master_seed, self.replication, *key, out=draws)
-            rows = _InstrumentRows(draws.g, buffers.gc)
-            np.subtract(draws.e_y, draws.u, out=wc)
+    def tables(self, replication: int) -> list:
+        """Each cell's context table, or the CtxMRError that building it raised, in plan order."""
+        tables: list = [None] * self.size
+        for key, block, effects in self.groups:
+            draws = draw_contexts(self.master_seed, replication, *key,
+                                  out=ContextDraws(*block[:4]))
+            gc, z, x = block[4:]
+            rows = _InstrumentRows(draws.g, gc)
+            wc = np.subtract(draws.e_y, draws.u, out=draws.e_y)  # e_y is read only to make wc
             wc -= wc.mean(axis=1, keepdims=True)
-            self._draws[key] = rows, *rows.sums(wc)
-        rows, sgw, sww = self._draws[key]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # alpha_k shifts a context's exposure by a constant, which leaves
-            # its slope on g unchanged, so bx is fitted once without the shifts.
-            z = buffers.exposure(scenario.instrument_effect)
-            exposure_key = key, scenario.instrument_effect
-            if exposure_key not in self._exposures:
-                np.multiply(scenario.instrument_effect, draws.g, out=z)
-                z += draws.u
-                z += draws.e_x
-                zmean = z.mean(axis=1)
-                # x holds the centred z until the cell overwrites it.
-                self._exposures[exposure_key] = zmean, *rows.sums(
-                    np.subtract(z, zmean[:, None], out=x))
-            zmean, sgz, szz = self._exposures[exposure_key]
-            alphas = np.asarray(scenario.alphas)
-            xmean = zmean + alphas
-            f = effect_inplace(scenario.effect, np.add(z, alphas[:, None], out=x))
-            f -= f.mean(axis=1, keepdims=True)
-            sgf, sff = rows.sums(f)
-            sgy, syy = sgf + sgw, sff + 2.0 * row_dot(f, wc) + sww
-        for name, sums in (("exposure", (xmean, sgz, szz)), ("outcome", (sgy, syy))):
-            if not np.isfinite(sums).all():
-                raise EstimationError(f"the simulated {name} overflows the float range")
-        bx, bx_se = rows.slopes(sgz, szz)
-        by, by_se = rows.slopes(sgy, syy)
-        k = scenario.contexts
-        return ContextTable.from_columns(
-            [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, xmean,
-            np.full(k, scenario.per_context_n),
-        )
+            noise = wc, *rows.sums(wc)
+            for instrument_effect, cells in effects.items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    # alpha_k shifts a context's exposure by a constant, which leaves
+                    # its slope on g unchanged, so bx is fitted once without the shifts.
+                    np.multiply(instrument_effect, draws.g, out=z)
+                    z += draws.u
+                    z += draws.e_x
+                    zmean = z.mean(axis=1)
+                    # x holds the centred z until a cell overwrites it.
+                    exposure = zmean, *rows.sums(np.subtract(z, zmean[:, None], out=x))
+                for j, scenario in cells:
+                    tables[j] = lane_result(_cell_table, scenario, rows, z, x, exposure, noise)
+        return tables
 
 
 def run_cells(
@@ -330,13 +302,12 @@ def run_cells(
     trend). A failure is recorded in the outcome of the scenario that
     raised it: the first error of its table or tests, in that order.
     """
-    workspace = Workspace(master_seed)
+    workspace = Workspace(scenarios, master_seed)
     tests = ((q_first_order_lanes, "p"), (q_modified_second_order_lanes, "p"),
              (partial(trend_test_lanes, method=tau2_method), "slope_p"))
     block = []
     for replication in replications:
-        workspace.reset(replication)
-        tables = [lane_result(workspace.context_table, s) for s in scenarios]
+        tables = workspace.tables(replication)
         errors = [t if isinstance(t, CtxMRError) else None for t in tables]
         pvalues: list[list[float]] = [[] for _ in scenarios]
         for test, p_name in tests:

@@ -273,10 +273,13 @@ def parse_scenario_config(text: str) -> SimScenario:
     instrument_effect, maf, linear_slope, quadratic_coefficient,
     threshold_slope, threshold_knot. Lines starting with '#' are comments.
     A value that does not parse (an integer for contexts and per_context_n,
-    a finite number for the other numeric keys) raises ConfigError naming
-    the key and the value.
+    a finite number for the other numeric keys and for each entry of a
+    custom alpha_grid) raises ConfigError naming the key and the value, as
+    do a key given twice (naming both lines) and a contexts that differs
+    from the length of a custom alpha_grid.
     """
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -284,7 +287,10 @@ def parse_scenario_config(text: str) -> SimScenario:
         if "=" not in line:
             raise ConfigError(f"scenario config line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = value
+        if key in entries:
+            raise ConfigError(f"scenario config key {key!r} is given twice, "
+                              f"on lines {lines[key]} and {lineno}")
+        entries[key], lines[key] = value, lineno
 
     def convert(key, raw, kind=float):
         try:
@@ -307,14 +313,15 @@ def parse_scenario_config(text: str) -> SimScenario:
         coefficient=number("quadratic_coefficient", 0.04),
         knot=number("threshold_knot", 10.0),
     )
-    contexts = number("contexts", 10, int)
+    contexts = number("contexts", None, int)
     grid_spec = entries.pop("alpha_grid", "larger")
     if grid_spec in ALPHA_GRIDS:
-        alphas = alpha_grid(grid_spec, contexts)
+        alphas = alpha_grid(grid_spec, 10 if contexts is None else contexts)
     else:
-        alphas = tuple(
-            convert("alpha_grid", v.strip()) for v in grid_spec.split(",") if v.strip()
-        )
+        alphas = tuple(convert("alpha_grid", v.strip()) for v in grid_spec.split(","))
+        if contexts not in (None, len(alphas)):
+            raise ConfigError(f"scenario config key 'contexts': {contexts} differs from the "
+                              f"{len(alphas)} values of alpha_grid")
     scenario = SimScenario(
         effect=effect,
         alphas=alphas,

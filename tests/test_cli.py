@@ -96,6 +96,21 @@ class TestAnalyze:
             f"configuration error: min_context_n must be at least 2, got {value}\n")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("extra, column, roles", [
+        (["--covariates", "score"], "score", "instrument and covariate"),
+        (["--covariates", "age,age"], "age", "covariate and covariate"),
+        (["--covariates", "vitd"], "vitd", "exposure and covariate"),
+        (["--outcome-col", "vitd"], "vitd", "exposure and outcome"),
+    ], ids=["instrument-covariate", "covariate-twice", "exposure-covariate",
+            "exposure-outcome"])
+    def test_column_named_in_two_roles_is_config_error(self, extra, column, roles, cohort_csv,
+                                                       tmp_path, capsys):
+        code = main(analyze_args(cohort_csv, tmp_path, extra))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: column {column!r} is named more than once: as {roles}\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_separation_is_estimation_error(self, tmp_path, capsys):
         path = tmp_path / "sep.csv"
         rows = ["score,vitd,chd,centre"]
@@ -428,6 +443,15 @@ class TestSimulate:
         assert repr(key) in err
         assert repr(line.split("=")[1].split(",")[-1].strip()) in err
 
+    def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "cell.cfg"
+        config.write_text("effect = linear\nmaf = 0.3\nmaf = 0.4\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--reps", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: scenario config key 'maf' is given twice, on lines 2 and 3"]
+        assert not (tmp_path / "table.csv").exists()
 
     @pytest.mark.parametrize("lines, code, line", [
         ("effect = quadratic\nquadratic_coefficient = 1e308\nper_context_n = 100",

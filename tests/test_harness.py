@@ -189,6 +189,9 @@ CUSTOM_SHIFTED = SimScenario(
     instrument_effect=0.8,
 )
 
+# Same draws and instrument effect as CUSTOM_SHIFTED; its outcome overflows.
+OVERFLOWING_SHIFTED = replace(CUSTOM_SHIFTED, effect=EffectFunction.quadratic(coefficient=1e308))
+
 
 def _far_cells(alpha: float) -> tuple[SimScenario, ...]:
     """All three shapes on exposures near alpha, where f is large next to its spread."""
@@ -205,10 +208,8 @@ class TestSharedDraws:
 
     @staticmethod
     def _assert_engine_matches_context_iv(scenarios, replication):
-        workspace = Workspace(master_seed=11)
-        workspace.reset(replication)
-        for scenario in scenarios:
-            fast = workspace.context_table(scenario)
+        for scenario, fast in zip(scenarios, Workspace(scenarios, master_seed=11).tables(
+                replication)):
             part = partition_by_context(generate_dataset(scenario, 11, replication), min_n=2)
             general = ContextTable.from_results(context_iv(label, sub)
                                                 for label, sub in part.contexts)
@@ -232,19 +233,27 @@ class TestSharedDraws:
         # The engine takes a context's mean exposure as z's row mean plus
         # alpha_k, with no pass over x. Only xmean is compared: at these
         # shifts the general path fits bx on the rounded x, so bx differs.
-        workspace = Workspace(master_seed=11)
-        workspace.reset(2)
-        for scenario in _far_cells(alpha):
-            fast = workspace.context_table(scenario)
+        cells = _far_cells(alpha)
+        for scenario, fast in zip(cells, Workspace(cells, master_seed=11).tables(2)):
             exposure = generate_dataset(scenario, 11, 2).exposure
             means = exposure.reshape(scenario.contexts, scenario.per_context_n).mean(axis=1)
             rows = [int(label) - 1 for label in fast.labels]
             np.testing.assert_allclose(fast.xmean, means[rows], rtol=1e-14, atol=0.0)
 
     def test_cell_outcome_does_not_depend_on_the_other_cells(self):
-        cells = default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED)
-        alone = [run_replication(s, 4, 2) for s in cells]
-        assert list(run_cells(cells, 4, range(2, 3))[0]) == alone
+        plans = (
+            default_plan().scenarios + (CUSTOM, CUSTOM_SHIFTED),
+            # Two draw keys, two instrument effects on one of them, in
+            # alternating order, with a cell whose outcome overflows.
+            (CUSTOM, SimScenario(per_context_n=300), CUSTOM_SHIFTED,
+             SimScenario(effect=EffectFunction.quadratic(), per_context_n=300),
+             OVERFLOWING_SHIFTED, CUSTOM),
+        )
+        for cells in plans:
+            alone = [run_replication(s, 4, 2) for s in cells]
+            assert list(run_cells(cells, 4, range(2, 3))[0]) == alone
+        assert [o.error for o in alone] == [None] * 4 + [
+            "the simulated outcome overflows the float range", None]
 
     def test_failure_is_recorded_for_its_cell_only(self):
         overflow = SimScenario(
@@ -265,10 +274,9 @@ class TestSharedDraws:
         for outcome in outcomes:
             assert re.fullmatch(r"context '\d+': instrument-exposure association nan is "
                                 "indistinguishable from zero", outcome.error), outcome.error
-        workspace = Workspace(master_seed=5)
-        workspace.reset(0)
-        with pytest.raises(EstimationError, match=re.escape(outcomes[0].error)):
-            workspace.context_table(cell)
+        (error,) = Workspace((cell,), master_seed=5).tables(0)
+        assert isinstance(error, EstimationError)
+        assert str(error) == outcomes[0].error
 
 
 class TestBlocks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -319,3 +320,24 @@ class TestScenarioConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_scenario_config("effect linear\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("contexts = 3\nalpha_grid = 1,2,3,4\n",
+         "scenario config key 'contexts': 3 differs from the 4 values of alpha_grid"),
+        ("alpha_grid = 1,2,3,4\ncontexts = 5\n",
+         "scenario config key 'contexts': 5 differs from the 4 values of alpha_grid"),
+        ("maf = 0.3\n# a later change\nmaf = 0.4\n",
+         "scenario config key 'maf' is given twice, on lines 1 and 3"),
+        ("alpha_grid = larger\nalpha_grid = larger\n",
+         "scenario config key 'alpha_grid' is given twice, on lines 1 and 2"),
+        ("alpha_grid = 1,,2,3\n", "scenario config key 'alpha_grid': '' is not a finite number"),
+        ("alpha_grid = 1,2,3,\n", "scenario config key 'alpha_grid': '' is not a finite number"),
+    ], ids=["contexts-below-grid", "contexts-above-grid", "repeated-key",
+            "repeated-identical-key", "empty-grid-entry", "trailing-grid-comma"])
+    def test_contradictory_input_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scenario_config(text)
+
+    def test_contexts_matching_a_custom_grid_is_accepted(self):
+        s = parse_scenario_config("contexts = 3\nalpha_grid = 8.0, 9.0, 10.0\n")
+        assert s.alphas == (8.0, 9.0, 10.0)
