@@ -1,11 +1,10 @@
 """Command-line interface.
 
-Four subcommands:
+Three subcommands:
 
 * ``analyze``  - context-stratified MR on an individual-level CSV;
 * ``meta``     - heterogeneity and trend tests from a per-context summary CSV;
-* ``simulate`` - the Monte Carlo rejection-rate experiment;
-* ``plotdata`` - scatter-plot CSVs from a saved analysis report.
+* ``simulate`` - the Monte Carlo rejection-rate experiment.
 
 Exit codes:
 
@@ -37,9 +36,7 @@ from .report import (
     analyze_summary_results,
     context_table_csv,
     load_summary_csv,
-    plot_data,
     render_text,
-    report_from_json,
     report_to_json,
 )
 from .simulate import parse_scenario_config
@@ -116,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_output_flags(simulate)
     simulate.set_defaults(func=cmd_simulate)
-
-    plotdata = commands.add_parser(
-        "plotdata", help="emit scatter-plot CSVs from a saved report"
-    )
-    plotdata.add_argument("--report", required=True, help="report.json from analyze/meta")
-    plotdata.add_argument("--out-dir", default=".")
-    plotdata.set_defaults(func=cmd_plotdata)
     return parser
 
 
@@ -205,13 +195,6 @@ def cmd_simulate(args) -> int:
     })
     chosen = {"text": table.text, "json": table.json, "csv": table.csv}
     sys.stdout.write(chosen[args.format])
-    return EXIT_OK
-
-
-def cmd_plotdata(args) -> int:
-    report = report_from_json(Path(args.report).read_text(encoding="utf-8"))
-    unscaled, scaled = plot_data(report)
-    _write_outputs(args.out_dir, {"plot_unscaled.csv": unscaled, "plot_scaled.csv": scaled})
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datamodel import Dataset, summarize_context
-from .errors import DegenerateFitWarning, DomainError, EstimationError
+from .errors import DegenerateFitWarning, DomainError, EstimationError, RankDeficiencyError
 from .regress import AssocEstimate, design, fit_linear, fit_logistic
 
 #: |bx| below this is a zero denominator, which ``ContextTable.from_columns`` refuses.
@@ -132,7 +132,8 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
     function of the design is marked by ``bx.degenerate`` (se(bx) = 0),
     and an exact outcome fit is refused below. A DomainError or
     EstimationError of the design or the fits (too few rows for the
-    columns, a dependent covariate, a separated outcome) names the context.
+    columns, a dependent covariate, a separated outcome) names the context,
+    and a rank error its column's role (the instrument or a covariate).
     """
     if family not in ("linear", "logistic"):
         raise DomainError(f"unknown outcome family {family!r}")
@@ -144,8 +145,13 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
             by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
     except (DomainError, EstimationError) as err:
         # Same class and attributes (a rank error's column, a convergence
-        # error's trace); only the message gains the label.
-        err.args = (f"context {label!r}: {err}",)
+        # error's trace); the message gains the label and the column's role.
+        message = str(err)
+        if isinstance(err, RankDeficiencyError):
+            roles = ("the intercept", "the instrument",
+                     *(f"covariate {name!r}" for name in ds.covariate_names))
+            message += f" ({roles[err.column]})"
+        err.args = (f"context {label!r}: {message}",)
         raise
     if by.se <= 0:
         raise EstimationError(

@@ -8,7 +8,8 @@ pre-computed per-context summary statistics, which ``load_summary_csv``
 reads from CSV. Both build one table, and the tests and the report rows
 read its columns. Both return an :class:`AnalysisReport`, which
 serializes losslessly to JSON and renders to human-readable text (3
-significant figures) and machine CSV (full precision).
+significant figures) and machine CSV (full precision). That CSV is also
+the plot file; ``plot_data`` gives the two plots' columns on their own.
 
 A context with a zero bx has no ratio: ``load_summary_csv`` refuses its
 row by line, ``ContextTable`` a fitted one, so every context enters every test.
@@ -25,7 +26,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .datamodel import (
     DEFAULT_MIN_CONTEXT_SIZE,
@@ -299,79 +300,22 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-#: The JSON values a report field of each annotated type accepts (never a bool).
-_JSON_VALUES = {
-    "str": ((str,), "a string"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "float | None": ((int, float, type(None)), "a number or null"),
-}
-
-
-def _check_value(where: str, name: str, kind: str, value) -> None:
-    """Raise IngestError unless ``value`` is a JSON value of the field type ``kind``."""
-    types, wanted = _JSON_VALUES[kind]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise IngestError(f"report {where} field {name!r} is not {wanted}: {value!r}")
-
-
-def _record(cls, where: str, entry):
-    """``cls(**entry)`` from one JSON object; IngestError names what does not fit."""
-    if not isinstance(entry, dict):
-        raise IngestError(f"report {where} is not a JSON object")
-    known = {f.name for f in fields(cls)}
-    required = {f.name for f in fields(cls) if f.default is MISSING}
-    for problem, names in (("unknown", entry.keys() - known), ("missing", required - entry.keys())):
-        if names:
-            raise IngestError(f"report {where} has {problem} field(s) {', '.join(sorted(names))}")
-    for f in fields(cls):
-        if f.name in entry:
-            _check_value(where, f.name, f.type, entry[f.name])
-    return cls(**entry)
-
-
-def report_from_dict(payload) -> AnalysisReport:
-    """The report that ``report_to_dict`` wrote.
-
-    A payload of another shape raises IngestError naming the missing
-    entry, or the row and the unknown or missing fields, or the entry and
-    the field whose value has the wrong JSON type.
-    """
-    if not isinstance(payload, dict):
-        raise IngestError("report is not a JSON object")
-    for key in ("contexts", "heterogeneity_first_order", "heterogeneity_modified", "trend",
-                "config", "warnings"):
-        if key not in payload:
-            raise IngestError(f"report has no {key!r} entry")
-    for key, kind in (("contexts", list), ("config", dict), ("warnings", list)):
-        if not isinstance(payload[key], kind):
-            raise IngestError(f"report entry {key!r} is not a JSON {kind.__name__}")
-    if "ci_z" in payload["config"]:
-        _check_value("config", "ci_z", "float", payload["config"]["ci_z"])
-    trend = payload["trend"]
-    return AnalysisReport(
-        contexts=tuple(_record(ContextRow, f"context {i}", row)
-                       for i, row in enumerate(payload["contexts"])),
-        heterogeneity_first_order=_record(HeterogeneityResult, "heterogeneity_first_order",
-                                          payload["heterogeneity_first_order"]),
-        heterogeneity_modified=_record(HeterogeneityResult, "heterogeneity_modified",
-                                       payload["heterogeneity_modified"]),
-        trend=None if trend is None else _record(MetaRegResult, "trend", trend),
-        config=payload["config"],
-        warnings=tuple(payload["warnings"]),
-    )
-
-
 def report_to_json(report: AnalysisReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise IngestError(f"report is not valid JSON: {err}") from None
-    return report_from_dict(payload)
+    """The inverse of ``report_to_json``, for round-trip checks; it validates nothing."""
+    payload = json.loads(text)
+    trend = payload["trend"]
+    return AnalysisReport(
+        contexts=tuple(ContextRow(**row) for row in payload["contexts"]),
+        heterogeneity_first_order=HeterogeneityResult(**payload["heterogeneity_first_order"]),
+        heterogeneity_modified=HeterogeneityResult(**payload["heterogeneity_modified"]),
+        trend=None if trend is None else MetaRegResult(**trend),
+        config=payload["config"],
+        warnings=tuple(payload["warnings"]),
+    )
 
 
 def _fmt(value) -> str:
@@ -383,10 +327,9 @@ def _fmt(value) -> str:
 def render_text(report: AnalysisReport) -> str:
     """Human-readable report; numbers shown at 3 significant figures."""
     out = io.StringIO()
-    fam = report.config.get("family", "linear")
-    scale = report.config.get("scale", 1.0)
     out.write("Context-stratified MR analysis\n")
-    out.write(f"  outcome family: {fam}; estimates per {_fmt(scale)} exposure units\n\n")
+    out.write(f"  outcome family: {report.config['family']}; estimates per "
+              f"{_fmt(report.config['scale'])} exposure units\n\n")
     header = (
         f"{'context':<16} {'n':>8} {'x_mean':>8} {'bx':>9} {'bx_se':>9} "
         f"{'by':>9} {'by_se':>9} {'estimate':>9} {'se':>9} {'ci95':>19}"
@@ -438,9 +381,8 @@ def plot_data(report: AnalysisReport) -> tuple[str, str]:
     instrument-outcome association with its own confidence interval;
     the scaled file shows the MR estimate columns from the report.
     """
-    z = float(report.config.get("ci_z", CI_Z))
     header = ("context", "xmean", "estimate", "lo95", "hi95")
-    unscaled = [(r.context, r.exposure_mean, r.by, r.by - z * r.by_se, r.by + z * r.by_se)
+    unscaled = [(r.context, r.exposure_mean, r.by, r.by - CI_Z * r.by_se, r.by + CI_Z * r.by_se)
                 for r in report.contexts]
     scaled = [(r.context, r.exposure_mean, r.estimate, r.lo95, r.hi95) for r in report.contexts]
     return csv_text(header, unscaled), csv_text(header, scaled)

@@ -275,8 +275,8 @@ def parse_scenario_config(text: str) -> SimScenario:
     A value that does not parse (an integer for contexts and per_context_n,
     a finite number for the other numeric keys and for each entry of a
     custom alpha_grid) raises ConfigError naming the key and the value, as
-    do a key given twice (naming both lines) and a contexts that differs
-    from the length of a custom alpha_grid.
+    do a key given twice (naming both lines), a contexts below 3 and a
+    contexts that differs from the length of a custom alpha_grid.
     """
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -314,6 +314,9 @@ def parse_scenario_config(text: str) -> SimScenario:
         knot=number("threshold_knot", 10.0),
     )
     contexts = number("contexts", None, int)
+    if contexts is not None and contexts < 3:
+        raise ConfigError(f"scenario config key 'contexts': {contexts} is below 3, "
+                          "the fewest the trend test needs")
     grid_spec = entries.pop("alpha_grid", "larger")
     if grid_spec in ALPHA_GRIDS:
         alphas = alpha_grid(grid_spec, 10 if contexts is None else contexts)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from ctxmr import cli
 from ctxmr.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_INGEST, EXIT_OK, main
-from ctxmr.report import report_from_json, report_to_json
+from ctxmr.report import plot_data, report_from_json, report_to_json
 
 from fixtures import small_sizes, synthetic_cohort, write_cohort_csv
 from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
@@ -139,7 +140,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("family, covariate, reason", [
         ("logistic", "noise", "logistic coefficients diverged (|coef| > 15 per column sd, "
          "or at the column means); data are separated or nearly so"),
-        ("linear", "dose", "design matrix is rank deficient at column 2"),
+        ("linear", "dose", "design matrix is rank deficient at column 2 (covariate 'dose')"),
     ], ids=["separated-outcome", "dependent-covariate"])
     def test_an_estimation_error_of_a_context_is_named(self, family, covariate, reason,
                                                        tmp_path, capsys):
@@ -240,6 +241,33 @@ class TestAnalyze:
         assert [note for note in payload["warnings"] if "exact linear function" in note] == [
             "context 'b': the exposure is an exact linear function of the instrument "
             "and covariates; se(bx) reported as 0"
+        ]
+
+    @pytest.mark.parametrize("centre, column, index, role", [
+        ("a", "score", 1, "the instrument"), ("b", "age", 2, "covariate 'age'"),
+    ], ids=["instrument", "covariate"])
+    def test_constant_design_column_is_named_by_its_role(self, tmp_path, capsys, centre, column,
+                                                         index, role):
+        rng = np.random.default_rng(4)
+        rows = ["score,vitd,chd,centre,age"]
+        for label, mean in (("a", 40.0), ("b", 50.0), ("c", 60.0)):
+            cells = {"score": rng.binomial(2, 0.3, size=200).astype(float),
+                     "age": rng.uniform(40.0, 70.0, size=200)}
+            if label == centre:
+                cells[column] = np.zeros(200) if column == "score" else np.full(200, 55.0)
+            x = mean + 0.5 * cells["score"] + rng.normal(size=200)
+            y = mean / 10 + 0.2 * x + rng.normal(size=200)
+            rows += [f"{g!r},{xi!r},{yi!r},{label},{a!r}" for g, xi, yi, a in
+                     zip(cells["score"].tolist(), x.tolist(), y.tolist(), cells["age"].tolist())]
+        path = tmp_path / "cohort.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["analyze", "--data", str(path), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                "--covariates", "age", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_ESTIMATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"estimation error: context {centre!r}: design matrix is rank deficient at "
+            f"column {index} ({role})"
         ]
 
 
@@ -443,6 +471,17 @@ class TestSimulate:
         assert repr(key) in err
         assert repr(line.split("=")[1].split(",")[-1].strip()) in err
 
+    @pytest.mark.parametrize("contexts", ["-1", "0"])
+    def test_contexts_below_three_is_config_error(self, tmp_path, capsys, contexts):
+        config = tmp_path / "cell.cfg"
+        config.write_text(f"effect = linear\ncontexts = {contexts}\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--reps", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: scenario config key 'contexts': {contexts} is below 3, "
+            "the fewest the trend test needs"]
+
     def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "cell.cfg"
         config.write_text("effect = linear\nmaf = 0.3\nmaf = 0.4\n", encoding="utf-8")
@@ -565,7 +604,7 @@ class TestUnreadableInput:
         assert code == EXIT_INGEST
         assert "ingestion error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["analyze", "meta", "simulate", "plotdata"])
+    @pytest.mark.parametrize("command", ["analyze", "meta", "simulate"])
     def test_directory_as_input_file(self, tmp_path, capsys, command):
         out = str(tmp_path / "out")
         argv = {
@@ -573,99 +612,34 @@ class TestUnreadableInput:
             "meta": ["meta", "--summary", str(tmp_path), "--out-dir", out],
             "simulate": ["simulate", "--config", str(tmp_path), "--reps", "1",
                          "--out-dir", out],
-            "plotdata": ["plotdata", "--report", str(tmp_path), "--out-dir", out],
         }[command]
         assert main(argv) == EXIT_INGEST
         assert "ingestion error" in capsys.readouterr().err
 
 
-class TestPlotdata:
-    def test_emits_both_files(self, cohort_csv, tmp_path, capsys):
-        assert main(analyze_args(cohort_csv, tmp_path)) == EXIT_OK
-        capsys.readouterr()
-        code = main(
-            ["plotdata", "--report", str(tmp_path / "report.json"),
-             "--out-dir", str(tmp_path)]
-        )
-        assert code == EXIT_OK
-        unscaled = (tmp_path / "plot_unscaled.csv").read_text().splitlines()
-        scaled = (tmp_path / "plot_scaled.csv").read_text().splitlines()
-        assert len(unscaled) == len(scaled) == 21
-        assert unscaled[0] == "context,xmean,estimate,lo95,hi95"
-
-    @staticmethod
-    def _plotdata_fails(tmp_path, capsys, text):
-        path = tmp_path / "bad.json"
-        path.write_text(text, encoding="utf-8")
-        code = main(["plotdata", "--report", str(path), "--out-dir", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == EXIT_INGEST
-        assert err.startswith("ingestion error: ") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-        return err
-
-    @staticmethod
-    def _saved_report(cohort_csv, tmp_path, capsys):
-        assert main(analyze_args(cohort_csv, tmp_path / "run")) == EXIT_OK
-        capsys.readouterr()
-        return json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
-
-    def test_report_that_is_not_json(self, tmp_path, capsys):
-        err = self._plotdata_fails(tmp_path, capsys, "context,bx\nC01,0.5\n")
-        assert "not valid JSON" in err
-
-    def test_report_without_a_trend(self, cohort_csv, tmp_path, capsys):
-        payload = self._saved_report(cohort_csv, tmp_path, capsys)
-        del payload["trend"]
-        assert "no 'trend' entry" in self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
-
-    def test_context_row_with_unknown_and_missing_fields(self, cohort_csv, tmp_path, capsys):
-        payload = self._saved_report(cohort_csv, tmp_path, capsys)
-        payload["contexts"][3]["colour"] = "red"
-        err = self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
-        assert "context 3 has unknown field(s) colour" in err
-        del payload["contexts"][3]["colour"]
-        del payload["contexts"][3]["se"]
-        err = self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
-        assert "context 3 has missing field(s) se" in err
-
-    @pytest.mark.parametrize("entry, field, value, message", [
-        ("contexts", "by", "0.1", "context 2 field 'by' is not a number"),
-        ("config", "ci_z", "abc", "config field 'ci_z' is not a number"),
-        ("contexts", "context", 7, "context 2 field 'context' is not a string"),
-        ("heterogeneity_modified", "df", 2.5,
-         "heterogeneity_modified field 'df' is not an integer"),
-    ], ids=["by", "ci_z", "context", "df"])
-    def test_value_of_the_wrong_type(self, cohort_csv, tmp_path, capsys, entry, field, value,
-                                     message):
-        payload = self._saved_report(cohort_csv, tmp_path, capsys)
-        target = payload[entry][2] if entry == "contexts" else payload[entry]
-        target[field] = value
-        assert message in self._plotdata_fails(tmp_path, capsys, json.dumps(payload))
-
-    def test_labels_that_need_quoting_round_trip(self, tmp_path, capsys):
-        labels = ("a,b", 'q"x', "two\nlines", "car\rriage", "plain")
-        ds = synthetic_cohort(seed=5, sizes=(300,) * 5, means=(50.0, 52.0, 54.0, 56.0, 58.0),
-                              with_covariates=False)
-        data = tmp_path / "cohort.csv"
-        with open(data, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("score", "vitd", "chd", "centre"))
-            writer.writerows(zip(ds.instrument.tolist(), ds.exposure.tolist(),
-                                 ds.outcome.astype(int).tolist(), np.repeat(labels, 300)))
-        args = ["analyze", "--data", str(data), "--instrument-col", "score",
-                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
-                "--out-dir", str(tmp_path)]
-        assert main(args) == EXIT_OK
-        report = str(tmp_path / "report.json")
-        assert main(["plotdata", "--report", report, "--out-dir", str(tmp_path)]) == EXIT_OK
-        capsys.readouterr()
-        for name, width in (("report.csv", 12), ("plot_unscaled.csv", 5),
-                            ("plot_scaled.csv", 5)):
-            with open(tmp_path / name, newline="", encoding="utf-8") as handle:
-                rows = list(csv.reader(handle))
-            assert {len(row) for row in rows} == {width}, name
-            assert sorted(row[0] for row in rows[1:]) == sorted(labels), name
+def test_labels_that_need_quoting_round_trip(tmp_path, capsys):
+    labels = ("a,b", 'q"x', "two\nlines", "car\rriage", "plain")
+    ds = synthetic_cohort(seed=5, sizes=(300,) * 5, means=(50.0, 52.0, 54.0, 56.0, 58.0),
+                          with_covariates=False)
+    data = tmp_path / "cohort.csv"
+    with open(data, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("score", "vitd", "chd", "centre"))
+        writer.writerows(zip(ds.instrument.tolist(), ds.exposure.tolist(),
+                             ds.outcome.astype(int).tolist(), np.repeat(labels, 300)))
+    args = ["analyze", "--data", str(data), "--instrument-col", "score",
+            "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+            "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    with open(tmp_path / "report.csv", newline="", encoding="utf-8") as handle:
+        table = handle.read()
+    unscaled, scaled = plot_data(report_from_json((tmp_path / "report.json").read_text()))
+    for name, text, width in (("report.csv", table, 12), ("unscaled", unscaled, 5),
+                              ("scaled", scaled, 5)):
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert {len(row) for row in rows} == {width}, name
+        assert sorted(row[0] for row in rows[1:]) == sorted(labels), name
 
 
 def test_console_entry_point_runs():

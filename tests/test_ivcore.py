@@ -128,7 +128,8 @@ class TestContextIv:
                      covariate_names=("dose",))
         with pytest.raises(RankDeficiencyError) as caught:
             context_iv("c7", ds)
-        assert str(caught.value) == "context 'c7': design matrix is rank deficient at column 2"
+        assert str(caught.value) == (
+            "context 'c7': design matrix is rank deficient at column 2 (covariate 'dose')")
         assert caught.value.column == 2
 
     def test_a_convergence_error_of_the_fits_names_the_context_and_keeps_its_trace(

@@ -332,8 +332,13 @@ class TestScenarioConfig:
          "scenario config key 'alpha_grid' is given twice, on lines 1 and 2"),
         ("alpha_grid = 1,,2,3\n", "scenario config key 'alpha_grid': '' is not a finite number"),
         ("alpha_grid = 1,2,3,\n", "scenario config key 'alpha_grid': '' is not a finite number"),
+        ("contexts = -1\n",
+         "scenario config key 'contexts': -1 is below 3, the fewest the trend test needs"),
+        ("contexts = 0\nalpha_grid = smaller\n",
+         "scenario config key 'contexts': 0 is below 3, the fewest the trend test needs"),
     ], ids=["contexts-below-grid", "contexts-above-grid", "repeated-key",
-            "repeated-identical-key", "empty-grid-entry", "trailing-grid-comma"])
+            "repeated-identical-key", "empty-grid-entry", "trailing-grid-comma",
+            "negative-contexts", "zero-contexts"])
     def test_contradictory_input_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_scenario_config(text)
