@@ -31,14 +31,19 @@ which ``ContextTable`` refuses.
 
 Blocks and the workspace: ``run_cells`` runs a contiguous block of
 replications with one ``Workspace``. It groups the plan's cells once, by
-draw key and then by instrument effect, and owns one (7, K, n) array per
-draw key: the four draws (filled in place by ``simulate.draw_contexts``;
-wc is then written over e_y, which nothing else reads), gc, z and x.
-``Workspace.tables`` is one pass over the groups: it draws each key,
-builds z and its bx fit per instrument effect, then each cell's table
-(``_cell_table``), and returns the tables in plan order. Each
-replication overwrites the arrays, so only the first replication of a
-block allocates (and page-faults) them.
+draw key and then by instrument effect, and owns one (7, c, n) array per
+draw key, c = max(1, min(K, ``_BLOCK_BYTES`` // (7·8·n))) contexts of
+the four draws (``simulate.draw_context`` writes e_y into the wc row),
+gc, z and x: about 1 MiB, or one context's rows when those are larger.
+``Workspace.tables`` walks each key's contexts one block at a time: it
+draws the block's contexts, then takes the wc sums, z, its row means and
+its bx sums once per instrument effect, and f's sums once per cell, all
+on the block, into (K,) arrays of per-context sums. Only then does it
+build each cell's table from its sums (``_cell_table``), in plan order.
+A block row's mean and ``row_dot`` equal those of the same row of a
+(K, n) array, so the tables do not depend on c. Each replication
+overwrites the array, so only the first replication that ``run_cells``
+runs allocates (and page-faults) it, and its size does not grow with K.
 
 Lockstep tests: once a replication's tables are built, each test runs
 once over all its cells, a lane per cell (``q_first_order_lanes``,
@@ -68,7 +73,6 @@ shift beyond ``_MAX_ABS_ALPHA``, is a ConfigError of the plan.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import platform
 import sys
@@ -87,11 +91,10 @@ from .metareg import TAU2_METHODS, trend_test_lanes
 from .numerics import row_dot
 from .simulate import (
     ALPHA_GRIDS,
-    ContextDraws,
     EffectFunction,
     SimScenario,
     alpha_grid,
-    draw_contexts,
+    draw_context,
     draw_key,
     effect_inplace,
 )
@@ -202,49 +205,45 @@ def default_plan(
     )
 
 
-class _InstrumentRows:
-    """Simple least squares of (K, n) responses on the instrument, row by row."""
-
-    def __init__(self, g: np.ndarray, gc: np.ndarray):
-        self.gc = np.subtract(g, g.mean(axis=1, keepdims=True), out=gc)
-        self.sgg = row_dot(self.gc, self.gc)
-        self.df = g.shape[1] - 2
-
-    def sums(self, vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The row sums of gc·vc and vc² of the row-centred responses vc."""
-        return row_dot(self.gc, vc), row_dot(vc, vc)
-
-    def slopes(self, sgv: np.ndarray, svv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes and standard errors from the row sums of gc·vc and vc²; RSS / (n - 2)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = sgv / self.sgg
-            rss = svv - beta * sgv
-            se = np.sqrt(np.maximum(rss, 0.0) / (self.df * self.sgg))
-        return beta, se
+#: The size of a draw key's workspace block: 7 rows of each of its c contexts.
+_BLOCK_BYTES = 2**20
 
 
-def _cell_table(scenario: SimScenario, rows: _InstrumentRows, z: np.ndarray, x: np.ndarray,
-                exposure: tuple, noise: tuple) -> ContextTable:
-    """One cell's context table, its rows ordered by ``ContextTable.from_columns``.
+def _slopes(sgv: np.ndarray, svv: np.ndarray, sgg: np.ndarray,
+            df: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slopes on the instrument and their standard errors, per context.
 
-    ``exposure`` holds z's row means and the row sums of its bx fit,
-    ``noise`` wc with its row sums of gc·wc and wc². The centred outcome is
-    f + wc, with f = f(z + alpha_k) written into x and centred per context.
+    From the row sums of gc·vc, vc² and gc² of the row-centred instrument
+    gc and response vc; RSS / (n - 2) estimates the residual variance.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = sgv / sgg
+        rss = svv - beta * sgv
+        se = np.sqrt(np.maximum(rss, 0.0) / (df * sgg))
+    return beta, se
+
+
+def _cell_table(scenario: SimScenario, noise: np.ndarray, exposure: np.ndarray,
+                effect: np.ndarray) -> ContextTable:
+    """One cell's context table from its per-context sums, rows ordered by ``from_columns``.
+
+    ``noise`` holds the row sums of gc², gc·wc and wc², ``exposure`` z's
+    row means and the row sums of gc·zc and zc², and ``effect`` the row
+    sums of gc·f, f² and f·wc, with f = f(z + alpha_k) centred per context.
+    The centred outcome is f + wc.
+    """
+    sgg, sgw, sww = noise
     zmean, sgz, szz = exposure
-    wc, sgw, sww = noise
+    sgf, sff, sfw = effect
     with np.errstate(over="ignore", invalid="ignore"):
-        alphas = np.asarray(scenario.alphas)
-        xmean = zmean + alphas
-        f = effect_inplace(scenario.effect, np.add(z, alphas[:, None], out=x))
-        f -= f.mean(axis=1, keepdims=True)
-        sgf, sff = rows.sums(f)
-        sgy, syy = sgf + sgw, sff + 2.0 * row_dot(f, wc) + sww
+        xmean = zmean + np.asarray(scenario.alphas)
+        sgy, syy = sgf + sgw, sff + 2.0 * sfw + sww
     for name, sums in (("exposure", (xmean, sgz, szz)), ("outcome", (sgy, syy))):
         if not np.isfinite(sums).all():
             raise EstimationError(f"the simulated {name} overflows the float range")
-    bx, bx_se = rows.slopes(sgz, szz)
-    by, by_se = rows.slopes(sgy, syy)
+    df = scenario.per_context_n - 2
+    bx, bx_se = _slopes(sgz, szz, sgg, df)
+    by, by_se = _slopes(sgy, syy, sgg, df)
     k = scenario.contexts
     return ContextTable.from_columns(
         [str(j + 1) for j in range(k)], bx, bx_se, by, by_se, xmean,
@@ -253,7 +252,7 @@ def _cell_table(scenario: SimScenario, rows: _InstrumentRows, z: np.ndarray, x: 
 
 
 class Workspace:
-    """One block's (7, K, n) array per draw key, and the plan's cells grouped for them."""
+    """A (7, c, n) array per draw key for a block of replications, and the cells grouped."""
 
     def __init__(self, scenarios, master_seed: int):
         self.master_seed = master_seed
@@ -262,31 +261,48 @@ class Workspace:
         for j, scenario in enumerate(scenarios):
             effects = groups.setdefault(draw_key(scenario), {})
             effects.setdefault(scenario.instrument_effect, []).append((j, scenario))
-        self.groups = [(key, np.empty((7, *key[:2])), effects) for key, effects in groups.items()]
+        self.groups = []
+        for (contexts, n, maf), effects in groups.items():
+            c = max(1, min(contexts, _BLOCK_BYTES // (7 * 8 * n)))
+            self.groups.append(((contexts, n, maf), np.empty((7, c, n)), effects))
 
     def tables(self, replication: int) -> list:
         """Each cell's context table, or the CtxMRError that building it raised, in plan order."""
         tables: list = [None] * self.size
-        for key, block, effects in self.groups:
-            draws = draw_contexts(self.master_seed, replication, *key,
-                                  out=ContextDraws(*block[:4]))
-            gc, z, x = block[4:]
-            rows = _InstrumentRows(draws.g, gc)
-            wc = np.subtract(draws.e_y, draws.u, out=draws.e_y)  # e_y is read only to make wc
-            wc -= wc.mean(axis=1, keepdims=True)
-            noise = wc, *rows.sums(wc)
+        for (contexts, _, maf), block, effects in self.groups:
+            noise = np.empty((3, contexts))
+            exposures = {key: np.empty((3, contexts)) for key in effects}
+            f_sums = {j: np.empty((3, contexts)) for cells in effects.values() for j, _ in cells}
+            for lo in range(0, contexts, block.shape[1]):
+                hi = min(lo + block.shape[1], contexts)
+                g, u, e_x, wc, gc, z, x = block[:, :hi - lo]
+                for i, k in enumerate(range(lo, hi)):
+                    draw_context(self.master_seed, replication, k, maf, g[i], u[i], e_x[i], wc[i])
+                np.subtract(g, g.mean(axis=1, keepdims=True), out=gc)
+                np.subtract(wc, u, out=wc)  # e_y is read only to make wc
+                wc -= wc.mean(axis=1, keepdims=True)
+                noise[:, lo:hi] = row_dot(gc, gc), row_dot(gc, wc), row_dot(wc, wc)
+                for instrument_effect, cells in effects.items():
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        # alpha_k shifts a context's exposure by a constant, which leaves
+                        # its slope on g unchanged, so bx is fitted once without the shifts.
+                        np.multiply(instrument_effect, g, out=z)
+                        z += u
+                        z += e_x
+                        zmean = z.mean(axis=1)
+                        zc = np.subtract(z, zmean[:, None], out=x)  # until a cell overwrites x
+                        exposures[instrument_effect][:, lo:hi] = (zmean, row_dot(gc, zc),
+                                                                 row_dot(zc, zc))
+                        for j, scenario in cells:
+                            alphas = np.asarray(scenario.alphas[lo:hi])
+                            f = effect_inplace(scenario.effect,
+                                               np.add(z, alphas[:, None], out=x))
+                            f -= f.mean(axis=1, keepdims=True)
+                            f_sums[j][:, lo:hi] = row_dot(gc, f), row_dot(f, f), row_dot(f, wc)
             for instrument_effect, cells in effects.items():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    # alpha_k shifts a context's exposure by a constant, which leaves
-                    # its slope on g unchanged, so bx is fitted once without the shifts.
-                    np.multiply(instrument_effect, draws.g, out=z)
-                    z += draws.u
-                    z += draws.e_x
-                    zmean = z.mean(axis=1)
-                    # x holds the centred z until a cell overwrites it.
-                    exposure = zmean, *rows.sums(np.subtract(z, zmean[:, None], out=x))
                 for j, scenario in cells:
-                    tables[j] = lane_result(_cell_table, scenario, rows, z, x, exposure, noise)
+                    tables[j] = lane_result(_cell_table, scenario, noise,
+                                            exposures[instrument_effect], f_sums[j])
         return tables
 
 
@@ -395,6 +411,8 @@ def run_experiment(plan: ExperimentPlan) -> list[CellResult]:
     if workers == 1:
         per_block = [task(block) for block in blocks]
     else:
+        import multiprocessing  # only a pool needs it; ``import ctxmr`` stays lighter
+
         with multiprocessing.Pool(processes=workers) as pool:
             per_block = pool.map(task, blocks, chunksize=1)
     per_replication = [outcomes for block in per_block for outcomes in block]

@@ -25,13 +25,15 @@ three normal vectors, sampled by numpy's ziggurat method).
 
 The draws depend on the scenario only through (contexts, per_context_n,
 maf), its ``draw_key``; the effect shape, the shifts alpha_k and the
-instrument effect act afterwards. ``draw_contexts`` therefore draws a whole
-replication once as (K, n) arrays, and ``generate_dataset`` builds one
+instrument effect act afterwards. ``draw_context`` fills one context's
+four rows from its stream. ``draw_contexts`` loops over it to draw a
+whole replication as (K, n) arrays, and ``generate_dataset`` builds one
 scenario's exposure and outcome from them and flattens both into a
-Dataset. The simulation engine (``harness.Workspace``) reuses the draws
-across scenarios without building a Dataset, and passes ``out=`` so that
-each replication of a block overwrites the same arrays;
-``generate_dataset`` allocates its own.
+Dataset. The simulation engine (``harness.Workspace``) calls
+``draw_context`` into the rows of its own bounded block, a few contexts
+at a time, and reuses the draws across scenarios without building a
+Dataset. A cell has at most ``_MAX_CONTEXTS`` contexts of at most
+``_MAX_PER_CONTEXT_N`` participants.
 
 ``effect_inplace`` is the one formula of each effect shape. It overwrites
 a float array, so the engine evaluates f with no temporaries;
@@ -55,6 +57,11 @@ ALPHA_GRIDS = {"larger": (8.0, 0.2), "smaller": (9.0, 0.1)}
 
 #: R-squared this close to 1 makes the F statistic meaningless; cap it.
 _F_CAP_R2 = 1.0 - 1e-12
+
+#: The most contexts and the most participants per context of one cell, so
+#: that an oversized config is refused before anything is allocated.
+_MAX_CONTEXTS = 10_000
+_MAX_PER_CONTEXT_N = 1_000_000
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -146,8 +153,13 @@ class SimScenario:
     def __post_init__(self):
         if len(self.alphas) < 2:
             raise ConfigError(f"need at least 2 contexts, got {len(self.alphas)}")
+        if len(self.alphas) > _MAX_CONTEXTS:
+            raise ConfigError(f"contexts must be at most {_MAX_CONTEXTS}, got {len(self.alphas)}")
         if self.per_context_n < 10:
             raise ConfigError(f"per-context n must be >= 10, got {self.per_context_n}")
+        if self.per_context_n > _MAX_PER_CONTEXT_N:
+            raise ConfigError(f"per_context_n must be at most {_MAX_PER_CONTEXT_N}, "
+                              f"got {self.per_context_n}")
         if not 0.0 < self.maf < 1.0:
             raise ConfigError(f"minor allele frequency must be in (0, 1), got {self.maf}")
         _require_finite(self, "alphas", "instrument_effect")
@@ -185,30 +197,29 @@ def draw_key(scenario: SimScenario) -> tuple[int, int, float]:
     return scenario.contexts, scenario.per_context_n, scenario.maf
 
 
-def draw_contexts(
-    master_seed: int, replication: int, contexts: int, per_context_n: int, maf: float,
-    out: ContextDraws | None = None,
-) -> ContextDraws:
-    """Draw (g, u, e_x, e_y) for every context of one replication.
+def draw_context(master_seed: int, replication: int, k: int, maf: float,
+                 g: np.ndarray, u: np.ndarray, e_x: np.ndarray, e_y: np.ndarray) -> None:
+    """Fill the float rows g, u, e_x and e_y (one length each) with context k's draws.
 
-    Row k comes from the stream of (master_seed, replication, k) alone, so
-    scenarios with the same ``draw_key`` see the same draws. With ``out``,
-    a ContextDraws of (contexts, per_context_n) arrays, the draws are
-    written into its arrays, in the same stream order, and ``out`` is
-    returned; otherwise new arrays are allocated.
+    They come from the stream of (master_seed, replication, k) alone, so
+    scenarios with the same ``draw_key`` see the same draws.
     """
-    shape = (contexts, per_context_n)
-    if out is None:
-        out = ContextDraws(*(np.empty(shape) for _ in range(4)))
-    elif any(a.shape != shape for a in (out.g, out.u, out.e_x, out.e_y)):
-        raise DomainError(f"draw buffers must have shape {shape}")
+    rng = _context_rng(master_seed, replication, k)
+    g[:] = rng.random(g.size) < maf
+    g += rng.random(g.size) < maf
+    for row in (u, e_x, e_y):
+        rng.standard_normal(out=row)
+
+
+def draw_contexts(
+    master_seed: int, replication: int, contexts: int, per_context_n: int, maf: float
+) -> ContextDraws:
+    """Draw (g, u, e_x, e_y) for every context of one replication, row k by ``draw_context``."""
+    draws = ContextDraws(*(np.empty((contexts, per_context_n)) for _ in range(4)))
     for k in range(contexts):
-        rng = _context_rng(master_seed, replication, k)
-        out.g[k] = rng.random(per_context_n) < maf
-        out.g[k] += rng.random(per_context_n) < maf
-        for draws in (out.u, out.e_x, out.e_y):
-            rng.standard_normal(out=draws[k])
-    return out
+        draw_context(master_seed, replication, k, maf,
+                     draws.g[k], draws.u[k], draws.e_x[k], draws.e_y[k])
+    return draws
 
 
 def generate_dataset(
@@ -275,8 +286,9 @@ def parse_scenario_config(text: str) -> SimScenario:
     A value that does not parse (an integer for contexts and per_context_n,
     a finite number for the other numeric keys and for each entry of a
     custom alpha_grid) raises ConfigError naming the key and the value, as
-    do a key given twice (naming both lines), a contexts below 3 and a
-    contexts that differs from the length of a custom alpha_grid.
+    do a key given twice (naming both lines), a contexts below 3 or above
+    ``_MAX_CONTEXTS`` (checked before a named grid is built) and a contexts
+    that differs from the length of a custom alpha_grid.
     """
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -317,6 +329,9 @@ def parse_scenario_config(text: str) -> SimScenario:
     if contexts is not None and contexts < 3:
         raise ConfigError(f"scenario config key 'contexts': {contexts} is below 3, "
                           "the fewest the trend test needs")
+    if contexts is not None and contexts > _MAX_CONTEXTS:
+        raise ConfigError(f"scenario config key 'contexts': {contexts} is above "
+                          f"{_MAX_CONTEXTS}, the most a cell may have")
     grid_spec = entries.pop("alpha_grid", "larger")
     if grid_spec in ALPHA_GRIDS:
         alphas = alpha_grid(grid_spec, 10 if contexts is None else contexts)

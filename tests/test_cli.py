@@ -482,6 +482,16 @@ class TestSimulate:
             f"configuration error: scenario config key 'contexts': {contexts} is below 3, "
             "the fewest the trend test needs"]
 
+    def test_contexts_above_the_bound_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "cell.cfg"
+        config.write_text("effect = linear\ncontexts = 10001\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(config), "--reps", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: scenario config key 'contexts': 10001 is above 10000, "
+            "the most a cell may have"]
+
     def test_repeated_config_key_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "cell.cfg"
         config.write_text("effect = linear\nmaf = 0.3\nmaf = 0.4\n", encoding="utf-8")

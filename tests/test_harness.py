@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import re
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +31,15 @@ from ctxmr.harness import (
     worker_count,
 )
 from ctxmr.ivcore import ContextTable, context_iv
-from ctxmr.simulate import EffectFunction, SimScenario, generate_dataset
+from ctxmr.numerics import row_dot
+from ctxmr.simulate import (
+    EffectFunction,
+    SimScenario,
+    draw_contexts,
+    draw_key,
+    effect_inplace,
+    generate_dataset,
+)
 
 
 def small_plan(**overrides):
@@ -279,6 +290,65 @@ class TestSharedDraws:
         assert str(error) == outcomes[0].error
 
 
+def _whole_array_table(scenario: SimScenario, master_seed: int, replication: int):
+    """A cell's table from its sums over whole (K, n) arrays, one draw of all K contexts."""
+    d = draw_contexts(master_seed, replication, *draw_key(scenario))
+    gc = d.g - d.g.mean(axis=1, keepdims=True)
+    wc = d.e_y - d.u
+    wc -= wc.mean(axis=1, keepdims=True)
+    z = scenario.instrument_effect * d.g
+    z += d.u
+    z += d.e_x
+    zmean = z.mean(axis=1)
+    zc = z - zmean[:, None]
+    f = effect_inplace(scenario.effect, z + np.asarray(scenario.alphas)[:, None])
+    f -= f.mean(axis=1, keepdims=True)
+    return harness._cell_table(
+        scenario,
+        np.array([row_dot(gc, gc), row_dot(gc, wc), row_dot(wc, wc)]),
+        np.array([zmean, row_dot(gc, zc), row_dot(zc, zc)]),
+        np.array([row_dot(gc, f), row_dot(f, f), row_dot(f, wc)]),
+    )
+
+
+def _cells(contexts: int, per_context_n: int) -> tuple[SimScenario, ...]:
+    alphas = tuple(8.0 + 2.0 * j / contexts for j in range(contexts))
+    return tuple(SimScenario(effect=effect, alphas=alphas, per_context_n=per_context_n)
+                 for effect in (EffectFunction.linear(), EffectFunction.quadratic(),
+                                EffectFunction.threshold()))
+
+
+class TestBlockedWorkspace:
+    """A draw key's contexts are walked in blocks of about ``_BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("cells, block_rows", [
+        (default_plan().scenarios, 1),  # n = 10,000: one context per block
+        (_cells(186, 200), 93),  # two full blocks of many contexts
+        (_cells(22, 2000), 9),  # blocks of 9, 9 and 4 contexts
+    ], ids=["six-cell", "many-per-block", "partial-last-block"])
+    def test_tables_equal_the_whole_array_sums(self, cells, block_rows):
+        workspace = Workspace(cells, master_seed=11)
+        assert [block.shape[1] for _, block, _ in workspace.groups] == [block_rows]
+        for replication in (0, 3):
+            for scenario, table in zip(cells, workspace.tables(replication)):
+                reference = _whole_array_table(scenario, 11, replication)
+                for name in ("labels", "bx", "bx_se", "by", "by_se", "xmean", "n"):
+                    assert (getattr(table, name) == getattr(reference, name)).all(), name
+
+    def test_workspace_memory_does_not_grow_with_the_contexts(self):
+        # The whole (7, K, n) array of this cell would take 22.4 MB.
+        cell = _cells(200, 2000)[0]
+        Workspace((cell,), master_seed=11).tables(0)  # a first draw imports modules
+        tracemalloc.start()
+        try:
+            (table,) = Workspace((cell,), master_seed=11).tables(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 200
+        assert peak < 2_000_000
+
+
 class TestBlocks:
     """Replications run in contiguous blocks, each with one workspace."""
 
@@ -412,3 +482,12 @@ def test_manifest_rebuilds_every_scenario():
         assert scenario.grid_name == grid
         rebuilt.append(scenario)
     assert tuple(rebuilt) == scenarios
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only a process pool needs it; analyze and meta never start one.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ctxmr.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"

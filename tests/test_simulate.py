@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from ctxmr import simulate
 from ctxmr.datamodel import Dataset, partition_by_context
 from ctxmr.errors import ConfigError, DomainError
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
@@ -15,10 +16,10 @@ from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.simulate import (
     LARGER_GRID,
     SMALLER_GRID,
-    ContextDraws,
     EffectFunction,
     SimScenario,
     alpha_grid,
+    draw_context,
     draw_contexts,
     effect_inplace,
     effect_value,
@@ -118,6 +119,16 @@ class TestGrids:
         with pytest.raises(ConfigError):
             SimScenario(per_context_n=5)
 
+    def test_size_bounds(self):
+        # Constructing a scenario allocates nothing, so the bounds themselves pass.
+        assert SimScenario(alphas=alpha_grid("larger", 10_000)).contexts == 10_000
+        assert SimScenario(per_context_n=1_000_000).per_context_n == 1_000_000
+        with pytest.raises(ConfigError, match="^contexts must be at most 10000, got 10001$"):
+            SimScenario(alphas=alpha_grid("larger", 10_001))
+        with pytest.raises(ConfigError,
+                           match="^per_context_n must be at most 1000000, got 1000001$"):
+            SimScenario(per_context_n=1_000_001)
+
     @pytest.mark.parametrize("field, value", [
         ("alphas", (float("nan"), 9.0, 9.5)),
         ("alphas", (8.0, float("inf"))),
@@ -142,16 +153,14 @@ class TestGenerate:
         assert np.array_equal(a.exposure, b.exposure)
         assert np.array_equal(a.outcome, b.outcome)
 
-    def test_draws_into_buffers_equal_fresh_draws(self):
-        fresh = draw_contexts(7, 3, 4, 500, 0.3)
-        buffers = ContextDraws(*(np.full((4, 500), np.nan) for _ in range(4)))
-        for replication in (5, 3):  # overwrite what an earlier replication left
-            filled = draw_contexts(7, replication, 4, 500, 0.3, out=buffers)
-        assert filled is buffers
-        for name in ("g", "u", "e_x", "e_y"):
-            assert np.array_equal(getattr(filled, name), getattr(fresh, name)), name
-        with pytest.raises(DomainError, match=r"shape \(4, 400\)"):
-            draw_contexts(7, 3, 4, 400, 0.3, out=buffers)
+    def test_draw_context_rows_equal_draw_contexts_rows(self):
+        whole = draw_contexts(7, 3, 4, 500, 0.3)
+        rows = np.full((4, 500), np.nan)
+        for k in (2, 0, 3):  # any order, into rows an earlier context left
+            draw_context(7, 5, 1, 0.3, *rows)
+            draw_context(7, 3, k, 0.3, *rows)
+            for row, name in zip(rows, ("g", "u", "e_x", "e_y")):
+                assert np.array_equal(row, getattr(whole, name)[k]), (k, name)
 
     def test_replications_differ(self):
         s = SimScenario(per_context_n=500)
@@ -336,12 +345,24 @@ class TestScenarioConfig:
          "scenario config key 'contexts': -1 is below 3, the fewest the trend test needs"),
         ("contexts = 0\nalpha_grid = smaller\n",
          "scenario config key 'contexts': 0 is below 3, the fewest the trend test needs"),
+        ("per_context_n = 1000001\n", "per_context_n must be at most 1000000, got 1000001"),
     ], ids=["contexts-below-grid", "contexts-above-grid", "repeated-key",
             "repeated-identical-key", "empty-grid-entry", "trailing-grid-comma",
-            "negative-contexts", "zero-contexts"])
+            "negative-contexts", "zero-contexts", "per-context-n-above-bound"])
     def test_contradictory_input_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_scenario_config(text)
+
+    def test_contexts_above_the_bound_is_refused_before_the_grid_is_built(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("alpha_grid ran")
+
+        monkeypatch.setattr(simulate, "alpha_grid", no_grid)
+        message = ("scenario config key 'contexts': 10001 is above 10000, "
+                   "the most a cell may have")
+        for grid in ("larger", "1,2,3"):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_scenario_config(f"contexts = 10001\nalpha_grid = {grid}\n")
 
     def test_contexts_matching_a_custom_grid_is_accepted(self):
         s = parse_scenario_config("contexts = 3\nalpha_grid = 8.0, 9.0, 10.0\n")
