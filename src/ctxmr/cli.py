@@ -179,7 +179,7 @@ def cmd_simulate(args) -> int:
     )
     plan = replace(plan, alpha_level=args.alpha)
     if args.config:
-        scenario = parse_scenario_config(Path(args.config).read_text(encoding="utf-8"))
+        scenario = parse_scenario_config(Path(args.config).read_text(encoding="utf-8-sig"))
         plan = replace(plan, scenarios=(scenario,))
     _write_outputs(args.out_dir, {})  # a bad --out-dir fails before the experiment runs
     start = time.perf_counter()

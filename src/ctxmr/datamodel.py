@@ -10,12 +10,12 @@ rejects is parsed cell by cell. The cyclic garbage collector is paused
 while the file is read, since it would otherwise walk every row list.
 
 ``partition_by_context`` finds the runs of equal labels in one
-comparison pass and sorts the runs, not the rows, by label; a file
-whose runs are mostly single rows has its rows sorted instead. It copies
-no context whose rows sit in one run of the file: that context's
-columns are views of the dataset's. Other contexts are gathered with
-``take``, in file order. Either way a context's columns are read-only,
-so nothing downstream can write into the caller's arrays.
+comparison pass and sorts the runs, not the rows, by label; in a file
+in random order most runs are one row long, and the same sort serves.
+It copies no context whose rows sit in one run of the file: that
+context's columns are views of the dataset's. Other contexts are
+gathered with ``take``, in file order. Either way a context's columns
+are read-only, so nothing downstream can write into the caller's arrays.
 
 ``csv_text`` is the one CSV writer of the package: ``report.csv``,
 ``table.csv`` and both plot files go through it. ``shallow_dict`` turns
@@ -161,7 +161,7 @@ def _start_line(path, record: int) -> int:
     A quoted field can hold newlines, so records and lines differ; the
     file is read again, which only an error report needs.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for _ in islice(reader, record):
             pass
@@ -221,7 +221,7 @@ def shallow_dict(obj) -> dict:
 
 
 def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dataset:
-    """Read a header-ed CSV into a Dataset.
+    """Read a header-ed UTF-8 CSV, with or without a byte-order mark, into a Dataset.
 
     Rows with a missing or unparseable mapped field are excluded and
     counted in ``n_dropped``. A non-0/1 outcome under the logistic family
@@ -238,7 +238,7 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the cyclic collector would walk every fresh row list
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header, index = read_header(reader, path, needed)
             pick = itemgetter(*(index[name] for name in needed))
@@ -298,11 +298,13 @@ def partition_by_context(
     Contexts with fewer than ``min_n`` records are excluded and reported
     in the result's ``excluded`` list. The partition only groups rows:
     ``ContextTable.from_columns`` orders the contexts of an analysis by
-    mean exposure. Each context keeps its rows in file order. A context
-    whose rows form one run of the file is a slice of the dataset
-    (read-only views, no copy); any other is gathered (read-only copies).
-    Both hold the same values in the same order, so every sum over a
-    context runs over the same rows either way.
+    mean exposure. A stable sort of the runs of equal labels (of one row
+    or many) groups them, so each context keeps its rows in file order,
+    whether the file is sorted or shuffled. A context whose rows form one
+    run of the file is a slice of the dataset (read-only views, no copy);
+    any other is gathered (read-only copies). Both hold the same values
+    in the same order, so every sum over a context runs over the same
+    rows either way.
     """
     if len(ds) == 0:
         raise ConfigError("cannot partition an empty dataset")
@@ -310,16 +312,10 @@ def partition_by_context(
     # One comparison pass finds the runs of equal labels; a stable sort of
     # the runs, not the rows, groups them by label and keeps each label's
     # runs in file order, so every context's sums run over its rows as they
-    # were read. Where most runs are one row long (a file in random order)
-    # the rows themselves are sorted, as runs of one: that sort costs no
-    # more, and needs no gather of run labels and sizes.
+    # were read.
     starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1])))
-    if 2 * starts.size > ctx.size:
-        starts = sizes = None
-        keys = ctx
-    else:
-        sizes = np.diff(starts, append=ctx.size)
-        keys = ctx[starts]
+    sizes = np.diff(starts, append=ctx.size)
+    keys = ctx[starts]
     order = np.argsort(keys, kind="stable")
     labels = keys.take(order)
     cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(order)]
@@ -328,12 +324,10 @@ def partition_by_context(
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         label = str(labels[lo])
         runs = order[lo:hi]
-        if starts is None:  # each run is one row: the run numbers are the rows
-            rows = runs
-        else:  # row i of a run is the run's start plus i
-            run_sizes = sizes[runs]
-            offsets = starts[runs] - (np.cumsum(run_sizes) - run_sizes)
-            rows = np.repeat(offsets, run_sizes) + np.arange(run_sizes.sum())
+        # Row i of a run is the run's start plus i.
+        run_sizes = sizes[runs]
+        offsets = starts[runs] - (np.cumsum(run_sizes) - run_sizes)
+        rows = np.repeat(offsets, run_sizes) + np.arange(run_sizes.sum())
         if rows.size < min_n:
             excluded.append(ExcludedContext(
                 context=label, n=rows.size, reason=f"fewer than min_n={min_n} records"))

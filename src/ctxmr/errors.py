@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories shared across the package.
+"""Exception hierarchy shared across the package.
 
 Every failure raised by this package derives from :class:`CtxMRError`, split
 into three stages that the command-line interface maps to distinct exit
@@ -88,6 +88,3 @@ def one_lane(outcomes):
         raise outcome
     return outcome
 
-
-class DegenerateFitWarning(UserWarning):
-    """A regression fit the data exactly; reported standard error is zero."""

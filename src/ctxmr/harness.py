@@ -48,8 +48,8 @@ runs allocates (and page-faults) it, and its size does not grow with K.
 Lockstep tests: once a replication's tables are built, each test runs
 once over all its cells, a lane per cell (``q_first_order_lanes``,
 ``q_modified_second_order_lanes``, ``trend_test_lanes``): one scan over
-(cells, points, contexts) and one vectorized ``newton_in_bracket`` call
-per test. A lane's result does not depend on the other lanes; it equals
+(cells, points, contexts) and one vectorized ``refine_scan`` call per
+test. A lane's result does not depend on the other lanes; it equals
 the one-lane ``q_first_order``, ``q_modified_second_order`` and
 ``trend_test`` of that table to the last bit.
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, lane_result, one_lane
 from .ivcore import ContextTable
-from .numerics import chi_square_sf, lane_groups, newton_in_bracket
+from .numerics import chi_square_sf, lane_groups, refine_scan
 
 #: The modified-Q scan evaluates Q(b) at b = c + h tan(phi), for this many
 #: angles phi spaced uniformly inside (-pi/2, pi/2), c and h being the
@@ -140,14 +140,11 @@ def q_modified_second_order_lanes(tables) -> list:
     """``q_modified_second_order`` of each table: its result, or the CtxMRError it raises.
 
     The tables with equally many rows run in lockstep: one scan over
-    (tables, points, rows) and one ``newton_in_bracket`` call, a lane per
-    table.
+    (tables, points, rows) and one ``numerics.refine_scan`` call, a lane
+    per table.
     """
     outcomes = [None] * len(tables)
     for lanes, (bx, bx_se, by, by_se) in _lanes(tables, outcomes):
-        by_var = by_se**2
-        bx_var = bx_se**2
-
         def q_at(b):
             """Q at the points b of shape (C, P), one row of points per lane."""
             b = b[..., None]
@@ -164,6 +161,8 @@ def q_modified_second_order_lanes(tables) -> list:
                                  axis=-1))
 
         with np.errstate(over="ignore", invalid="ignore"):
+            by_var = by_se**2
+            bx_var = bx_se**2
             ratios = by / bx
             top, bottom = ratios.max(axis=-1), ratios.min(axis=-1)
             centre = 0.5 * (top + bottom)
@@ -171,10 +170,7 @@ def q_modified_second_order_lanes(tables) -> list:
             half_width = np.where(half_width != 0.0, half_width,
                                   np.where(centre != 0.0, np.abs(centre), 1.0))
             grid = centre[:, None] + half_width[:, None] * _SCAN_TAN
-            rows, i = np.arange(len(lanes)), np.argmin(q_at(grid), axis=-1)
-            beta, iterations = newton_in_bracket(
-                derivatives, grid[rows, np.maximum(i - 1, 0)],
-                grid[rows, np.minimum(i + 1, _SCAN_ANGLES - 1)], grid[rows, i])
+            beta, iterations = refine_scan(derivatives, grid, q_at(grid))
             q = q_at(beta[:, None])[:, 0]
         for j, lane in enumerate(lanes):
             outcomes[lane] = lane_result(_result, MODIFIED_SECOND_ORDER, q[j], beta[j],
@@ -188,13 +184,13 @@ def q_modified_second_order(table: ContextTable) -> HeterogeneityResult:
     Q is the global minimum over b of
     Q(b) = sum_k (by_k - b bx_k)^2 / (se(by_k)^2 + b^2 se(bx_k)^2),
     and ``pooled_beta`` the b where it is attained. Q(b) is first
-    evaluated on the whole-line scan described at ``_SCAN_ANGLES``; the
-    best scan point is then refined by ``numerics.newton_in_bracket`` on
-    dQ/db, with analytic first and second derivatives, inside the bracket
-    of its two scan neighbours; ``iterations`` counts its Newton and
-    bisection steps. The scan is covariant under a common scaling of by
-    and se(by), so Q is invariant to it. When every se(bx_k) is zero,
-    Q(b) is the first-order quadratic and the result equals the
-    first-order version.
+    evaluated on the whole-line scan described at ``_SCAN_ANGLES``;
+    ``numerics.refine_scan`` then refines the best scan point by Newton
+    steps on dQ/db, with analytic first and second derivatives, inside
+    the bracket of its two scan neighbours; ``iterations`` counts its
+    Newton and bisection steps. The scan is covariant under a common
+    scaling of by and se(by), so Q is invariant to it. When every
+    se(bx_k) is zero, Q(b) is the first-order quadratic and the result
+    equals the first-order version.
     """
     return one_lane(q_modified_second_order_lanes([table]))

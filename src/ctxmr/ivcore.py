@@ -11,13 +11,12 @@ whose bx is indistinguishable from zero: its ratio is undefined.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datamodel import Dataset, summarize_context
-from .errors import DegenerateFitWarning, DomainError, EstimationError, RankDeficiencyError
+from .errors import DomainError, EstimationError, RankDeficiencyError
 from .regress import AssocEstimate, design, fit_linear, fit_logistic
 
 #: |bx| below this is a zero denominator, which ``ContextTable.from_columns`` refuses.
@@ -127,22 +126,20 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
     exposure (linear) and the outcome (``family``, linear or logistic)
     on it, and combines them. An essentially zero bx is refused by the
     ``ContextTable`` the result goes into; a weak but nonzero one is
-    noted by the report (``report.DEFAULT_WEAK_T``). An exact fit emits
-    no ``DegenerateFitWarning`` here: an exposure that is an exact linear
-    function of the design is marked by ``bx.degenerate`` (se(bx) = 0),
-    and an exact outcome fit is refused below. A DomainError or
-    EstimationError of the design or the fits (too few rows for the
-    columns, a dependent covariate, a separated outcome) names the context,
-    and a rank error its column's role (the instrument or a covariate).
+    noted by the report (``report.DEFAULT_WEAK_T``). An exposure that is
+    an exact linear function of the design is marked by ``bx.degenerate``
+    (se(bx) = 0), which the report notes, and an exact outcome fit is
+    refused below. A DomainError or EstimationError of the design or the
+    fits (too few rows for the columns, a dependent covariate, a
+    separated outcome) names the context, and a rank error its column's
+    role (the instrument or a covariate).
     """
     if family not in ("linear", "logistic"):
         raise DomainError(f"unknown outcome family {family!r}")
     try:
         shared = design(ds.instrument, ds.covariates)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateFitWarning)
-            bx = fit_linear(shared, ds.exposure)
-            by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
+        bx = fit_linear(shared, ds.exposure)
+        by = (fit_logistic if family == "logistic" else fit_linear)(shared, ds.outcome)
     except (DomainError, EstimationError) as err:
         # Same class and attributes (a rank error's column, a convergence
         # error's trace); the message gains the label and the column's role.

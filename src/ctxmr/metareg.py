@@ -13,7 +13,7 @@ available:
 
 * ``reml``: restricted maximum likelihood (the default, matching standard
   meta-regression software), found by a scan of the restricted likelihood
-  and the package's one 1-D refinement, ``numerics.newton_in_bracket``;
+  and the package's one 1-D refinement of a scan, ``numerics.refine_scan``;
 * ``dl``: the DerSimonian-Laird moment estimator generalized to a
   regression design, max(0, (Q_res - (K - 2)) / tr(P));
 * ``fixed``: tau2 = 0.
@@ -30,12 +30,13 @@ that a lane's numbers equal its one-lane numbers to the last bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, CtxMRError, DomainError, EstimationError, lane_result, one_lane
-from .numerics import lane_groups, newton_in_bracket, normal_sf, row_dot
+from .numerics import lane_groups, normal_sf, refine_scan, row_dot
 
 # Not called here: the benchmark's tracer wraps these names where this
 # module would look them up. Drop them with the next benchmark change.
@@ -76,7 +77,7 @@ def _validate(estimates, variances, means):
         raise DomainError("estimates and means must be finite")
     if not np.isfinite(v).all() or (v <= 0).any():
         raise DomainError("variances must be finite and > 0")
-    if np.ptp(x) == 0.0:
+    if x.max() == x.min():  # np.ptp overflows for means of opposite sign near the limit
         raise ConfigError("all context means are equal; the trend design is collinear")
     return y, v, x
 
@@ -136,11 +137,11 @@ def _reml_tau2(y, v, x, k):
     Every root of f' lies below RSS / (K - 2) + max v, RSS being the
     unweighted OLS residual sum of squares, because tr P >= (K - 2) /
     (max v + tau2) and u'u <= RSS / (min v + tau2)^2. f is scanned at
-    ``_REML_SCAN`` points of [0, that bound], and the best point refined
-    by ``numerics.newton_in_bracket`` between its scan neighbours; the
-    lanes run in lockstep. Returns (tau2, steps, finite), finite being
-    false for a lane whose criterion is not finite on the scan, as
-    variances far outside the float range make it.
+    ``_REML_SCAN`` points of [0, that bound], and ``numerics.refine_scan``
+    refines the best point between its scan neighbours; the lanes run in
+    lockstep. Returns (tau2, steps, finite), finite being false for a
+    lane whose criterion is not finite on the scan, as variances far
+    outside the float range make it.
     """
 
     def f(tau2):
@@ -161,15 +162,17 @@ def _reml_tau2(y, v, x, k):
         r_ols = _gls(np.zeros((len(y), 1)), y, np.ones_like(v), x)[2][:, 0]
         grid = (row_dot(r_ols, r_ols) / (k - 2) + v.max(axis=-1))[:, None] * _REML_SCAN
         criterion = f(grid)
-        rows, i = np.arange(len(y)), np.argmin(criterion, axis=-1)
-        tau2, steps = newton_in_bracket(
-            derivatives, grid[rows, np.maximum(i - 1, 0)],
-            grid[rows, np.minimum(i + 1, _REML_SCAN.size - 1)], grid[rows, i])
+        tau2, steps = refine_scan(derivatives, grid, criterion)
     return tau2, steps, np.isfinite(criterion).all(axis=-1)
 
 
 def _result(intercept, slope, slope_se, tau2, method, k, iterations) -> MetaRegResult:
     slope, slope_se = float(slope), float(slope_se)
+    if not 0.0 < slope_se < math.inf:
+        raise EstimationError(
+            f"trend slope standard error is {slope_se}: the context means or "
+            "estimates are too extreme to fit"
+        )
     return MetaRegResult(
         intercept=float(intercept),
         slope=slope,
@@ -187,7 +190,7 @@ def meta_regress_lanes(estimates, variances, means, method: str = "reml") -> lis
 
     Lane j is (estimates[j], variances[j], means[j]). The lanes with
     equally many contexts run in lockstep: one REML scan over (lanes,
-    points, contexts) and one ``newton_in_bracket`` call.
+    points, contexts) and one ``refine_scan`` call.
     """
     if method not in TAU2_METHODS:
         raise ConfigError(f"unknown tau2 method {method!r}; choose from {TAU2_METHODS}")
@@ -206,7 +209,8 @@ def meta_regress_lanes(estimates, variances, means, method: str = "reml") -> lis
         if method == "fixed":
             tau2 = np.zeros(len(ids))
         elif method == "dl":
-            tau2, iterations = _dl_tau2(y, v, x, k), iterations + 1
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                tau2, iterations = _dl_tau2(y, v, x, k), iterations + 1
         else:
             # REML runs on y and v scaled by powers of two that bring max v near
             # 1, so that w @ w and the other sums of its derivatives stay in the
@@ -224,12 +228,14 @@ def meta_regress_lanes(estimates, variances, means, method: str = "reml") -> lis
                 )
         if not ok.all():
             ids, y, v, x, tau2, iterations = (a[ok] for a in (ids, y, v, x, tau2, iterations))
-        w, _, _, slope, s2 = _gls(tau2[:, None], y, v, x)
-        intercept = row_dot(w, (y - slope * x)[:, None]) / w.sum(axis=-1)
+        # Means near the float limit overflow the fit; ``_result`` refuses its lane.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w, _, _, slope, s2 = _gls(tau2[:, None], y, v, x)
+            intercept = row_dot(w, (y - slope * x)[:, None]) / w.sum(axis=-1)
+            slope_se = 1.0 / np.sqrt(s2)
         for j, lane in enumerate(ids):
             outcomes[lane] = lane_result(_result, intercept[j, 0], slope[j, 0],
-                                         1.0 / np.sqrt(s2[j, 0]), tau2[j], method, k,
-                                         iterations[j])
+                                         slope_se[j, 0], tau2[j], method, k, iterations[j])
     return outcomes
 
 

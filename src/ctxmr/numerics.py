@@ -6,8 +6,10 @@ function (for two-sided z-tests), the inverse of a p x p cross-product
 matrix X'WX with a rank test (``gram_inverse``: one LAPACK Cholesky
 factorization of the unit-diagonal X'WX, never one of the n x p design;
 its pivots give the rank test) and a safeguarded Newton
-search inside a bracket (the one 1-D minimizer, shared by the modified Q
-and the REML trend test). ``gram_inverse`` is the backbone of both
+search inside a bracket (the one 1-D minimizer). The modified Q and the
+REML trend test both scan their criterion on a grid and call
+``refine_scan``, which brackets the best scan point by its neighbours
+and polishes it by that search. ``gram_inverse`` is the backbone of both
 regression fits: ``wls_solve``, the least-squares solve of the linear
 fit, is the Gram product plus ``gram_inverse``, and each Newton step of
 the logistic fit factors its own X'WX with it.
@@ -271,6 +273,21 @@ def newton_in_bracket(derivatives, lo, hi, x) -> tuple[np.ndarray, np.ndarray]:
         if not active:
             break
     return np.array(x), np.array(steps)
+
+
+def refine_scan(derivatives, grid, values) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the best point of a scan of C smooth 1-D functions, lane by lane.
+
+    ``grid`` and ``values`` have shape (C, P): lane j's P scan points, in
+    increasing order, and its function at them. Each lane's best scan
+    point is the start of ``newton_in_bracket``, whose bracket it spans
+    with its two neighbours; a best point at an end of the grid is its
+    own neighbour on that side. ``derivatives`` is as for
+    ``newton_in_bracket``. Returns (x, steps taken), both of shape (C,).
+    """
+    rows, i = np.arange(len(grid)), np.argmin(values, axis=-1)
+    return newton_in_bracket(derivatives, grid[rows, np.maximum(i - 1, 0)],
+                             grid[rows, np.minimum(i + 1, grid.shape[-1] - 1)], grid[rows, i])
 
 
 def lane_groups(lanes: dict) -> list[tuple[list, list[np.ndarray]]]:

@@ -20,18 +20,11 @@ per fit and written in place.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateFitWarning,
-    DomainError,
-    EstimationError,
-    SeparationError,
-)
+from .errors import ConvergenceError, DomainError, EstimationError, SeparationError
 from .numerics import gram_inverse, wls_solve
 
 _IRLS_MAX_ITER = 50
@@ -45,8 +38,9 @@ _DEGENERATE_RSS_RTOL = 1e-24
 class AssocEstimate:
     """A regression coefficient for the instrument, with its standard error.
 
-    ``degenerate`` marks exact fits whose residual variance collapsed to
-    zero; the standard error is reported as 0 and a warning is emitted.
+    ``degenerate`` marks an exact fit, whose residual variance collapsed
+    to zero; its standard error is reported as 0. The flag is the one
+    record of it: no warning is emitted.
     """
 
     beta: float
@@ -122,7 +116,8 @@ def design(predictor, covariates=None) -> Design:
     X[:, 0] = 1.0
     X[:, 1] = predictor
     X[:, 2:] = covariates
-    center = np.array([col.mean() for col in X.T[1:]])
+    with np.errstate(over="ignore"):  # a column that overflows is refused by the fit
+        center = np.array([col.mean() for col in X.T[1:]])
     X[:, 1:] -= center
     return Design(X=X, center=center)
 
@@ -141,7 +136,7 @@ def fit_linear(design: Design, y) -> AssocEstimate:
 
     The standard error uses the classical unbiased residual variance
     RSS / (n - p). A perfectly collinear response (zero residuals) is
-    reported with se = 0 and a DegenerateFitWarning instead of failing.
+    reported with se = 0 and ``degenerate`` set, instead of failing.
     """
     X, y = design.X, _response(design, y)
     n, p = X.shape
@@ -152,12 +147,6 @@ def fit_linear(design: Design, y) -> AssocEstimate:
     rss = float(resid @ resid)
     yty = float(y @ y)
     if rss <= _DEGENERATE_RSS_RTOL * max(yty, 1.0):
-        warnings.warn(
-            "response is an exact linear function of the design; "
-            "standard error reported as 0",
-            DegenerateFitWarning,
-            stacklevel=2,
-        )
         return AssocEstimate(beta=float(coef[1]), se=0.0, n=n, degenerate=True)
     sigma2 = rss / (n - p)
     return AssocEstimate(beta=float(coef[1]), se=float(np.sqrt(sigma2 * cov[1, 1])), n=n)

@@ -234,14 +234,15 @@ def analyze_summary_results(
 
 
 def load_summary_csv(path) -> ContextTable:
-    """Per-context summary statistics from CSV, as a context table.
+    """Per-context summary statistics from a UTF-8 CSV, as a context table.
 
-    The header must carry the columns context, bx, bx_se, by, by_se,
-    xmean, n, each once and in any order. Malformed rows, numbers that
-    are not finite or out of range, and a context label given twice, are
-    reported with the physical line on which the row starts.
+    A byte-order mark, as Excel writes one, is skipped. The header must
+    carry the columns context, bx, bx_se, by, by_se, xmean, n, each once
+    and in any order. Malformed rows, numbers that are not finite or out
+    of range, and a context label given twice, are reported with the
+    physical line on which the row starts.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
         rows = []

@@ -72,13 +72,15 @@ def _require_finite(obj, *names: str) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-def alpha_grid(name_or_values, contexts: int = 10) -> tuple[float, ...]:
-    """Resolve a grid name (a key of ALPHA_GRIDS) or explicit value list."""
-    if not isinstance(name_or_values, str):
-        return tuple(float(a) for a in name_or_values)
-    if name_or_values not in ALPHA_GRIDS:
-        raise ConfigError(f"unknown alpha grid {name_or_values!r}")
-    start, step = ALPHA_GRIDS[name_or_values]
+def alpha_grid(name: str, contexts: int = 10) -> tuple[float, ...]:
+    """The first ``contexts`` alphas of the grid ``name``, a key of ALPHA_GRIDS.
+
+    A custom grid is a list of numbers, which ``parse_scenario_config``
+    reads itself.
+    """
+    if name not in ALPHA_GRIDS:
+        raise ConfigError(f"unknown alpha grid {name!r}")
+    start, step = ALPHA_GRIDS[name]
     return tuple(round(start + step * j, 10) for j in range(contexts))
 
 

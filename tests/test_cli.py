@@ -17,6 +17,7 @@ from ctxmr.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_INGEST, EXIT_OK, main
 from ctxmr.report import plot_data, report_from_json, report_to_json
 
 from fixtures import small_sizes, synthetic_cohort, write_cohort_csv
+from golden.regenerate import README_SUMMARY_CSV
 from regression_sets import ELEVEN_CONTEXT_SUMMARY_CSV
 
 
@@ -421,6 +422,90 @@ def test_extreme_scale_exits_cleanly(command, scale, cohort_csv, tmp_path, capsy
     assert code in (EXIT_OK, EXIT_ESTIMATION)
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
     assert [str(w.message) for w in caught] == []
+
+
+def _summary_with(column, values):
+    """The README's three-row summary table with one column replaced by ``values``."""
+    rows = [row.split(",") for row in README_SUMMARY_CSV.splitlines()]
+    j = rows[0].index(column)
+    for row, value in zip(rows[1:], values):
+        row[j] = value
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def _ci_cohort_csv(path, age_factor):
+    """The logistic cohort of CI's console-script step, its age column times ``age_factor``."""
+    r = np.random.default_rng(7)
+    c = np.repeat([1.0, 2.0, 3.0], 400)
+    g = r.binomial(2, 0.3, 1200)
+    age = r.uniform(40, 70, 1200)
+    sex = r.integers(0, 2, 1200)
+    x = 45 + 5 * c + 2 * g + 0.1 * age + r.normal(0, 3, 1200)
+    y = r.random(1200) < 1 / (1 + np.exp(3 - 0.02 * x - 0.01 * age))
+    np.savetxt(path, np.column_stack([g, x, y, c, age * age_factor, sex]), fmt="%.17g",
+               delimiter=",", header="score,vitd,chd,centre,age,sex", comments="")
+
+
+@pytest.mark.parametrize("summary, command, code", [
+    (("xmean", ["1e308", "1.5e308", "1.7e308"]), ["--tau2", "dl"], EXIT_ESTIMATION),
+    (("xmean", ["1e308", "1.5e308", "1.7e308"]), ["--tau2", "fixed"], EXIT_ESTIMATION),
+    (("xmean", ["1e308", "-1e308", "52"]), [], EXIT_ESTIMATION),
+    (("bx_se", ["1e300", "0.02", "0.03"]), [], EXIT_OK),
+    (None, ["--covariates", "age", "--family", "logistic"], EXIT_CONFIG),
+], ids=["near-limit-means-dl", "near-limit-means-fixed", "opposite-limit-means",
+        "huge-bx-se", "huge-covariate"])
+def test_extreme_input_ends_in_one_stderr_line(summary, command, code, tmp_path, capsys):
+    # Finite values near the ends of the float range: the documented exit
+    # code with one line of stderr (none on success), no numpy warning.
+    path = tmp_path / "input.csv"
+    if summary is None:
+        _ci_cohort_csv(path, 1e305)
+        argv = ["analyze", "--data", str(path), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre"]
+    else:
+        path.write_text(_summary_with(*summary), encoding="utf-8")
+        argv = ["meta", "--summary", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, *command, "--out-dir", str(tmp_path / "out")]) == code
+    assert [str(w.message) for w in caught] == []
+    assert len(capsys.readouterr().err.splitlines()) == (code != EXIT_OK)
+
+
+class TestByteOrderMark:
+    """A UTF-8 input with a byte-order mark, as Excel writes one, reads as the plain file."""
+
+    @pytest.mark.parametrize("command", ["analyze", "meta"])
+    def test_reports_equal_those_of_the_plain_file(self, command, cohort_csv, tmp_path,
+                                                   capsys):
+        if command == "meta":
+            plain = tmp_path / "centres.csv"
+            plain.write_text(README_SUMMARY_CSV, encoding="utf-8")
+        else:
+            plain = cohort_csv
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            out = tmp_path / path.stem
+            argv = (["meta", "--summary", str(path), "--scale", "10", "--out-dir", str(out)]
+                    if command == "meta" else analyze_args(path, out))
+            assert main(argv) == EXIT_OK
+            reports.append([(out / name).read_bytes()
+                            for name in ("report.json", "report.txt", "report.csv")])
+        assert reports[0] == reports[1]
+
+    def test_scenario_config(self, tmp_path, capsys):
+        # Refused before any replication runs, by the same message as the plain file.
+        errors = []
+        for name, prefix in (("plain.cfg", b""), ("marked.cfg", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(prefix + b"contexts = 10001\n")
+            argv = ["simulate", "--config", str(tmp_path / name), "--reps", "1",
+                    "--out-dir", str(tmp_path / "out")]
+            assert main(argv) == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "'contexts': 10001 is above" in errors[0]
 
 
 class TestSimulate:

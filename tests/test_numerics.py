@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from ctxmr.errors import DomainError, RankDeficiencyError
-from ctxmr.numerics import chi_square_sf, newton_in_bracket, normal_sf, row_dot, wls_solve
+from ctxmr.numerics import (
+    chi_square_sf,
+    newton_in_bracket,
+    normal_sf,
+    refine_scan,
+    row_dot,
+    wls_solve,
+)
 
 from oracles import chi_square_sf_quadrature, normal_sf_series
 
@@ -209,3 +216,26 @@ class TestNewtonInBracket:
         x, steps = one_lane(lambda x: (hi - lo if x > mid else lo - hi, 1.0), lo, hi, hi)
         assert lo <= x <= hi
         assert steps < 10
+
+
+class TestRefineScan:
+    @staticmethod
+    def cosh_lanes(centres):
+        """Derivatives of cosh(x - c), one lane per centre c; minimum at c."""
+        return lambda x: (np.sinh(x - centres), np.cosh(x - centres))
+
+    def test_refines_each_lane_from_its_best_scan_point(self):
+        centres = np.array([0.3, -1.7, 2.05])
+        grid = np.tile(np.linspace(-3.0, 3.0, 13), (3, 1))
+        x, steps = refine_scan(self.cosh_lanes(centres), grid,
+                               np.cosh(grid - centres[:, None]))
+        assert x == pytest.approx(centres, abs=1e-15)
+        assert (steps >= 1).all()
+
+    def test_a_best_point_at_an_end_of_the_grid_is_its_own_neighbour(self):
+        # The minima lie beyond the grid, so each bracket collapses onto its end.
+        centres = np.array([-5.0, 5.0])
+        grid = np.tile(np.linspace(-1.0, 1.0, 5), (2, 1))
+        x, steps = refine_scan(self.cosh_lanes(centres), grid,
+                               np.cosh(grid - centres[:, None]))
+        assert x.tolist() == [-1.0, 1.0] and steps.tolist() == [1, 1]

@@ -109,7 +109,9 @@ class TestGrids:
         assert alpha_grid("larger", 10) == LARGER_GRID
 
     def test_custom_grid(self):
-        assert alpha_grid([1, 2, 3.5]) == (1.0, 2.0, 3.5)
+        assert parse_scenario_config("alpha_grid = 1, 2, 3.5").alphas == (1.0, 2.0, 3.5)
+        with pytest.raises(ConfigError, match="^unknown alpha grid 'custom'$"):
+            alpha_grid("custom")
 
     def test_scenario_validation(self):
         with pytest.raises(ConfigError):
