@@ -14,11 +14,15 @@ Exit codes:
 * 3 - ingestion error (an input file that is missing, unreadable or
   malformed);
 * 4 - estimation or experiment error.
+
+``main`` builds its argument parser once per process and reuses it on
+every later call; ``build_parser()`` returns a fresh parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -65,6 +69,11 @@ def _add_analysis_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the three subcommands.
+
+    ``main`` builds one per process and keeps it. The parser holds no
+    handler: ``main`` looks ``cmd_<command>`` up when it is called.
+    """
     parser = argparse.ArgumentParser(
         prog="ctxmr",
         description="Context-stratified Mendelian randomization.",
@@ -87,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--min-context-n", type=int, default=DEFAULT_MIN_CONTEXT_SIZE)
     _add_analysis_flags(analyze)
     _add_output_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
 
     meta = commands.add_parser(
         "meta", help="heterogeneity and trend from per-context summary statistics"
@@ -96,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="summary CSV with columns context,bx,bx_se,by,by_se,xmean,n")
     _add_analysis_flags(meta)
     _add_output_flags(meta)
-    meta.set_defaults(func=cmd_meta)
 
     simulate = commands.add_parser(
         "simulate", help="run the Monte Carlo rejection-rate experiment"
@@ -112,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the six built-in cells)",
     )
     _add_output_flags(simulate)
-    simulate.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -198,11 +204,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = {"analyze": cmd_analyze, "meta": cmd_meta,
+               "simulate": cmd_simulate}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

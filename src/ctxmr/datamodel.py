@@ -8,6 +8,7 @@ column of a chunk with one numpy call (numpy parses a ``str`` exactly as
 ``float`` does); only a column chunk holding a token that ``float``
 rejects is parsed cell by cell. The cyclic garbage collector is paused
 while the file is read, since it would otherwise walk every row list.
+A context label is kept as one ``str`` object, however many rows carry it.
 
 ``partition_by_context`` finds the runs of equal labels in one
 comparison pass and sorts the runs, not the rows, by label; in a file
@@ -220,6 +221,20 @@ def shallow_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+class _Labels(dict):
+    """Each raw context cell's label: its stripped text, one object per label.
+
+    Every row looks its cell up; only a spelling not seen before is
+    stripped. All spellings of a label map to one ``str``, so a column
+    holds one object per label, not one per row.
+    """
+
+    def __missing__(self, cell: str) -> str:
+        label = cell.strip()
+        label = self[cell] = self.setdefault(label, label)
+        return label
+
+
 def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dataset:
     """Read a header-ed UTF-8 CSV, with or without a byte-order mark, into a Dataset.
 
@@ -234,6 +249,7 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
               column_map.context, *column_map.covariates]
     blocks: list[np.ndarray] = []
     labels: list[np.ndarray] = []
+    label_of = _Labels()
     dropped, record = 0, 1
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the cyclic collector would walk every fresh row list
@@ -247,7 +263,7 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
                 if len(full) < len(chunk):
                     dropped += sum(len(row) < len(header) and not _blank(row) for row in chunk)
                 cells = list(zip(*map(pick, full))) or [()] * len(needed)
-                label = np.array(list(map(str.strip, cells[3])), dtype=object)
+                label = np.array(list(map(label_of.__getitem__, cells[3])), dtype=object)
                 values = np.array([_to_floats(c) for c in cells[:3] + cells[4:]]).T
                 keep = np.isfinite(values).all(axis=1)
                 keep &= np.array([lab not in MISSING_TOKENS for lab in label], dtype=bool)
@@ -308,7 +324,14 @@ def partition_by_context(
     """
     if len(ds) == 0:
         raise ConfigError("cannot partition an empty dataset")
-    ctx = ds.context if ds.context.dtype.kind in ("U", "S") else ds.context.astype(str)
+    ctx = ds.context
+    if ctx.dtype == object:
+        # The str of each label, as an object: a fixed-width copy would take
+        # rows x the longest label, which one stray quote in a file can make
+        # thousands of characters long.
+        ctx = np.array([x if type(x) is str else str(x) for x in ctx.tolist()], dtype=object)
+    elif ctx.dtype.kind not in ("U", "S"):
+        ctx = ctx.astype(str)
     # One comparison pass finds the runs of equal labels; a stable sort of
     # the runs, not the rows, groups them by label and keeps each label's
     # runs in file order, so every context's sums run over its rows as they

@@ -173,12 +173,18 @@ def _result(intercept, slope, slope_se, tau2, method, k, iterations) -> MetaRegR
             f"trend slope standard error is {slope_se}: the context means or "
             "estimates are too extreme to fit"
         )
+    z = abs(slope) / slope_se
+    if not math.isfinite(z):
+        raise EstimationError(
+            f"trend slope is {slope} (z = {z}): the context means or estimates "
+            "are too extreme to fit"
+        )
     return MetaRegResult(
         intercept=float(intercept),
         slope=slope,
         slope_se=slope_se,
         tau2=float(tau2),
-        slope_p=2.0 * normal_sf(abs(slope) / slope_se),
+        slope_p=2.0 * normal_sf(z),
         tau2_method=method,
         k=k,
         iterations=int(iterations),
@@ -216,9 +222,12 @@ def meta_regress_lanes(estimates, variances, means, method: str = "reml") -> lis
             # 1, so that w @ w and the other sums of its derivatives stay in the
             # float range even for variances near its ends. The scaling is
             # exact: at ordinary scales tau2 is the same to the last bit.
+            # A y near the float limit may overflow when v is tiny; its lane's
+            # criterion is then not finite, and the lane is refused below.
             e = np.frexp(v.max(axis=-1))[1] // 2
-            tau2, iterations, ok = _reml_tau2(np.ldexp(y, -e[:, None]),
-                                              np.ldexp(v, -2 * e[:, None]), x, k)
+            with np.errstate(over="ignore"):
+                y_scaled, v_scaled = np.ldexp(y, -e[:, None]), np.ldexp(v, -2 * e[:, None])
+            tau2, iterations, ok = _reml_tau2(y_scaled, v_scaled, x, k)
             with np.errstate(over="ignore"):
                 tau2 = np.ldexp(tau2, 2 * e)
             for lane in ids[~ok]:

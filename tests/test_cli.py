@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,6 +271,39 @@ class TestAnalyze:
             f"estimation error: context {centre!r}: design matrix is rank deficient at "
             f"column {index} ({role})"
         ]
+
+
+    def test_stray_quote_label_costs_memory_in_proportion_to_the_file(self, tmp_path, capsys):
+        # The quote opens a field that runs to the end of the file: the last
+        # row of centre 2 takes the 1,000 rows of centre 3 into its label.
+        # That context is excluded (n = 1); a fixed-width copy of the labels
+        # would take 2,000 rows x that label, some 350 MB.
+        path = tmp_path / "stray.csv"
+        ds = synthetic_cohort(seed=7, sizes=(1000, 1000, 1000), means=(50.0, 52.0, 54.0),
+                              with_covariates=False)
+        write_cohort_csv(path, ds)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        row, label = lines[2000].rsplit(",", 1)
+        lines[2000] = f'{row},"{label}'
+        path.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["analyze", "--data", str(path), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                "--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["contexts"]) == 2
+        excluded = [note for note in report["warnings"] if "excluded" in note]
+        assert len(excluded) == 1
+        assert excluded[0].startswith("context 'C02\\n")
+        assert excluded[0].endswith("C03' excluded: fewer than min_n=100 records (n=1)")
+        assert peak < 32 * path.stat().st_size
+        capsys.readouterr()
 
 
 class TestMeta:
@@ -735,6 +769,63 @@ def test_labels_that_need_quoting_round_trip(tmp_path, capsys):
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert {len(row) for row in rows} == {width}, name
         assert sorted(row[0] for row in rows[1:]) == sorted(labels), name
+
+
+class TestParserCache:
+    """``main`` builds its parser once per process; no call leaves state for the next."""
+
+    def test_main_builds_the_parser_once(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        summary = tmp_path / "centres.csv"
+        summary.write_text(README_SUMMARY_CSV, encoding="utf-8")
+        for _ in range(3):
+            assert main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli._parser()
+        capsys.readouterr()
+
+    def test_a_call_leaves_nothing_for_the_next(self, tmp_path, capsys):
+        summary = tmp_path / "centres.csv"
+        summary.write_text(README_SUMMARY_CSV, encoding="utf-8")
+        first = ["meta", "--summary", str(summary), "--tau2", "dl", "--format", "json",
+                 "--scale", "10", "--out-dir", str(tmp_path / "first")]
+        plain = ["meta", "--summary", str(summary)]
+        assert main(first) == EXIT_OK
+        capsys.readouterr()
+        assert main([*plain, "--out-dir", str(tmp_path / "second")]) == EXIT_OK
+        second = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ctxmr.cli", *plain, "--out-dir", str(tmp_path / "fresh")],
+            capture_output=True,
+            text=True,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (EXIT_OK, second.out, "")
+        assert second.err == ""
+        for name in ("report.json", "report.txt", "report.csv"):
+            assert ((tmp_path / "second" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), name
+
+    def test_a_usage_error_exits_2_each_time(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as caught:
+                main(["meta", "--scale", "10"])
+            assert caught.value.code == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "the following arguments are required: --summary" in errors[0]
+
+    def test_a_handler_patched_after_a_call_is_the_one_that_runs(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        summary = tmp_path / "centres.csv"
+        summary.write_text(README_SUMMARY_CSV, encoding="utf-8")
+        argv = ["meta", "--summary", str(summary), "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        seen = []
+        monkeypatch.setattr(cli, "cmd_meta", lambda args: seen.append(args.summary) or 7)
+        assert main(argv) == 7
+        assert seen == [str(summary)]
+        capsys.readouterr()
 
 
 def test_console_entry_point_runs():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +136,14 @@ class TestLoadCsv:
         assert ds.covariate_names == ("age", "sex")
         assert ds.covariates[0].tolist() == [63.0, 1.0]
 
+    def test_context_column_holds_one_object_per_label(self, tmp_path):
+        rows = "".join(f"1,50,0,{label}\n" for label in
+                       ["leeds", " york", "leeds ", "york", "NA", "leeds", "york "] * 400)
+        ds = load_csv(_write(tmp_path, "score,vitd,chd,centre\n" + rows), CMAP)
+        assert len(ds) == 2400
+        assert sorted(set(ds.context.tolist())) == ["leeds", "york"]
+        assert len(set(map(id, ds.context.tolist()))) == 2
+
     def test_unparseable_and_infinite_values_dropped(self, tmp_path):
         path = _write(
             tmp_path,
@@ -187,6 +197,39 @@ class TestPartition:
             assert sub.instrument.tolist() == np.flatnonzero(context == label).tolist()
             assert (sub.context == label).all()
         assert [(e.context, e.n) for e in part.excluded] == [("k", 40)]
+
+    def test_object_labels_group_by_their_str(self):
+        # 1 == 1.0 and 1 == True, but their labels "1", "1.0" and "True"
+        # differ; NaN is unequal to itself, but all its rows are "nan".
+        rng = np.random.default_rng(6)
+        kinds = np.array(["b", "a", 1, "1", 1.0, float("nan"), True, "a "], dtype=object)
+        context = np.concatenate([kinds, kinds[rng.integers(0, kinds.size, 600)]])
+        row = np.arange(context.size, dtype=float)
+        ds = _dataset(row, rng.normal(size=row.size), np.zeros(row.size), context)
+        part = partition_by_context(ds, min_n=2)
+        as_str = context.astype(str)
+        assert [label for label, _ in part.contexts] == sorted(set(as_str.tolist()))
+        for label, sub in part.contexts:
+            assert sub.instrument.tolist() == np.flatnonzero(as_str == label).tolist()
+
+    def test_a_long_label_costs_no_copy_per_row(self):
+        # A fixed-width copy of these labels would take 2,000 rows x 10,000
+        # characters x 4 bytes = 80 MB; the partition needs less than the
+        # dataset it splits takes.
+        labels = ["a"] * 500 + ["x" * 10_000] * 500 + ["b"] * 500 + ["c"] * 500
+        rng = np.random.default_rng(4)
+        n = len(labels)
+        ds = _dataset(rng.normal(size=n), rng.normal(size=n), rng.normal(size=n), labels)
+        size = (sum(a.nbytes for a in (ds.instrument, ds.exposure, ds.outcome, ds.context))
+                + sum(map(sys.getsizeof, set(labels))))
+        tracemalloc.start()
+        try:
+            part = partition_by_context(ds, min_n=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(sub) for _, sub in part.contexts] == [500] * 4
+        assert peak < size
 
     def test_ordering_by_exposure_mean_with_label_tiebreak(self):
         # The partition gives label order; the report orders the contexts by

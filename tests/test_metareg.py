@@ -141,6 +141,16 @@ class TestMetaRegress:
         with pytest.raises(ConfigError, match="unknown tau2"):
             meta_regress([1.0, 2.0, 3.0], [0.1] * 3, [1.0, 2.0, 3.0], method="pm")
 
+    @pytest.mark.parametrize("method", ["reml", "dl", "fixed"])
+    def test_overflowing_trend_is_an_estimation_error(self, method):
+        # Estimates of +-1e300 at weights 1e300: the slope is inf - inf.
+        # No method warns, and none blames the configuration.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="REML criterion|trend slope is nan"):
+                meta_regress([1e300, -1e300, 1e300, 0.0], [1e-300] * 4,
+                             [1.0, 2.0, 3.0, 4.0], method=method)
+
 
 class TestTrendTest:
     def test_replicated_contexts_match_two_point_slope(self):
@@ -209,30 +219,25 @@ class TestTrendTest:
 class TestLanes:
     """A stacked call gives each lane the result it gets alone."""
 
-    @pytest.mark.parametrize("method, failure", [("reml", EstimationError),
-                                                 ("dl", DomainError), ("fixed", DomainError)])
-    def test_each_lane_equals_its_arrays_alone(self, method, failure):
+    @pytest.mark.parametrize("method", ["reml", "dl", "fixed"])
+    def test_each_lane_equals_its_arrays_alone(self, method):
         rng = np.random.default_rng(29)
         lanes = [random_instance(rng, k=k, tau=tau) for k, tau in
                  ((10, 0.05), (5, 0.0), (10, 0.0), (60, 0.1), (5, 0.02))]
         lanes[2:2] = [([1.0, 2.0], [0.1, 0.1], [1.0, 2.0]),  # two contexts
                       ([1e300, -1e300, 1e300, 0.0], [1e-300] * 4, [1.0, 2.0, 3.0, 4.0]),
                       ([1.0, 2.0, 3.0], [0.1] * 3, [5.0, 5.0, 5.0])]  # collinear
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # 1e300 * 2^498 overflows
-            outcomes = meta_regress_lanes(*zip(*lanes), method=method)
+        outcomes = meta_regress_lanes(*zip(*lanes), method=method)
         errors = []
         for lane, outcome in zip(lanes, outcomes):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    expected = meta_regress(*lane, method=method)
+                expected = meta_regress(*lane, method=method)
             except CtxMRError as err:
                 assert (type(outcome), str(outcome)) == (type(err), str(err))
                 errors.append(type(err))
             else:
                 assert outcome == expected
-        assert errors == [ConfigError, failure, ConfigError]
+        assert errors == [ConfigError, EstimationError, ConfigError]
 
     def test_trend_lanes_equal_each_table_alone(self):
         rng = np.random.default_rng(30)
