@@ -27,7 +27,7 @@ from .heterogeneity import (
     q_first_order,
     q_modified_second_order,
 )
-from .ivcore import ContextResult, ContextTable, context_iv
+from .ivcore import ContextTable, context_iv
 from .metareg import MetaRegResult, meta_regress, trend_test
 from .numerics import chi_square_sf, normal_sf, wls_solve
 from .regress import AssocEstimate, design, fit_linear, fit_logistic
@@ -37,7 +37,6 @@ from .report import (
     analyze_dataset,
     analyze_summary_results,
     load_summary_csv,
-    plot_data,
     render_text,
     report_from_json,
     report_to_json,
@@ -56,7 +55,6 @@ __all__ = [
     "AssocEstimate",
     "CellResult",
     "ColumnMap",
-    "ContextResult",
     "ContextTable",
     "Dataset",
     "EffectFunction",
@@ -81,7 +79,6 @@ __all__ = [
     "meta_regress",
     "normal_sf",
     "partition_by_context",
-    "plot_data",
     "q_first_order",
     "q_modified_second_order",
     "render_text",

@@ -18,8 +18,10 @@ context's columns are views of the dataset's. Other contexts are
 gathered with ``take``, in file order. Either way a context's columns
 are read-only, so nothing downstream can write into the caller's arrays.
 
-``csv_text`` is the one CSV writer of the package: ``report.csv``,
-``table.csv`` and both plot files go through it. ``shallow_dict`` turns
+``open_csv`` is the one CSV reader of the package, with strict quoting:
+a quote that never closes is an error that names its line, not a field
+that swallows the rest of the file. ``csv_text`` is the one CSV writer:
+``report.csv`` and ``table.csv`` go through it. ``shallow_dict`` turns
 the result dataclasses into the dicts that the JSON files are written
 from.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 from operator import itemgetter
@@ -156,17 +159,36 @@ def _blank(row: list[str]) -> bool:
     return not any(cell.strip() for cell in row)
 
 
-def _start_line(path, record: int) -> int:
+def _start_line(path, record: int | None = None) -> int:
     """The physical line on which CSV record ``record`` (0 is the header) starts.
 
-    A quoted field can hold newlines, so records and lines differ; the
-    file is read again, which only an error report needs.
+    With no ``record``, the line on which the first record that the
+    strict reader refuses starts. A quoted field can hold newlines, so
+    records and lines differ; the file is read again, which only an
+    error report needs.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        for _ in islice(reader, record):
-            pass
-        return reader.line_num + 1
+        reader = csv.reader(handle, strict=True)
+        line = 1
+        with suppress(csv.Error):
+            for _ in islice(reader, record):
+                line = reader.line_num + 1
+        return line
+
+
+@contextmanager
+def open_csv(path):
+    """A strict ``csv.reader`` over a UTF-8 file, with or without a byte-order mark.
+
+    A record the reader refuses (a quote never closed, text after a
+    closing quote, a field over ``csv``'s size limit) is an IngestError
+    that names the physical line on which the record starts.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        try:
+            yield csv.reader(handle, strict=True)
+        except csv.Error as err:
+            raise IngestError(f"malformed CSV record: {err}", line=_start_line(path)) from None
 
 
 def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
@@ -238,10 +260,11 @@ class _Labels(dict):
 def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dataset:
     """Read a header-ed UTF-8 CSV, with or without a byte-order mark, into a Dataset.
 
-    Rows with a missing or unparseable mapped field are excluded and
-    counted in ``n_dropped``. A non-0/1 outcome under the logistic family
-    is an error, not a dropped row: it means the file does not match the
-    declared outcome type.
+    Quoting is strict (see ``open_csv``). Rows with a missing or
+    unparseable mapped field are excluded and counted in ``n_dropped``.
+    A non-0/1 outcome under the logistic family is an error, not a
+    dropped row: it means the file does not match the declared outcome
+    type.
     """
     if outcome_family not in ("linear", "logistic"):
         raise ConfigError(f"unknown outcome family {outcome_family!r}")
@@ -254,8 +277,7 @@ def load_csv(path, column_map: ColumnMap, outcome_family: str = "linear") -> Dat
     gc_was_enabled = gc.isenabled()
     gc.disable()  # the cyclic collector would walk every fresh row list
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+        with open_csv(path) as reader:
             header, index = read_header(reader, path, needed)
             pick = itemgetter(*(index[name] for name in needed))
             while chunk := list(islice(reader, CHUNK_ROWS)):

@@ -23,17 +23,6 @@ from .regress import AssocEstimate, design, fit_linear, fit_logistic
 INSTRUMENT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ContextResult:
-    """One context's associations, size and mean exposure, as ``context_iv`` fits them."""
-
-    context: str
-    bx: AssocEstimate
-    by: AssocEstimate
-    n: int
-    exposure_mean: float
-
-
 @dataclass(frozen=True, eq=False)
 class ContextTable:
     """Per-context statistics as columns, one row per context.
@@ -77,14 +66,6 @@ class ContextTable:
         order = np.lexsort((labels, columns[-1]))
         return cls(labels[order], *(col[order] for col in columns), n[order])
 
-    @classmethod
-    def from_results(cls, results) -> "ContextTable":
-        """The table of ``context_iv`` results."""
-        return cls.from_columns(*zip(*(
-            (r.context, r.bx.beta, r.bx.se, r.by.beta, r.by.se, r.exposure_mean, r.n)
-            for r in results
-        )))
-
     def __len__(self) -> int:
         return int(self.labels.size)
 
@@ -104,29 +85,37 @@ class ContextTable:
             raise DomainError(f"scale factor must be positive, got {factor}")
         return replace(self, scale=self.scale * factor)
 
+    # A finite but extreme by times the scale can overflow; the tests refuse
+    # the non-finite result with one EstimationError, so numpy need not warn.
     def outcome(self) -> tuple[np.ndarray, np.ndarray]:
         """by and by_se per ``scale`` exposure units."""
-        return self.by * self.scale, self.by_se * self.scale
+        with np.errstate(over="ignore"):
+            return self.by * self.scale, self.by_se * self.scale
 
     @property
     def ratio(self) -> np.ndarray:
         """The ratio estimates by / bx, per ``scale`` exposure units."""
-        return self.by / self.bx * self.scale
+        with np.errstate(over="ignore"):
+            return self.by / self.bx * self.scale
 
     @property
     def ratio_se(self) -> np.ndarray:
         """First-order standard errors se(by) / |bx| of the ratios, per ``scale`` units."""
-        return self.by_se / np.abs(self.bx) * self.scale
+        with np.errstate(over="ignore"):
+            return self.by_se / np.abs(self.bx) * self.scale
 
 
-def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult:
-    """Ratio IV estimate within one context.
+def context_iv(
+    label: str, ds: Dataset, family: str = "linear"
+) -> tuple[AssocEstimate, AssocEstimate, int, float]:
+    """One context's fits: (bx, by, n, xmean), the row it adds to a ``ContextTable``.
 
-    Builds one design from the instrument and the covariates, fits the
+    Builds one design from the instrument and the covariates and fits the
     exposure (linear) and the outcome (``family``, linear or logistic)
-    on it, and combines them. An essentially zero bx is refused by the
-    ``ContextTable`` the result goes into; a weak but nonzero one is
-    noted by the report (``report.DEFAULT_WEAK_T``). An exposure that is
+    on it; n and xmean are the context's size and mean exposure. An
+    essentially zero bx is refused by the ``ContextTable`` the row goes
+    into; a weak but nonzero one is noted by the report
+    (``report.DEFAULT_WEAK_T``). An exposure that is
     an exact linear function of the design is marked by ``bx.degenerate``
     (se(bx) = 0), which the report notes, and an exact outcome fit is
     refused below. A DomainError or EstimationError of the design or the
@@ -155,6 +144,5 @@ def context_iv(label: str, ds: Dataset, family: str = "linear") -> ContextResult
             f"context {label!r}: outcome association has zero standard error; "
             "the ratio estimate has no usable uncertainty"
         )
-    n, exposure_mean = summarize_context(label, ds)
-    return ContextResult(context=label, bx=bx, by=by, n=n, exposure_mean=exposure_mean)
+    return (bx, by, *summarize_context(label, ds))
 

@@ -5,11 +5,12 @@ individual-level data: partition by context, per-context ratio
 estimates, both heterogeneity tests, and the trend meta-regression.
 ``analyze_summary_results`` does the same from a ``ContextTable`` of
 pre-computed per-context summary statistics, which ``load_summary_csv``
-reads from CSV. Both build one table, and the tests and the report rows
-read its columns. Both return an :class:`AnalysisReport`, which
-serializes losslessly to JSON and renders to human-readable text (3
+reads from CSV. Both build one table, and the tests read its columns.
+Both return an :class:`AnalysisReport`, whose ``contexts`` holds the
+table's columns as Python values, one per ``CONTEXT_CSV_COLUMNS`` name;
+it serializes losslessly to JSON and renders to human-readable text (3
 significant figures) and machine CSV (full precision). That CSV is also
-the plot file; ``plot_data`` gives the two plots' columns on their own.
+the plot file.
 
 A context with a zero bx has no ratio: ``load_summary_csv`` refuses its
 row by line, ``ContextTable`` a fitted one, so every context enters every test.
@@ -22,16 +23,16 @@ choice; the trend slope is in scaled units.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .datamodel import (
     DEFAULT_MIN_CONTEXT_SIZE,
     Dataset,
     csv_text,
+    open_csv,
     partition_by_context,
     read_header,
     shallow_dict,
@@ -77,31 +78,20 @@ class AnalysisOptions:
             )
 
 
-@dataclass(frozen=True)
-class ContextRow:
-    context: str
-    n: int
-    exposure_mean: float
-    bx: float
-    bx_se: float
-    by: float
-    by_se: float
-    estimate: float
-    se: float
-    lo95: float
-    hi95: float
-    odds_ratio: float | None = None
-
-
-#: The columns of ``report.csv``: the fields of a context row, in order.
-CONTEXT_CSV_COLUMNS = tuple(f.name for f in fields(ContextRow))
+#: The per-context columns of a report, in the order ``report.csv`` writes them.
+CONTEXT_CSV_COLUMNS = ("context", "n", "exposure_mean", "bx", "bx_se", "by", "by_se",
+                       "estimate", "se", "lo95", "hi95", "odds_ratio")
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the pipeline produced; ``trend`` is None when K < 3."""
+    """Everything the pipeline produced; ``trend`` is None when K < 3.
 
-    contexts: tuple[ContextRow, ...]
+    ``contexts`` maps each name of ``CONTEXT_CSV_COLUMNS`` to a tuple of
+    one value per context, in table order: ordered by mean exposure.
+    """
+
+    contexts: dict[str, tuple]
     heterogeneity_first_order: HeterogeneityResult
     heterogeneity_modified: HeterogeneityResult
     trend: MetaRegResult | None
@@ -109,10 +99,10 @@ class AnalysisReport:
     warnings: tuple[str, ...] = ()
 
 
-def _build_rows(
+def _context_columns(
     table: ContextTable, options: AnalysisOptions, warnings: list[str]
-) -> tuple[ContextRow, ...]:
-    """One row per context: the raw associations and the scaled ratio estimates.
+) -> dict[str, tuple]:
+    """The report's columns: the raw associations and the scaled ratio estimates.
 
     An odds ratio beyond the float range (a log odds ratio above about
     709, as a weak instrument can give) is left missing, and a note
@@ -132,9 +122,8 @@ def _build_rows(
                 )
     columns = (table.labels, table.n, table.xmean, table.bx, table.bx_se, table.by,
                table.by_se, estimate, se, lo, hi)
-    return tuple(
-        ContextRow(*row) for row in zip(*(column.tolist() for column in columns), odds)
-    )
+    return dict(zip(CONTEXT_CSV_COLUMNS,
+                    (*(tuple(column.tolist()) for column in columns), tuple(odds))))
 
 
 def _weak_instrument_notes(table: ContextTable) -> list[str]:
@@ -153,7 +142,7 @@ def _weak_instrument_notes(table: ContextTable) -> list[str]:
 def _assemble(
     table: ContextTable, options: AnalysisOptions, config: dict, warnings: list[str]
 ) -> AnalysisReport:
-    """The tests and rows of a table; the weak-instrument notes come after ``warnings``."""
+    """The tests and columns of a table; the weak-instrument notes come after ``warnings``."""
     table = table.rescaled(options.scale)
     het_first = q_first_order(table)
     het_modified = q_modified_second_order(table)
@@ -162,9 +151,8 @@ def _assemble(
     else:
         trend = None
         warnings.append("trend test skipped: needs at least 3 contexts")
-    rows = _build_rows(table, options, warnings)
     return AnalysisReport(
-        contexts=rows,
+        contexts=_context_columns(table, options, warnings),
         heterogeneity_first_order=het_first,
         heterogeneity_modified=het_modified,
         trend=trend,
@@ -190,17 +178,18 @@ def analyze_dataset(ds: Dataset, options: AnalysisOptions = AnalysisOptions()) -
                             (ds.instrument, ds.exposure, ds.outcome, *ds.covariates.T)):
         require_finite(name, column)
     part = partition_by_context(ds, min_n=options.min_context_n)
-    raw = [context_iv(label, sub, options.family) for label, sub in part.contexts]
-    table = ContextTable.from_results(raw)
+    fits = [(label, *context_iv(label, sub, options.family)) for label, sub in part.contexts]
+    table = ContextTable.from_columns(*zip(*(
+        (label, bx.beta, bx.se, by.beta, by.se, xmean, n) for label, bx, by, n, xmean in fits)))
     warnings = [
         f"context {e.context!r} excluded: {e.reason} (n={e.n})" for e in part.excluded
     ]
     if ds.n_dropped:
         warnings.append(f"{ds.n_dropped} input rows dropped during ingestion")
     warnings += [
-        f"context {r.context!r}: the exposure is an exact linear function of the "
+        f"context {label!r}: the exposure is an exact linear function of the "
         "instrument and covariates; se(bx) reported as 0"
-        for r in raw if r.bx.degenerate
+        for label, bx, *_ in fits if bx.degenerate
     ]
     config = {
         "mode": "individual",
@@ -236,14 +225,14 @@ def analyze_summary_results(
 def load_summary_csv(path) -> ContextTable:
     """Per-context summary statistics from a UTF-8 CSV, as a context table.
 
-    A byte-order mark, as Excel writes one, is skipped. The header must
+    A byte-order mark, as Excel writes one, is skipped, and quoting is
+    strict (see ``datamodel.open_csv``). The header must
     carry the columns context, bx, bx_se, by, by_se, xmean, n, each once
     and in any order. Malformed rows, numbers that are not finite or out
     of range, and a context label given twice, are reported with the
     physical line on which the row starts.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
+    with open_csv(path) as reader:
         _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
         rows = []
         first_line: dict[str, int] = {}
@@ -290,9 +279,14 @@ def load_summary_csv(path) -> ContextTable:
 # ---------------------------------------------------------------------------
 
 
+def _context_rows(report: AnalysisReport):
+    """The report's per-context values, one tuple per context in ``CONTEXT_CSV_COLUMNS`` order."""
+    return zip(*(report.contexts[name] for name in CONTEXT_CSV_COLUMNS))
+
+
 def report_to_dict(report: AnalysisReport) -> dict:
     return {
-        "contexts": [shallow_dict(row) for row in report.contexts],
+        "contexts": [dict(zip(CONTEXT_CSV_COLUMNS, row)) for row in _context_rows(report)],
         "heterogeneity_first_order": shallow_dict(report.heterogeneity_first_order),
         "heterogeneity_modified": shallow_dict(report.heterogeneity_modified),
         "trend": None if report.trend is None else shallow_dict(report.trend),
@@ -308,9 +302,9 @@ def report_to_json(report: AnalysisReport) -> str:
 def report_from_json(text: str) -> AnalysisReport:
     """The inverse of ``report_to_json``, for round-trip checks; it validates nothing."""
     payload = json.loads(text)
-    trend = payload["trend"]
+    rows, trend = payload["contexts"], payload["trend"]
     return AnalysisReport(
-        contexts=tuple(ContextRow(**row) for row in payload["contexts"]),
+        contexts={name: tuple(row[name] for row in rows) for name in CONTEXT_CSV_COLUMNS},
         heterogeneity_first_order=HeterogeneityResult(**payload["heterogeneity_first_order"]),
         heterogeneity_modified=HeterogeneityResult(**payload["heterogeneity_modified"]),
         trend=None if trend is None else MetaRegResult(**trend),
@@ -337,12 +331,13 @@ def render_text(report: AnalysisReport) -> str:
     )
     out.write(header + "\n")
     out.write("-" * len(header) + "\n")
-    for row in report.contexts:
-        ci = f"[{_fmt(row.lo95)}, {_fmt(row.hi95)}]"
+    rows = _context_rows(report)
+    for context, n, xmean, bx, bx_se, by, by_se, estimate, se, lo95, hi95, _ in rows:
+        ci = f"[{_fmt(lo95)}, {_fmt(hi95)}]"
         out.write(
-            f"{row.context:<16} {row.n:>8d} {_fmt(row.exposure_mean):>8} "
-            f"{_fmt(row.bx):>9} {_fmt(row.bx_se):>9} {_fmt(row.by):>9} "
-            f"{_fmt(row.by_se):>9} {_fmt(row.estimate):>9} {_fmt(row.se):>9} {ci:>19}\n"
+            f"{context:<16} {n:>8d} {_fmt(xmean):>8} "
+            f"{_fmt(bx):>9} {_fmt(bx_se):>9} {_fmt(by):>9} "
+            f"{_fmt(by_se):>9} {_fmt(estimate):>9} {_fmt(se):>9} {ci:>19}\n"
         )
     out.write("\n")
     for het, label in (
@@ -370,20 +365,4 @@ def render_text(report: AnalysisReport) -> str:
 
 def context_table_csv(report: AnalysisReport) -> str:
     """Per-context table as CSV at full precision."""
-    return csv_text(CONTEXT_CSV_COLUMNS, ([getattr(row, name) for name in CONTEXT_CSV_COLUMNS]
-                                          for row in report.contexts))
-
-
-def plot_data(report: AnalysisReport) -> tuple[str, str]:
-    """Scatter-plot data: (unscaled associations, scaled MR estimates).
-
-    Both CSVs carry context, xmean, estimate, lo95, hi95; rows are
-    ordered by mean exposure. The unscaled file shows the raw
-    instrument-outcome association with its own confidence interval;
-    the scaled file shows the MR estimate columns from the report.
-    """
-    header = ("context", "xmean", "estimate", "lo95", "hi95")
-    unscaled = [(r.context, r.exposure_mean, r.by, r.by - CI_Z * r.by_se, r.by + CI_Z * r.by_se)
-                for r in report.contexts]
-    scaled = [(r.context, r.exposure_mean, r.estimate, r.lo95, r.hi95) for r in report.contexts]
-    return csv_text(header, unscaled), csv_text(header, scaled)
+    return csv_text(CONTEXT_CSV_COLUMNS, _context_rows(report))

@@ -26,14 +26,14 @@ three normal vectors, sampled by numpy's ziggurat method).
 The draws depend on the scenario only through (contexts, per_context_n,
 maf), its ``draw_key``; the effect shape, the shifts alpha_k and the
 instrument effect act afterwards. ``draw_context`` fills one context's
-four rows from its stream. ``draw_contexts`` loops over it to draw a
-whole replication as (K, n) arrays, and ``generate_dataset`` builds one
-scenario's exposure and outcome from them and flattens both into a
-Dataset. The simulation engine (``harness.Workspace``) calls
-``draw_context`` into the rows of its own bounded block, a few contexts
-at a time, and reuses the draws across scenarios without building a
-Dataset. A cell has at most ``_MAX_CONTEXTS`` contexts of at most
-``_MAX_PER_CONTEXT_N`` participants.
+four rows from its stream; it is the one draw routine.
+``generate_dataset`` calls it for every context of a replication into
+(K, n) arrays, builds one scenario's exposure and outcome from them and
+flattens both into a Dataset. The simulation engine
+(``harness.Workspace``) calls it into the rows of its own bounded block,
+a few contexts at a time, and reuses the draws across scenarios without
+building a Dataset. A cell has at most ``_MAX_CONTEXTS`` contexts of at
+most ``_MAX_PER_CONTEXT_N`` participants.
 
 ``effect_inplace`` is the one formula of each effect shape. It overwrites
 a float array, so the engine evaluates f with no temporaries;
@@ -184,18 +184,8 @@ def _context_rng(master_seed: int, replication: int, context_index: int):
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True, eq=False)
-class ContextDraws:
-    """One replication's random draws, one row per context: shape (K, n) each."""
-
-    g: np.ndarray
-    u: np.ndarray
-    e_x: np.ndarray
-    e_y: np.ndarray
-
-
 def draw_key(scenario: SimScenario) -> tuple[int, int, float]:
-    """The scenario fields that determine its draws (see ``draw_contexts``)."""
+    """The scenario fields that determine its draws (see ``draw_context``)."""
     return scenario.contexts, scenario.per_context_n, scenario.maf
 
 
@@ -213,36 +203,28 @@ def draw_context(master_seed: int, replication: int, k: int, maf: float,
         rng.standard_normal(out=row)
 
 
-def draw_contexts(
-    master_seed: int, replication: int, contexts: int, per_context_n: int, maf: float
-) -> ContextDraws:
-    """Draw (g, u, e_x, e_y) for every context of one replication, row k by ``draw_context``."""
-    draws = ContextDraws(*(np.empty((contexts, per_context_n)) for _ in range(4)))
-    for k in range(contexts):
-        draw_context(master_seed, replication, k, maf,
-                     draws.g[k], draws.u[k], draws.e_x[k], draws.e_y[k])
-    return draws
-
-
 def generate_dataset(
     scenario: SimScenario, master_seed: int, replication: int = 0
 ) -> Dataset:
     """Draw one simulated dataset; bit-identical for a given (seed, rep)."""
-    draws = draw_contexts(master_seed, replication, *draw_key(scenario))
-    x = np.asarray(scenario.alphas)[:, None] + scenario.instrument_effect * draws.g
-    x += draws.u + draws.e_x
+    # g is an array of its own: the Dataset keeps it, but none of the noise.
+    g = np.empty((scenario.contexts, scenario.per_context_n))
+    u, e_x, e_y = noise = np.empty((3, *g.shape))
+    for k in range(scenario.contexts):
+        draw_context(master_seed, replication, k, scenario.maf, g[k], *noise[:, k])
+    x = np.asarray(scenario.alphas)[:, None] + scenario.instrument_effect * g
+    x += u + e_x
     y = effect_value(scenario.effect, x)
-    y += draws.e_y - draws.u
-    total = x.size
+    y += e_y - u
     return Dataset(
-        instrument=draws.g.ravel(),
+        instrument=g.ravel(),
         exposure=x.ravel(),
         outcome=y.ravel(),
         context=np.repeat(
             np.array([str(k + 1) for k in range(scenario.contexts)]),
             scenario.per_context_n,
         ),
-        covariates=np.empty((total, 0)),
+        covariates=np.empty((x.size, 0)),
     )
 
 

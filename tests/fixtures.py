@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ctxmr.datamodel import Dataset
+from ctxmr.ivcore import ContextTable, context_iv
 
 # Centre sizes and mean exposure levels typical of a large UK cohort.
 CENTRE_SIZES = (
@@ -99,3 +100,11 @@ def write_cohort_csv(path, ds: Dataset) -> None:
             row += "," + ",".join(repr(float(v)) for v in ds.covariates[i])
         lines.append(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def context_table(contexts, family: str = "linear") -> ContextTable:
+    """The table of ``context_iv`` on (label, Dataset) pairs, as ``analyze_dataset`` builds it."""
+    labels, subsets = zip(*contexts)
+    fits = [context_iv(label, sub, family) for label, sub in zip(labels, subsets)]
+    return ContextTable.from_columns(labels, *zip(*(
+        (bx.beta, bx.se, by.beta, by.se, xmean, n) for bx, by, n, xmean in fits)))

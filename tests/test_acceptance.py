@@ -303,14 +303,14 @@ def test_criterion_7_applied_style_analysis():
     for seed in range(100):
         ds = synthetic_cohort(seed=seed)
         report = analyze_dataset(ds, options)
-        rows = report.contexts
-        means = [row.exposure_mean for row in rows]
-        well_formed &= len(rows) == 20
+        columns = report.contexts
+        means = list(columns["exposure_mean"])
+        well_formed &= len(columns["context"]) == 20
         well_formed &= means == sorted(means)
         well_formed &= all(
-            np.isfinite([row.estimate, row.se, row.lo95, row.hi95]).all()
-            and row.lo95 < row.estimate < row.hi95
-            for row in rows
+            np.isfinite([estimate, se, lo95, hi95]).all() and lo95 < estimate < hi95
+            for estimate, se, lo95, hi95 in zip(
+                columns["estimate"], columns["se"], columns["lo95"], columns["hi95"])
         )
         well_formed &= 0.0 <= report.heterogeneity_modified.p <= 1.0
         mod2_pvals.append(report.heterogeneity_modified.p)

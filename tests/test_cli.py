@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import subprocess
 import sys
@@ -15,7 +14,7 @@ import pytest
 
 from ctxmr import cli
 from ctxmr.cli import EXIT_CONFIG, EXIT_ESTIMATION, EXIT_INGEST, EXIT_OK, main
-from ctxmr.report import plot_data, report_from_json, report_to_json
+from ctxmr.report import report_from_json, report_to_json
 
 from fixtures import small_sizes, synthetic_cohort, write_cohort_csv
 from golden.regenerate import README_SUMMARY_CSV
@@ -274,10 +273,9 @@ class TestAnalyze:
 
 
     def test_stray_quote_label_costs_memory_in_proportion_to_the_file(self, tmp_path, capsys):
-        # The quote opens a field that runs to the end of the file: the last
-        # row of centre 2 takes the 1,000 rows of centre 3 into its label.
-        # That context is excluded (n = 1); a fixed-width copy of the labels
-        # would take 2,000 rows x that label, some 350 MB.
+        # The quote opens a field that would run to the end of the file and
+        # take the 1,000 rows of centre 3 into one label. Strict quoting
+        # refuses the record and names the line on which it starts.
         path = tmp_path / "stray.csv"
         ds = synthetic_cohort(seed=7, sizes=(1000, 1000, 1000), means=(50.0, 52.0, 54.0),
                               with_covariates=False)
@@ -295,15 +293,32 @@ class TestAnalyze:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == EXIT_OK
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert len(report["contexts"]) == 2
-        excluded = [note for note in report["warnings"] if "excluded" in note]
-        assert len(excluded) == 1
-        assert excluded[0].startswith("context 'C02\\n")
-        assert excluded[0].endswith("C03' excluded: fewer than min_n=100 records (n=1)")
+        assert code == EXIT_INGEST
+        assert capsys.readouterr().err.splitlines() == [
+            "ingestion error: line 2001: malformed CSV record: unexpected end of data"
+        ]
         assert peak < 32 * path.stat().st_size
-        capsys.readouterr()
+        assert not (tmp_path / "out").exists()
+
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, capsys):
+        # Line 102 opens a quote that runs past csv's field size limit long
+        # before the end of the file.
+        path = tmp_path / "long.csv"
+        ds = synthetic_cohort(seed=7, sizes=(3000, 3000, 3000), means=(50.0, 52.0, 54.0),
+                              with_covariates=False)
+        write_cohort_csv(path, ds)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        row, label = lines[101].rsplit(",", 1)
+        lines[101] = f'{row},"{label}'
+        path.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["analyze", "--data", str(path), "--instrument-col", "score",
+                "--exposure-col", "vitd", "--outcome-col", "chd", "--context-col", "centre",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INGEST
+        assert capsys.readouterr().err.splitlines() == [
+            "ingestion error: line 102: malformed CSV record: "
+            "field larger than field limit (131072)"
+        ]
 
 
 class TestMeta:
@@ -337,6 +352,21 @@ class TestMeta:
         assert code == EXIT_INGEST
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, line, problem", [
+        ('"a,' + "x" * 140_000 + "\nb,1.0,0.0,2.0,1.0,52.0,1000\n", 2,
+         "field larger than field limit (131072)"),
+        ('a,1.0,0.0,1.0,1.0,50.0,1000\n"b,1.0,0.0,2.0,1.0,52.0,1000\n'
+         "c,1.0,0.0,3.0,1.0,54.0,1000\n", 3, "unexpected end of data"),
+    ], ids=["field-limit", "unterminated-quote"])
+    def test_malformed_quote_names_its_line(self, tmp_path, capsys, rows, line, problem):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("context,bx,bx_se,by,by_se,xmean,n\n" + rows, encoding="utf-8")
+        code = main(["meta", "--summary", str(summary), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_INGEST
+        assert capsys.readouterr().err.splitlines() == [
+            f"ingestion error: line {line}: malformed CSV record: {problem}"
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_eleven_context_set_reaches_the_reml_maximum(self, tmp_path, capsys):
         summary = tmp_path / "summary.csv"
@@ -485,9 +515,10 @@ def _ci_cohort_csv(path, age_factor):
     (("xmean", ["1e308", "1.5e308", "1.7e308"]), ["--tau2", "fixed"], EXIT_ESTIMATION),
     (("xmean", ["1e308", "-1e308", "52"]), [], EXIT_ESTIMATION),
     (("bx_se", ["1e300", "0.02", "0.03"]), [], EXIT_OK),
+    (("by", ["1e300", "0.09", "0.15"]), ["--scale", "1e10"], EXIT_ESTIMATION),
     (None, ["--covariates", "age", "--family", "logistic"], EXIT_CONFIG),
 ], ids=["near-limit-means-dl", "near-limit-means-fixed", "opposite-limit-means",
-        "huge-bx-se", "huge-covariate"])
+        "huge-bx-se", "huge-by-scaled", "huge-covariate"])
 def test_extreme_input_ends_in_one_stderr_line(summary, command, code, tmp_path, capsys):
     # Finite values near the ends of the float range: the documented exit
     # code with one line of stderr (none on success), no numpy warning.
@@ -762,13 +793,9 @@ def test_labels_that_need_quoting_round_trip(tmp_path, capsys):
     assert main(args) == EXIT_OK
     capsys.readouterr()
     with open(tmp_path / "report.csv", newline="", encoding="utf-8") as handle:
-        table = handle.read()
-    unscaled, scaled = plot_data(report_from_json((tmp_path / "report.json").read_text()))
-    for name, text, width in (("report.csv", table, 12), ("unscaled", unscaled, 5),
-                              ("scaled", scaled, 5)):
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        assert {len(row) for row in rows} == {width}, name
-        assert sorted(row[0] for row in rows[1:]) == sorted(labels), name
+        rows = list(csv.reader(handle))
+    assert {len(row) for row in rows} == {12}
+    assert sorted(row[0] for row in rows[1:]) == sorted(labels)
 
 
 class TestParserCache:

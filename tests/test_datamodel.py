@@ -249,8 +249,8 @@ class TestPartition:
         part = partition_by_context(ds, min_n=2)
         assert [label for label, _ in part.contexts] == ["a", "b", "c", "d"]
         report = analyze_dataset(ds, AnalysisOptions(min_context_n=2))
-        assert [row.context for row in report.contexts] == ["c", "d", "a", "b"]
-        assert report.contexts[2].exposure_mean == report.contexts[3].exposure_mean
+        assert report.contexts["context"] == ("c", "d", "a", "b")
+        assert report.contexts["exposure_mean"][2] == report.contexts["exposure_mean"][3]
         assert [note.split(":")[0] for note in report.warnings] == [
             "context 'c'", "context 'a'", "context 'b'"
         ]

@@ -30,16 +30,17 @@ from ctxmr.harness import (
     run_replication,
     worker_count,
 )
-from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.numerics import row_dot
 from ctxmr.simulate import (
     EffectFunction,
     SimScenario,
-    draw_contexts,
+    draw_context,
     draw_key,
     effect_inplace,
     generate_dataset,
 )
+
+from fixtures import context_table
 
 
 def small_plan(**overrides):
@@ -222,8 +223,7 @@ class TestSharedDraws:
         for scenario, fast in zip(scenarios, Workspace(scenarios, master_seed=11).tables(
                 replication)):
             part = partition_by_context(generate_dataset(scenario, 11, replication), min_n=2)
-            general = ContextTable.from_results(context_iv(label, sub)
-                                                for label, sub in part.contexts)
+            general = context_table(part.contexts)
             assert fast.labels.tolist() == general.labels.tolist()
             for name in ("bx", "bx_se", "by", "by_se", "xmean"):
                 np.testing.assert_allclose(getattr(fast, name), getattr(general, name),
@@ -292,13 +292,16 @@ class TestSharedDraws:
 
 def _whole_array_table(scenario: SimScenario, master_seed: int, replication: int):
     """A cell's table from its sums over whole (K, n) arrays, one draw of all K contexts."""
-    d = draw_contexts(master_seed, replication, *draw_key(scenario))
-    gc = d.g - d.g.mean(axis=1, keepdims=True)
-    wc = d.e_y - d.u
+    contexts, per_context_n, maf = draw_key(scenario)
+    g, u, e_x, e_y = draws = np.empty((4, contexts, per_context_n))
+    for k in range(contexts):
+        draw_context(master_seed, replication, k, maf, *draws[:, k])
+    gc = g - g.mean(axis=1, keepdims=True)
+    wc = e_y - u
     wc -= wc.mean(axis=1, keepdims=True)
-    z = scenario.instrument_effect * d.g
-    z += d.u
-    z += d.e_x
+    z = scenario.instrument_effect * g
+    z += u
+    z += e_x
     zmean = z.mean(axis=1)
     zc = z - zmean[:, None]
     f = effect_inplace(scenario.effect, z + np.asarray(scenario.alphas)[:, None])

@@ -20,6 +20,8 @@ from ctxmr.heterogeneity import q_first_order
 from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.report import analyze_summary_results
 
+from fixtures import context_table
+
 
 def make_table(bx, bx_se, by, by_se, mean=50.0, n=1000):
     """A context table of equal-length columns (scalars broadcast), labelled 0, 1, ..."""
@@ -55,9 +57,9 @@ class TestContextIv:
 
     def test_recovers_linear_effect_within_four_se(self):
         ds = _one_context_dataset(np.random.default_rng(42))
-        r = context_iv("1", ds)
-        assert (r.n, r.exposure_mean) == (len(ds), float(ds.exposure.mean()))
-        assert abs(r.by.beta / r.bx.beta - 0.8) < 4.0 * r.by.se / abs(r.bx.beta)
+        bx, by, n, xmean = context_iv("1", ds)
+        assert (n, xmean) == (len(ds), float(ds.exposure.mean()))
+        assert abs(by.beta / bx.beta - 0.8) < 4.0 * by.se / abs(bx.beta)
 
     def test_weak_instrument_warns_but_succeeds(self):
         rng = np.random.default_rng(43)
@@ -69,9 +71,9 @@ class TestContextIv:
             context=ds.context,
             covariates=ds.covariates,
         )
-        weak, strong = context_iv("1", ds), context_iv("2", _one_context_dataset(rng, alpha=9.5))
-        report = analyze_summary_results(ContextTable.from_results([weak, strong]))
-        assert len(report.contexts) == 2
+        table = context_table([("1", ds), ("2", _one_context_dataset(rng, alpha=9.5))])
+        report = analyze_summary_results(table)
+        assert report.contexts["context"] == ("1", "2")
         (note,) = [w for w in report.warnings if "weak instrument" in w]
         assert note.startswith("context '1': weak instrument (|bx|/se = ")
 
@@ -86,10 +88,10 @@ class TestContextIv:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the exact fit is flagged, not warned about
-            result = context_iv("1", ds)
-        assert result.bx.degenerate and result.bx.se == 0.0
+            bx = context_iv("1", ds)[0]
+        assert bx.degenerate and bx.se == 0.0
         with pytest.raises(EstimationError, match="context '1': instrument-exposure association"):
-            ContextTable.from_results([result])
+            context_table([("1", ds)])
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_both_fits_share_one_design(self, monkeypatch, family):
@@ -155,16 +157,14 @@ class TestContextTable:
         assert t.bx.tolist() == [4.0, 2.0, 3.0, 1.0]
         assert t.n.tolist() == [400, 200, 300, 100]
 
-    def test_from_results_matches_from_columns(self):
+    def test_context_iv_fits_enter_the_table_by_mean_exposure(self):
         rng = np.random.default_rng(45)
-        results = [
-            context_iv(str(j), _one_context_dataset(rng, n=500, alpha=9.0 - j))
-            for j in range(3)
-        ]
-        t = ContextTable.from_results(results)
+        contexts = [(str(j), _one_context_dataset(rng, n=500, alpha=9.0 - j)) for j in range(3)]
+        fits = [context_iv(label, sub) for label, sub in contexts]
+        t = context_table(contexts)
         assert t.labels.tolist() == ["2", "1", "0"]
-        assert t.by.tolist() == [r.by.beta for r in reversed(results)]
-        assert t.xmean.tolist() == [r.exposure_mean for r in reversed(results)]
+        assert t.by.tolist() == [by.beta for _, by, _, _ in reversed(fits)]
+        assert t.xmean.tolist() == [xmean for *_, xmean in reversed(fits)]
 
     @pytest.mark.parametrize("bx", [0.0, -1e-13, float("nan")])
     def test_zero_or_nan_bx_is_refused(self, bx):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +14,12 @@ import pytest
 from ctxmr.errors import ConfigError, IngestError
 from ctxmr.ivcore import ContextTable
 from ctxmr.report import (
+    CONTEXT_CSV_COLUMNS,
     AnalysisOptions,
     analyze_dataset,
     analyze_summary_results,
     context_table_csv,
     load_summary_csv,
-    plot_data,
     render_text,
     report_from_json,
     report_to_json,
@@ -43,19 +47,21 @@ def cohort_report():
 
 class TestAnalyzeDataset:
     def test_contexts_ordered_by_mean_exposure(self, cohort_report):
-        means = [row.exposure_mean for row in cohort_report.contexts]
+        means = list(cohort_report.contexts["exposure_mean"])
         assert means == sorted(means)
-        assert len(cohort_report.contexts) == 20
+        assert len(cohort_report.contexts["context"]) == 20
 
     def test_ci_matches_z_formula(self, cohort_report):
-        for row in cohort_report.contexts:
-            assert row.lo95 == pytest.approx(row.estimate - CI_Z * row.se, abs=1e-12)
-            assert row.hi95 == pytest.approx(row.estimate + CI_Z * row.se, abs=1e-12)
-            assert row.lo95 < row.estimate < row.hi95
+        c = cohort_report.contexts
+        for estimate, se, lo95, hi95 in zip(c["estimate"], c["se"], c["lo95"], c["hi95"]):
+            assert lo95 == pytest.approx(estimate - CI_Z * se, abs=1e-12)
+            assert hi95 == pytest.approx(estimate + CI_Z * se, abs=1e-12)
+            assert lo95 < estimate < hi95
 
     def test_odds_ratio_column_present_for_logistic(self, cohort_report):
-        for row in cohort_report.contexts:
-            assert row.odds_ratio == pytest.approx(np.exp(row.estimate), rel=1e-12)
+        c = cohort_report.contexts
+        for odds_ratio, estimate in zip(c["odds_ratio"], c["estimate"]):
+            assert odds_ratio == pytest.approx(np.exp(estimate), rel=1e-12)
 
     def test_null_cohort_shows_no_signal(self, cohort_report):
         # True null: no heterogeneity, no trend at generous thresholds.
@@ -122,9 +128,9 @@ class TestAnalyzeSummary:
     def test_known_effect_scaled_by_ten(self):
         t = make_table(bx=1.0, bx_se=0.01, by=0.02, by_se=0.01, means=50.0 + np.arange(3))
         report = analyze_summary_results(t, AnalysisOptions(scale=10.0))
-        for row in report.contexts:
-            assert row.estimate == pytest.approx(0.2, abs=1e-12)
-            assert row.by == pytest.approx(0.02, abs=1e-15)  # raw column unscaled
+        for estimate, by in zip(report.contexts["estimate"], report.contexts["by"]):
+            assert estimate == pytest.approx(0.2, abs=1e-12)
+            assert by == pytest.approx(0.02, abs=1e-15)  # raw column unscaled
 
 
 class TestSummaryCsv:
@@ -255,39 +261,78 @@ class TestSerialization:
         text = render_text(cohort_report)
         assert f"{cohort_report.heterogeneity_first_order.q:.3g}" in text
         assert f"{cohort_report.trend.slope_p:.3g}" in text
-        first = cohort_report.contexts[0]
-        assert f"{first.estimate:.3g}" in text
-        assert f"{first.exposure_mean:.3g}" in text
+        c = cohort_report.contexts
+        assert f"{c['estimate'][0]:.3g}" in text
+        assert f"{c['exposure_mean'][0]:.3g}" in text
 
     def test_context_csv_full_precision(self, cohort_report):
         lines = context_table_csv(cohort_report).splitlines()
         assert len(lines) == 21
-        first = cohort_report.contexts[0]
         cells = lines[1].split(",")
-        assert float(cells[7]) == first.estimate  # exact repr round-trip
+        assert float(cells[7]) == cohort_report.contexts["estimate"][0]  # exact repr round-trip
+
+
+def _summary_report(family="linear", bx=(0.5, 0.4, 0.8)):
+    """A three-context summary report at scale 10; a tiny bx overflows the odds ratio."""
+    t = make_table(bx=bx, bx_se=0.01, by=[0.10, 0.08, 0.12], by_se=0.02,
+                   means=[52.0, 50.0, 54.0], labels=["b", "a", "c"])
+    return t, analyze_summary_results(t, AnalysisOptions(family=family, scale=10.0))
+
+
+class TestContextColumns:
+    """``AnalysisReport.contexts`` holds the report's columns, one per CONTEXT_CSV_COLUMNS name."""
+
+    def test_report_csv_and_json_use_the_same_column_names(self, cohort_report):
+        assert tuple(cohort_report.contexts) == CONTEXT_CSV_COLUMNS
+        header = next(csv.reader(io.StringIO(context_table_csv(cohort_report))))
+        assert tuple(header) == CONTEXT_CSV_COLUMNS
+        for row in json.loads(report_to_json(cohort_report))["contexts"]:
+            assert tuple(row) == CONTEXT_CSV_COLUMNS
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_each_column_is_the_rescaled_table_as_python_values(self, family):
+        table, report = _summary_report(family)
+        t = table.rescaled(10.0)
+        estimate, se = t.ratio, t.ratio_se
+        expected = {
+            "context": t.labels, "n": t.n, "exposure_mean": t.xmean, "bx": t.bx,
+            "bx_se": t.bx_se, "by": t.by, "by_se": t.by_se, "estimate": estimate, "se": se,
+            "lo95": estimate - CI_Z * se, "hi95": estimate + CI_Z * se,
+        }
+        for name, column in expected.items():
+            assert report.contexts[name] == tuple(column.tolist()), name
+        assert report.contexts["context"] == ("a", "b", "c")
+        assert {type(v) for v in report.contexts["n"]} == {int}
+        odds = tuple(map(math.exp, estimate.tolist())) if family == "logistic" else (None,) * 3
+        assert report.contexts["odds_ratio"] == odds
+
+    @pytest.mark.parametrize("family, bx, missing", [
+        ("linear", (0.5, 0.4, 0.8), 3), ("logistic", (0.5, 0.4, 0.8), 0),
+        ("logistic", (0.5, 1e-3, 0.8), 1),
+    ], ids=["linear", "logistic", "overflowing-odds-ratio"])
+    def test_json_round_trip_is_exact(self, family, bx, missing):
+        _, report = _summary_report(family, bx)
+        assert report.contexts["odds_ratio"].count(None) == missing
+        assert report_from_json(report_to_json(report)) == report
 
 
 class TestPlotData:
+    """``report.csv`` is the plot file: the MR estimates and the associations against xmean."""
+
     def test_shapes_and_ordering(self, cohort_report):
-        unscaled, scaled = plot_data(cohort_report)
-        u_lines = unscaled.splitlines()
-        s_lines = scaled.splitlines()
-        assert len(u_lines) == len(s_lines) == 21
-        xmeans = [float(line.split(",")[1]) for line in u_lines[1:]]
+        rows = list(csv.DictReader(io.StringIO(context_table_csv(cohort_report))))
+        assert len(rows) == 20
+        xmeans = [float(row["exposure_mean"]) for row in rows]
         assert xmeans == sorted(xmeans)
-        for line in s_lines[1:]:
-            _, _, est, lo, hi = line.split(",")
-            assert float(lo) < float(est) < float(hi)
+        for row in rows:
+            assert float(row["lo95"]) < float(row["estimate"]) < float(row["hi95"])
 
     def test_scaled_file_is_unscaled_times_scale_over_bx(self):
-        t = make_table(bx=[0.5, 0.4, 0.8], bx_se=0.0, by=[0.10, 0.08, 0.12], by_se=0.02,
-                       means=[50.0, 52.0, 54.0], labels=["a", "b", "c"])
-        report = analyze_summary_results(t, AnalysisOptions(scale=10.0))
-        unscaled, scaled = plot_data(report)
-        bx = dict(zip(t.labels.tolist(), t.bx.tolist()))
-        for u_line, s_line in zip(unscaled.splitlines()[1:], scaled.splitlines()[1:]):
-            u = u_line.split(",")
-            s = s_line.split(",")
-            factor = 10.0 / bx[u[0]]
-            for j in (2, 3, 4):
-                assert float(s[j]) == pytest.approx(float(u[j]) * factor, rel=1e-12)
+        # The README's unscaled interval, by +- CI_Z by_se, times scale / bx
+        # is the MR estimate's interval.
+        _, report = _summary_report()
+        for row in csv.DictReader(io.StringIO(context_table_csv(report))):
+            by, by_se, factor = float(row["by"]), float(row["by_se"]), 10.0 / float(row["bx"])
+            for name, unscaled in (("estimate", by), ("lo95", by - CI_Z * by_se),
+                                   ("hi95", by + CI_Z * by_se)):
+                assert float(row[name]) == pytest.approx(unscaled * factor, rel=1e-12)

@@ -12,21 +12,20 @@ from ctxmr import simulate
 from ctxmr.datamodel import Dataset, partition_by_context
 from ctxmr.errors import ConfigError, DomainError
 from ctxmr.heterogeneity import q_first_order, q_modified_second_order
-from ctxmr.ivcore import ContextTable, context_iv
 from ctxmr.simulate import (
     LARGER_GRID,
     SMALLER_GRID,
     EffectFunction,
     SimScenario,
     alpha_grid,
-    draw_context,
-    draw_contexts,
     effect_inplace,
     effect_value,
     generate_dataset,
     instrument_strength,
     parse_scenario_config,
 )
+
+from fixtures import context_table
 
 
 class TestEffectFunction:
@@ -155,15 +154,6 @@ class TestGenerate:
         assert np.array_equal(a.exposure, b.exposure)
         assert np.array_equal(a.outcome, b.outcome)
 
-    def test_draw_context_rows_equal_draw_contexts_rows(self):
-        whole = draw_contexts(7, 3, 4, 500, 0.3)
-        rows = np.full((4, 500), np.nan)
-        for k in (2, 0, 3):  # any order, into rows an earlier context left
-            draw_context(7, 5, 1, 0.3, *rows)
-            draw_context(7, 3, k, 0.3, *rows)
-            for row, name in zip(rows, ("g", "u", "e_x", "e_y")):
-                assert np.array_equal(row, getattr(whole, name)[k]), (k, name)
-
     def test_replications_differ(self):
         s = SimScenario(per_context_n=500)
         a = generate_dataset(s, master_seed=7, replication=0)
@@ -280,8 +270,7 @@ class TestNullInstrumentGuard:
         for rep in range(reps):
             ds = generate_dataset(scenario, master_seed=900, replication=rep)
             part = partition_by_context(ds, min_n=2)
-            results = [context_iv(label, sub) for label, sub in part.contexts]
-            table = ContextTable.from_results(results)
+            table = context_table(part.contexts)
             warned += bool((np.abs(table.bx) < 2.0 * table.bx_se).any())
             if q_first_order(table).p < 0.05:
                 rejections["first"] += 1
