@@ -39,6 +39,7 @@ from .report import (
     analyze_dataset,
     analyze_summary_results,
     context_table_csv,
+    context_text,
     load_summary_csv,
     render_text,
     report_to_json,
@@ -137,10 +138,11 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
 
 
 def _write_report(report, out_dir: str, stdout_format: str) -> None:
+    text = context_text(report)  # formatted once, for report.json and report.csv
     artifacts = {
-        "report.json": report_to_json(report),
+        "report.json": report_to_json(report, text),
         "report.txt": render_text(report),
-        "report.csv": context_table_csv(report),
+        "report.csv": context_table_csv(report, text),
     }
     _write_outputs(out_dir, artifacts)
     chosen = {"text": "report.txt", "json": "report.json", "csv": "report.csv"}

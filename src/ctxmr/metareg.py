@@ -261,9 +261,23 @@ def meta_regress(estimates, variances, means, method: str = "reml") -> MetaRegRe
 
 
 def trend_test_lanes(tables, method: str = "reml") -> list:
-    """``trend_test`` of each ``ContextTable``: its result, or the CtxMRError it raises."""
-    return meta_regress_lanes([t.ratio for t in tables], [t.ratio_se**2 for t in tables],
-                              [t.xmean for t in tables], method)
+    """``trend_test`` of each ``ContextTable``: its result, or the CtxMRError it raises.
+
+    A table with a finite ratio se whose square is beyond the float
+    range gets an EstimationError.
+    """
+    with np.errstate(over="ignore"):
+        variances = [t.ratio_se**2 for t in tables]
+    outcomes = meta_regress_lanes([t.ratio for t in tables], variances,
+                                  [t.xmean for t in tables], method)
+    for lane, (table, v) in enumerate(zip(tables, variances)):
+        overflow = np.isinf(v) & np.isfinite(table.ratio_se)
+        if overflow.any():
+            outcomes[lane] = EstimationError(
+                f"ratio se {table.ratio_se[overflow][0]:g} squares beyond the float "
+                "range: the standard errors are too extreme to fit"
+            )
+    return outcomes
 
 
 def trend_test(table, method: str = "reml") -> MetaRegResult:

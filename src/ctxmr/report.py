@@ -7,10 +7,14 @@ estimates, both heterogeneity tests, and the trend meta-regression.
 pre-computed per-context summary statistics, which ``load_summary_csv``
 reads from CSV. Both build one table, and the tests read its columns.
 Both return an :class:`AnalysisReport`, whose ``contexts`` holds the
-table's columns as Python values, one per ``CONTEXT_CSV_COLUMNS`` name;
-it serializes losslessly to JSON and renders to human-readable text (3
-significant figures) and machine CSV (full precision). That CSV is also
-the plot file.
+table's columns as Python values, one per ``CONTEXT_CSV_COLUMNS`` name.
+It is written to three files: ``report.json``, ``report.txt`` (3
+significant figures) and ``report.csv``, which is also the plot file.
+
+Serialization: ``context_text`` formats each per-context number once, as
+its shortest round-trip text, and ``report.json`` and ``report.csv`` are
+both written from that text, so a value reads back equal from either
+file. ``report.json`` has the layout of ``json.dumps(..., indent=2)``.
 
 A context with a zero bx has no ratio: ``load_summary_csv`` refuses its
 row by line, ``ContextTable`` a fitted one, so every context enters every test.
@@ -275,7 +279,9 @@ def load_summary_csv(path) -> ContextTable:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization: each per-context number is formatted once, by
+# ``context_text``, and report.json and report.csv share that text. The
+# JSON layout is that of ``json.dumps(..., indent=2)``.
 # ---------------------------------------------------------------------------
 
 
@@ -284,19 +290,45 @@ def _context_rows(report: AnalysisReport):
     return zip(*(report.contexts[name] for name in CONTEXT_CSV_COLUMNS))
 
 
-def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "contexts": [dict(zip(CONTEXT_CSV_COLUMNS, row)) for row in _context_rows(report)],
+def context_text(report: AnalysisReport) -> tuple:
+    """The per-context columns, in ``CONTEXT_CSV_COLUMNS`` order, as the report files write them.
+
+    The labels are kept as they are. Every other value becomes its
+    ``repr``, the shortest text that reads back as the same number, and
+    a missing one stays None. ``report_to_json`` and ``context_table_csv``
+    both write from this text, so the CLI formats each number once.
+    """
+    labels, *columns = (report.contexts[name] for name in CONTEXT_CSV_COLUMNS)
+    return (labels, *([None if value is None else repr(value) for value in column]
+                      for column in columns))
+
+
+#: The JSON spelling of each ``context_text`` cell whose text is not JSON.
+_JSON_SPECIAL = {None: "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: One context object of ``report.json``, laid out as ``json.dumps(..., indent=2)`` does.
+_JSON_CONTEXT = ("    {" + ",".join(f"\n      {json.dumps(name)}: %s"
+                                    for name in CONTEXT_CSV_COLUMNS) + "\n    }")
+
+
+def report_to_json(report: AnalysisReport, text: tuple | None = None) -> str:
+    """The report as ``json.dumps(..., indent=2)`` writes it, plus a newline.
+
+    The context objects are laid out from ``text``, the report's
+    ``context_text``, which is computed when not given; the other
+    entries go through ``json.dumps`` itself.
+    """
+    labels, *columns = context_text(report) if text is None else text
+    cells = (map(_JSON_SPECIAL.get, column, column) for column in columns)
+    objects = ",\n".join(_JSON_CONTEXT % row for row in zip(map(json.dumps, labels), *cells))
+    rest = json.dumps({
         "heterogeneity_first_order": shallow_dict(report.heterogeneity_first_order),
         "heterogeneity_modified": shallow_dict(report.heterogeneity_modified),
         "trend": None if report.trend is None else shallow_dict(report.trend),
         "config": report.config,
         "warnings": list(report.warnings),
-    }
-
-
-def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    }, indent=2)
+    return f'{{\n  "contexts": [\n{objects}\n  ],\n{rest[2:]}\n'
 
 
 def report_from_json(text: str) -> AnalysisReport:
@@ -331,14 +363,13 @@ def render_text(report: AnalysisReport) -> str:
     )
     out.write(header + "\n")
     out.write("-" * len(header) + "\n")
-    rows = _context_rows(report)
-    for context, n, xmean, bx, bx_se, by, by_se, estimate, se, lo95, hi95, _ in rows:
-        ci = f"[{_fmt(lo95)}, {_fmt(hi95)}]"
-        out.write(
-            f"{context:<16} {n:>8d} {_fmt(xmean):>8} "
-            f"{_fmt(bx):>9} {_fmt(bx_se):>9} {_fmt(by):>9} "
-            f"{_fmt(by_se):>9} {_fmt(estimate):>9} {_fmt(se):>9} {ci:>19}\n"
-        )
+    # No row cell is None: odds_ratio, the one column that can be, is not shown.
+    out.writelines(
+        f"{context:<16} {n:>8d} {xmean:>8.3g} {bx:>9.3g} {bx_se:>9.3g} {by:>9.3g} "
+        f"{by_se:>9.3g} {estimate:>9.3g} {se:>9.3g} {f'[{lo95:.3g}, {hi95:.3g}]':>19}\n"
+        for context, n, xmean, bx, bx_se, by, by_se, estimate, se, lo95, hi95, _
+        in _context_rows(report)
+    )
     out.write("\n")
     for het, label in (
         (report.heterogeneity_first_order, "first-order"),
@@ -363,6 +394,6 @@ def render_text(report: AnalysisReport) -> str:
     return out.getvalue()
 
 
-def context_table_csv(report: AnalysisReport) -> str:
-    """Per-context table as CSV at full precision."""
-    return csv_text(CONTEXT_CSV_COLUMNS, _context_rows(report))
+def context_table_csv(report: AnalysisReport, text: tuple | None = None) -> str:
+    """The per-context table as CSV, written from ``text`` (the report's ``context_text``)."""
+    return csv_text(CONTEXT_CSV_COLUMNS, zip(*(context_text(report) if text is None else text)))

@@ -10,11 +10,17 @@ lane-vectorized ``numerics.newton_in_bracket`` must match step for step,
 the column-by-column Cholesky loop the reference for the LAPACK factor
 of ``numerics.gram_inverse``, and a logistic IRLS loop that scores every
 iterate the reference that ``regress.fit_logistic_detail`` must match
-iterate for iterate.
+iterate for iterate. The report serializers are checked against the
+standard library: ``json.dumps(..., indent=2)`` of the report as one dict,
+and ``csv.writer`` over the unformatted per-context values.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
@@ -333,3 +339,33 @@ def ks_uniform_pvalue(samples) -> float:
         if abs(term) < 1e-12:
             break
     return min(max(total, 0.0), 1.0)
+
+
+def report_json_dumps(report) -> str:
+    """``report.json`` of ``report``: its one dict through ``json.dumps(..., indent=2)``."""
+    names = list(report.contexts)
+    payload = {
+        "contexts": [dict(zip(names, row)) for row in zip(*report.contexts.values())],
+        "heterogeneity_first_order": dataclasses.asdict(report.heterogeneity_first_order),
+        "heterogeneity_modified": dataclasses.asdict(report.heterogeneity_modified),
+        "trend": None if report.trend is None else dataclasses.asdict(report.trend),
+        "config": report.config,
+        "warnings": list(report.warnings),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def report_csv_values(report) -> str:
+    """``report.csv`` of ``report``: ``csv.writer`` over the per-context values as they are.
+
+    Each row is written on its own with the terminator "\r\n", which is
+    then cut to "\n": before Python 3.13 the writer quotes a field with a
+    bare "\r" only when "\r" is part of its terminator. None is written NA.
+    """
+    lines = []
+    for row in (list(report.contexts), *zip(*report.contexts.values())):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(
+            ["NA" if value is None else value for value in row])
+        lines.append(line.getvalue()[:-2] + "\n")
+    return "".join(lines)

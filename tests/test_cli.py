@@ -516,9 +516,10 @@ def _ci_cohort_csv(path, age_factor):
     (("xmean", ["1e308", "-1e308", "52"]), [], EXIT_ESTIMATION),
     (("bx_se", ["1e300", "0.02", "0.03"]), [], EXIT_OK),
     (("by", ["1e300", "0.09", "0.15"]), ["--scale", "1e10"], EXIT_ESTIMATION),
+    (("by_se", ["8e307", "0.02", "0.03"]), [], EXIT_ESTIMATION),
     (None, ["--covariates", "age", "--family", "logistic"], EXIT_CONFIG),
 ], ids=["near-limit-means-dl", "near-limit-means-fixed", "opposite-limit-means",
-        "huge-bx-se", "huge-by-scaled", "huge-covariate"])
+        "huge-bx-se", "huge-by-scaled", "huge-by-se", "huge-covariate"])
 def test_extreme_input_ends_in_one_stderr_line(summary, command, code, tmp_path, capsys):
     # Finite values near the ends of the float range: the documented exit
     # code with one line of stderr (none on success), no numpy warning.

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from ctxmr.cli import _write_report
 from ctxmr.errors import ConfigError, IngestError
 from ctxmr.ivcore import ContextTable
 from ctxmr.report import (
@@ -336,3 +337,18 @@ class TestPlotData:
             for name, unscaled in (("estimate", by), ("lo95", by - CI_Z * by_se),
                                    ("hi95", by + CI_Z * by_se)):
                 assert float(row[name]) == pytest.approx(unscaled * factor, rel=1e-12)
+
+
+class TestReportFiles:
+    """``cli._write_report`` formats the context columns once, for report.json and report.csv."""
+
+    def test_files_equal_the_one_argument_calls(self, cohort_report, tmp_path, capsys):
+        reports = {"cohort": cohort_report, "linear": _summary_report()[1],
+                   "overflowing-odds-ratio": _summary_report("logistic", (0.5, 1e-3, 0.8))[1]}
+        for case, report in reports.items():
+            _write_report(report, str(tmp_path / case), "csv")
+            assert capsys.readouterr().out == context_table_csv(report)
+            for name, text in (("report.json", report_to_json(report)),
+                               ("report.txt", render_text(report)),
+                               ("report.csv", context_table_csv(report))):
+                assert (tmp_path / case / name).read_bytes() == text.encode(), (case, name)
