@@ -150,6 +150,12 @@ def _write_report(report, out_dir: str, stdout_format: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    options = AnalysisOptions(  # checked before any input is read
+        family=args.family,
+        scale=args.scale,
+        min_context_n=args.min_context_n,
+        tau2_method=args.tau2,
+    )
     covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
     cmap = ColumnMap(
         instrument=args.instrument_col,
@@ -159,21 +165,14 @@ def cmd_analyze(args) -> int:
         covariates=covariates,
     )
     ds = load_csv(args.data, cmap, outcome_family=args.family)
-    options = AnalysisOptions(
-        family=args.family,
-        scale=args.scale,
-        min_context_n=args.min_context_n,
-        tau2_method=args.tau2,
-    )
     report = analyze_dataset(ds, options)
     _write_report(report, args.out_dir, args.format)
     return EXIT_OK
 
 
 def cmd_meta(args) -> int:
-    results = load_summary_csv(args.summary)
-    options = AnalysisOptions(scale=args.scale, tau2_method=args.tau2)
-    report = analyze_summary_results(results, options)
+    options = AnalysisOptions(scale=args.scale, tau2_method=args.tau2)  # before any input
+    report = analyze_summary_results(load_summary_csv(args.summary), options)
     _write_report(report, args.out_dir, args.format)
     return EXIT_OK
 

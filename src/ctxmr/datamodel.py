@@ -21,16 +21,17 @@ are read-only, so nothing downstream can write into the caller's arrays.
 ``open_csv`` is the one CSV reader of the package, with strict quoting:
 a quote that never closes is an error that names its line, not a field
 that swallows the rest of the file. ``csv_text`` is the one CSV writer:
-``report.csv`` and ``table.csv`` go through it. ``shallow_dict`` turns
-the result dataclasses into the dicts that the JSON files are written
-from.
+``report.csv`` and ``table.csv`` go through it. It writes each line with
+one ``",".join`` and quotes, per RFC 4180, only a field that holds a
+comma, a quote, CR or LF; a scan of the joined line tells whether any
+field of it does. ``shallow_dict`` turns the result dataclasses into the
+dicts that the JSON files are written from.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import io
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from itertools import islice
@@ -210,28 +211,37 @@ def read_header(reader, path, needed) -> tuple[list[str], dict[str, int]]:
     return header, {name: header.index(name) for name in needed}
 
 
-class _RowLines(list):
-    """A ``csv.writer`` target that ends each row with "\n" instead of "\r\n"."""
+#: None, the missing value, as ``csv_text`` writes it.
+_NA = {None: "NA"}
 
-    def write(self, line: str) -> None:
-        self.append(line[:-2] + "\n")
+#: The characters that make ``csv_text`` quote a field.
+_QUOTE_IF = frozenset(',"\r\n')
+
+
+def _quoted(cell: str) -> str:
+    """One field, quoted (inner quotes doubled) if it holds a ``_QUOTE_IF`` character."""
+    return cell if _QUOTE_IF.isdisjoint(cell) else '"' + cell.replace('"', '""') + '"'
 
 
 def csv_text(header, rows) -> str:
     """CSV text of a header row and data rows, each line ended by a newline.
 
-    A field holding a comma, a quote, a newline or a carriage return is
-    quoted per RFC 4180. Each other value is written as ``str`` writes it
-    (a float at full precision), and None as NA. The writer's line
-    terminator is "\r\n", because before Python 3.13 ``csv.writer`` quotes
-    a bare "\r" only when it is part of the terminator; ``_RowLines`` then
-    swaps each row's terminator for "\n".
+    Each value is written as ``str`` writes it (a float at full
+    precision), and None as NA. Each line is one ``",".join`` of its
+    row; only when the joined line holds a quote, a newline or a carriage
+    return, or more commas than separators, are its fields quoted one by
+    one: a field holding a comma, a quote, a newline or a carriage return
+    is quoted per RFC 4180, as ``csv.writer`` quotes it.
     """
-    lines = _RowLines()
-    writer = csv.writer(lines, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(["NA" if value is None else value for value in row] for row in rows)
-    return "".join(lines)
+    lines = []
+    for row in (header, *rows):
+        cells = list(map(str, map(_NA.get, row, row)))
+        line = ",".join(cells)
+        if '"' in line or "\n" in line or "\r" in line or line.count(",") >= len(cells):
+            line = ",".join(map(_quoted, cells))
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def shallow_dict(obj) -> dict:

@@ -15,6 +15,8 @@ Serialization: ``context_text`` formats each per-context number once, as
 its shortest round-trip text, and ``report.json`` and ``report.csv`` are
 both written from that text, so a value reads back equal from either
 file. ``report.json`` has the layout of ``json.dumps(..., indent=2)``.
+``render_text`` writes each context row of ``report.txt`` with one ``%``
+template (``%9.3g`` gives the text of the f-string ``{x:>9.3g}``).
 
 A context with a zero bx has no ratio: ``load_summary_csv`` refuses its
 row by line, ``ContextTable`` a fitted one, so every context enters every test.
@@ -31,6 +33,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .datamodel import (
     DEFAULT_MIN_CONTEXT_SIZE,
@@ -72,6 +75,8 @@ class AnalysisOptions:
     def __post_init__(self):
         if self.family not in ("linear", "logistic"):
             raise ConfigError(f"unknown outcome family {self.family!r}")
+        if not math.isfinite(self.scale):
+            raise ConfigError(f"scale must be a finite number, got {self.scale}")
         if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
         if not self.min_context_n >= 2:
@@ -238,32 +243,33 @@ def load_summary_csv(path) -> ContextTable:
     """
     with open_csv(path) as reader:
         _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
+        label_at, *number_at = (at[name] for name in SUMMARY_CSV_COLUMNS)
         rows = []
         first_line: dict[str, int] = {}
         end = reader.line_num
         for row in reader:
             lineno, end = end + 1, reader.line_num
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             try:
-                context = row[at["context"]].strip()
-                value = {name: float(row[at[name]]) for name in SUMMARY_CSV_COLUMNS[1:]}
-                for name, number in value.items():
-                    if not math.isfinite(number):
-                        raise ValueError(f"{name} must be finite, got {row[at[name]]!r}")
-                n = value["n"]
+                context = row[label_at].strip()
+                # Cell by cell in column order: the first missing or unparseable cell fails.
+                values = list(map(float, map(row.__getitem__, number_at)))
+                if not all(map(math.isfinite, values)):
+                    name, i = next((name, i) for name, i, number
+                                   in zip(SUMMARY_CSV_COLUMNS[1:], number_at, values)
+                                   if not math.isfinite(number))
+                    raise ValueError(f"{name} must be finite, got {row[i]!r}")
+                bx, bx_se, _, by_se, _, n = values
                 if not (n == int(n) and 2 <= n < 2**63):
                     raise ValueError(
-                        f"n must be an integer from 2 to 2**63 - 1, got {row[at['n']]!r}"
+                        f"n must be an integer from 2 to 2**63 - 1, got {row[number_at[5]]!r}"
                     )
-                bx, bx_se, by_se = value["bx"], value["bx_se"], value["by_se"]
-                for bad, problem in (
-                    (by_se <= 0, "outcome-association se must be > 0"),
-                    (bx_se < 0, "exposure-association se must be >= 0"),
-                    (abs(bx) < INSTRUMENT_FLOOR, "instrument-exposure association is zero"),
-                ):
-                    if bad:
-                        raise ValueError(f"context {context!r}: {problem}")
+                if not (by_se > 0 and bx_se >= 0 and abs(bx) >= INSTRUMENT_FLOOR):
+                    problem = ("outcome-association se must be > 0" if by_se <= 0 else
+                               "exposure-association se must be >= 0" if bx_se < 0 else
+                               "instrument-exposure association is zero")
+                    raise ValueError(f"context {context!r}: {problem}")
             except (ValueError, IndexError) as err:
                 raise IngestError(str(err), line=lineno) from None
             if context in first_line:
@@ -272,7 +278,7 @@ def load_summary_csv(path) -> ContextTable:
                     line=lineno,
                 )
             first_line[context] = lineno
-            rows.append((context, *value.values()))
+            rows.append((context, *values))
     if len(rows) < 2:
         raise IngestError(f"{path}: need at least 2 summary rows, got {len(rows)}")
     return ContextTable.from_columns(*zip(*rows))
@@ -281,13 +287,10 @@ def load_summary_csv(path) -> ContextTable:
 # ---------------------------------------------------------------------------
 # Serialization: each per-context number is formatted once, by
 # ``context_text``, and report.json and report.csv share that text. The
-# JSON layout is that of ``json.dumps(..., indent=2)``.
+# JSON layout is that of ``json.dumps(..., indent=2)``, whose string
+# encoder (``encode_basestring_ascii``) writes the labels. report.txt
+# formats each row with one ``%`` template.
 # ---------------------------------------------------------------------------
-
-
-def _context_rows(report: AnalysisReport):
-    """The report's per-context values, one tuple per context in ``CONTEXT_CSV_COLUMNS`` order."""
-    return zip(*(report.contexts[name] for name in CONTEXT_CSV_COLUMNS))
 
 
 def context_text(report: AnalysisReport) -> tuple:
@@ -300,7 +303,7 @@ def context_text(report: AnalysisReport) -> tuple:
     """
     labels, *columns = (report.contexts[name] for name in CONTEXT_CSV_COLUMNS)
     return (labels, *([None if value is None else repr(value) for value in column]
-                      for column in columns))
+                      if None in column else list(map(repr, column)) for column in columns))
 
 
 #: The JSON spelling of each ``context_text`` cell whose text is not JSON.
@@ -320,7 +323,8 @@ def report_to_json(report: AnalysisReport, text: tuple | None = None) -> str:
     """
     labels, *columns = context_text(report) if text is None else text
     cells = (map(_JSON_SPECIAL.get, column, column) for column in columns)
-    objects = ",\n".join(_JSON_CONTEXT % row for row in zip(map(json.dumps, labels), *cells))
+    objects = ",\n".join(_JSON_CONTEXT % row
+                          for row in zip(map(encode_basestring_ascii, labels), *cells))
     rest = json.dumps({
         "heterogeneity_first_order": shallow_dict(report.heterogeneity_first_order),
         "heterogeneity_modified": shallow_dict(report.heterogeneity_modified),
@@ -351,6 +355,11 @@ def _fmt(value) -> str:
     return f"{value:.3g}"
 
 
+#: One context row of ``report.txt``, numbers at 3 significant figures, and its interval.
+_TEXT_ROW = "%-16s %8d %8.3g %9.3g %9.3g %9.3g %9.3g %9.3g %9.3g %19s\n"
+_TEXT_INTERVAL = "[%.3g, %.3g]"
+
+
 def render_text(report: AnalysisReport) -> str:
     """Human-readable report; numbers shown at 3 significant figures."""
     out = io.StringIO()
@@ -364,12 +373,9 @@ def render_text(report: AnalysisReport) -> str:
     out.write(header + "\n")
     out.write("-" * len(header) + "\n")
     # No row cell is None: odds_ratio, the one column that can be, is not shown.
-    out.writelines(
-        f"{context:<16} {n:>8d} {xmean:>8.3g} {bx:>9.3g} {bx_se:>9.3g} {by:>9.3g} "
-        f"{by_se:>9.3g} {estimate:>9.3g} {se:>9.3g} {f'[{lo95:.3g}, {hi95:.3g}]':>19}\n"
-        for context, n, xmean, bx, bx_se, by, by_se, estimate, se, lo95, hi95, _
-        in _context_rows(report)
-    )
+    *shown, lo95, hi95 = (report.contexts[name] for name in CONTEXT_CSV_COLUMNS[:11])
+    intervals = map(_TEXT_INTERVAL.__mod__, zip(lo95, hi95))
+    out.writelines(map(_TEXT_ROW.__mod__, zip(*shown, intervals)))
     out.write("\n")
     for het, label in (
         (report.heterogeneity_first_order, "first-order"),

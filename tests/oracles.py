@@ -369,3 +369,104 @@ def report_csv_values(report) -> str:
             ["NA" if value is None else value for value in row])
         lines.append(line.getvalue()[:-2] + "\n")
     return "".join(lines)
+
+
+def _fmt_3g(value) -> str:
+    if value is None:
+        return "NA"
+    return f"{value:.3g}"
+
+
+def render_text_fstrings(report) -> str:
+    """``report.txt`` of ``report``, each context row written by one f-string."""
+    out = io.StringIO()
+    out.write("Context-stratified MR analysis\n")
+    out.write(f"  outcome family: {report.config['family']}; estimates per "
+              f"{_fmt_3g(report.config['scale'])} exposure units\n\n")
+    header = (
+        f"{'context':<16} {'n':>8} {'x_mean':>8} {'bx':>9} {'bx_se':>9} "
+        f"{'by':>9} {'by_se':>9} {'estimate':>9} {'se':>9} {'ci95':>19}"
+    )
+    out.write(header + "\n")
+    out.write("-" * len(header) + "\n")
+    out.writelines(
+        f"{context:<16} {n:>8d} {xmean:>8.3g} {bx:>9.3g} {bx_se:>9.3g} {by:>9.3g} "
+        f"{by_se:>9.3g} {estimate:>9.3g} {se:>9.3g} {f'[{lo95:.3g}, {hi95:.3g}]':>19}\n"
+        for context, n, xmean, bx, bx_se, by, by_se, estimate, se, lo95, hi95, _
+        in zip(*report.contexts.values())
+    )
+    out.write("\n")
+    for het, label in (
+        (report.heterogeneity_first_order, "first-order"),
+        (report.heterogeneity_modified, "modified second-order"),
+    ):
+        out.write(
+            f"heterogeneity Q ({label}): Q = {_fmt_3g(het.q)}, df = {het.df}, "
+            f"p = {_fmt_3g(het.p)}\n"
+        )
+    t = report.trend
+    if t is None:
+        out.write("trend: not computed (needs at least 3 contexts)\n")
+    else:
+        out.write(
+            f"trend: slope = {_fmt_3g(t.slope)} (se {_fmt_3g(t.slope_se)}), "
+            f"tau2 = {_fmt_3g(t.tau2)} ({t.tau2_method}), p = {_fmt_3g(t.slope_p)}\n"
+        )
+    if report.warnings:
+        out.write("\nwarnings:\n")
+        for note in report.warnings:
+            out.write(f"  - {note}\n")
+    return out.getvalue()
+
+
+def load_summary_csv_dicts(path):
+    """The summary-CSV reader that reads each row into a dict, then checks it in three loops.
+
+    The same rules, checks, check order, messages and line numbers as
+    ``report.load_summary_csv``; ctxmr is imported only when it is called.
+    """
+    from ctxmr.datamodel import open_csv, read_header
+    from ctxmr.errors import IngestError
+    from ctxmr.ivcore import INSTRUMENT_FLOOR, ContextTable
+    from ctxmr.report import SUMMARY_CSV_COLUMNS
+
+    with open_csv(path) as reader:
+        _, at = read_header(reader, path, SUMMARY_CSV_COLUMNS)
+        rows = []
+        first_line: dict[str, int] = {}
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                context = row[at["context"]].strip()
+                value = {name: float(row[at[name]]) for name in SUMMARY_CSV_COLUMNS[1:]}
+                for name, number in value.items():
+                    if not math.isfinite(number):
+                        raise ValueError(f"{name} must be finite, got {row[at[name]]!r}")
+                n = value["n"]
+                if not (n == int(n) and 2 <= n < 2**63):
+                    raise ValueError(
+                        f"n must be an integer from 2 to 2**63 - 1, got {row[at['n']]!r}"
+                    )
+                bx, bx_se, by_se = value["bx"], value["bx_se"], value["by_se"]
+                for bad, problem in (
+                    (by_se <= 0, "outcome-association se must be > 0"),
+                    (bx_se < 0, "exposure-association se must be >= 0"),
+                    (abs(bx) < INSTRUMENT_FLOOR, "instrument-exposure association is zero"),
+                ):
+                    if bad:
+                        raise ValueError(f"context {context!r}: {problem}")
+            except (ValueError, IndexError) as err:
+                raise IngestError(str(err), line=lineno) from None
+            if context in first_line:
+                raise IngestError(
+                    f"context label {context!r} already given on line {first_line[context]}",
+                    line=lineno,
+                )
+            first_line[context] = lineno
+            rows.append((context, *value.values()))
+    if len(rows) < 2:
+        raise IngestError(f"{path}: need at least 2 summary rows, got {len(rows)}")
+    return ContextTable.from_columns(*zip(*rows))

@@ -488,6 +488,38 @@ def test_extreme_scale_exits_cleanly(command, scale, cohort_csv, tmp_path, capsy
     assert [str(w.message) for w in caught] == []
 
 
+_BAD_OPTIONS = {
+    "inf": (["--scale", "inf"], "scale must be a finite number, got inf"),
+    "minus-inf": (["--scale=-inf"], "scale must be a finite number, got -inf"),
+    "nan": (["--scale", "nan"], "scale must be a finite number, got nan"),
+    "zero": (["--scale", "0"], "scale must be positive, got 0.0"),
+    "min-context-n": (["--min-context-n", "1"], "min_context_n must be at least 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("command, option, message", [
+    pytest.param(command, *_BAD_OPTIONS[case], id=f"{command}-{case}")
+    for command in ("meta", "analyze") for case in _BAD_OPTIONS
+    if not (command == "meta" and case == "min-context-n")  # meta has no --min-context-n
+])
+@pytest.mark.parametrize("data", ["present", "missing"])
+def test_options_are_checked_before_any_input(command, option, message, data, cohort_csv,
+                                              tmp_path, capsys):
+    # A bad option exits 2 with one line naming it, even when the input
+    # file does not exist (exit 3 otherwise) and before any fit runs.
+    if command == "meta":
+        summary = tmp_path / "summary.csv"
+        if data == "present":
+            summary.write_text(ELEVEN_CONTEXT_SUMMARY_CSV, encoding="utf-8")
+        argv = ["meta", "--summary", str(summary), "--out-dir", str(tmp_path / "out")]
+    else:
+        path = cohort_csv if data == "present" else tmp_path / "missing.csv"
+        argv = analyze_args(path, tmp_path / "out")
+    assert main([*argv, *option]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _summary_with(column, values):
     """The README's three-row summary table with one column replaced by ``values``."""
     rows = [row.split(",") for row in README_SUMMARY_CSV.splitlines()]
