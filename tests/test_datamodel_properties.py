@@ -66,7 +66,8 @@ LABELS = st.sampled_from(["a", "b", " c ", "a,b", 'q"r', "", "NA", " NA ", "nan"
                          "l\nm", "c\rr", '"'])
 FULL_ROW = st.tuples(
     LABELS, TOKENS,
-    st.one_of(st.text(st.characters(exclude_characters="\x00"), max_size=3),
+    st.one_of(st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                      max_size=3),
               st.text(st.sampled_from(',"\r\n x'), max_size=3)), TOKENS,
     st.one_of(ZERO_ONE, TOKENS), TOKENS,
     st.lists(st.sampled_from(["", "x", "1"]), max_size=2),
