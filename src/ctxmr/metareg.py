@@ -82,17 +82,6 @@ def _validate(estimates, variances, means):
     return y, v, x
 
 
-def _square(a):
-    """The square of a by the C library's pow, as a numpy scalar squares.
-
-    The REML derivatives behind the published tables squared their sums
-    that way. An array's ``a ** 2`` multiplies instead, which rounds
-    differently in about one square in a thousand and would move tau2 and
-    the p-values in their last bits.
-    """
-    return np.float_power(a, 2)
-
-
 def _gls(tau2, y, v, x):
     """GLS fits of y on [1, x] with weights w = 1 / (v + tau2), in closed form.
 
@@ -132,7 +121,10 @@ def _reml_tau2(y, v, x, k):
     f = [sum log(v + tau2) + log s0 + log s2 + sum w r^2] / 2. With
     u = W r = P y and dP/dtau2 = -P^2 its derivatives are
 
-        f' = (tr P - u'u) / 2,    f'' = u'P u - tr(P^2) / 2.
+        f' = (tr P - u'u) / 2,    f'' = u'P u - tr(P^2) / 2,
+
+    where u'P u = u'W u - (a'u)^2 - (b'u)^2 and tr(P^2) = w'w - 2 (a'W a +
+    b'W b) + (a'a)^2 + (b'b)^2 + 2 (a'b)^2, each square a product.
 
     Every root of f' lies below RSS / (K - 2) + max v, RSS being the
     unweighted OLS residual sum of squares, because tr P >= (K - 2) /
@@ -153,9 +145,10 @@ def _reml_tau2(y, v, x, k):
         w, xc, r, _, s2 = _gls(tau2[:, None], y, v, x)
         a, b, aa, bb, tr_p = _projection(w, xc, s2)
         u = w * r
+        ab, au, bu = row_dot(a, b), row_dot(a, u), row_dot(b, u)
         tr_p2 = (row_dot(w, w) - 2.0 * (row_dot(a, w * a) + row_dot(b, w * b))
-                 + _square(aa) + _square(bb) + 2.0 * _square(row_dot(a, b)))
-        d2 = row_dot(u, w * u) - _square(row_dot(a, u)) - _square(row_dot(b, u)) - 0.5 * tr_p2
+                 + aa * aa + bb * bb + 2.0 * ab * ab)
+        d2 = row_dot(u, w * u) - au * au - bu * bu - 0.5 * tr_p2
         return 0.5 * (tr_p - row_dot(u, u))[:, 0], d2[:, 0]
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from ctxmr import numerics
 from ctxmr.errors import DomainError, RankDeficiencyError
 from ctxmr.numerics import (
     chi_square_sf,
+    gram_inverse,
     newton_in_bracket,
     normal_sf,
     refine_scan,
@@ -37,6 +39,14 @@ class TestChiSquareSf:
     def test_df2_is_exponential(self):
         for q in (0.0, 0.3, 1.0, 2.0, 7.5, 30.0):
             assert abs(chi_square_sf(q, 2) - math.exp(-q / 2)) < 1e-12
+
+    def test_tail_of_o1_beyond_the_underflow_of_its_first_term(self):
+        # At x = q/2 > 745, e^{-x} is 0.0, but for df/2 near x the tail is
+        # near 1/2; every term is formed from its own logarithm. Expected
+        # values frozen from scipy.special.chdtrc.
+        assert math.exp(-800.0) == 0.0
+        assert chi_square_sf(1600.0, 1600) == pytest.approx(0.4952983875783587, rel=1e-12)
+        assert chi_square_sf(1600.0, 1601) == pytest.approx(0.5023511245209518, rel=1e-12)
 
     def test_monotone_decreasing_in_q(self):
         for df in (1, 4, 19):
@@ -146,6 +156,23 @@ class TestWlsSolve:
         r = np.linalg.qr(X, mode="r")
         r_inv = np.linalg.inv(r)
         assert cov == pytest.approx(r_inv @ r_inv.T, rel=1e-7)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_products_equal_the_unit_weight_products(self, order, monkeypatch):
+        # X'X and X'y come from a copy of X; they must equal, to the last
+        # bit, the products of X scaled by a vector of unit weights.
+        grams = []
+        monkeypatch.setattr(numerics, "gram_inverse",
+                            lambda gram: grams.append(gram) or gram_inverse(gram))
+        rng = np.random.default_rng(23)
+        for n, p in [(5, 1), (40, 3), (1000, 4), (20_000, 6)]:
+            X = np.array(rng.normal(size=(n, p)) * rng.uniform(0.1, 1e3, size=p), order=order)
+            y = rng.normal(size=n)
+            Xw = X * np.ones(n)[:, None]
+            gram, rhs = Xw.T @ X, Xw.T @ y
+            coef, _ = wls_solve(X, y)
+            assert (grams.pop() == gram).all()
+            assert (coef == gram_inverse(gram) @ rhs).all()
 
     def test_shape_and_domain_errors(self):
         with pytest.raises(DomainError):

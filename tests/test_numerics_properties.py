@@ -4,7 +4,9 @@ Each lane of ``numerics.newton_in_bracket`` must take exactly the steps of
 ``oracles.newton_in_bracket_scalar`` and stop on the same float, whatever
 the other lanes do. ``numerics.gram_inverse``, one LAPACK Cholesky, must
 give the inverse of ``oracles.gram_inverse_loop`` to rounding and name
-the same dependent column.
+the same dependent column. ``numerics.chi_square_sf``, a finite sum for
+its integer df, must match ``oracles.chi_square_sf_quadrature`` and the
+closed forms at df 1 and 2, and grow with df at a fixed statistic.
 """
 
 from __future__ import annotations
@@ -20,9 +22,19 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ctxmr.errors import RankDeficiencyError  # noqa: E402
-from ctxmr.numerics import _PIVOT_FLOOR, gram_inverse, newton_in_bracket  # noqa: E402
+from ctxmr.numerics import (  # noqa: E402
+    _PIVOT_FLOOR,
+    chi_square_sf,
+    gram_inverse,
+    newton_in_bracket,
+    normal_sf,
+)
 
-from oracles import gram_inverse_loop, newton_in_bracket_scalar  # noqa: E402
+from oracles import (  # noqa: E402
+    chi_square_sf_quadrature,
+    gram_inverse_loop,
+    newton_in_bracket_scalar,
+)
 
 
 def _lane_derivatives(kind, m, s):
@@ -182,3 +194,33 @@ def test_a_matrix_lapack_refuses_is_searched_block_by_block():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(gram / np.outer(scale, scale))
     assert _outcome(gram) == ("rank", 1) == _oracle_outcome(gram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.floats(0.0, 3.0), st.floats(0.0, 10.0))
+@example(1, 0.0, 0.0).via("the tail at zero is 1")
+@example(199, 1.0, 0.0).via("odd df at its mean")
+@example(200, 1.0, 0.0).via("even df at its mean")
+def test_tail_matches_the_quadrature(df, ratio, shift):
+    q = ratio * df + shift
+    assert abs(chi_square_sf(q, df) - chi_square_sf_quadrature(q, df)) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1000.0), st.integers(1, 200))
+@example(2.0, 30).via("a tail within rounding of 1")
+def test_tail_never_decreases_as_df_grows(q, df):
+    # Two more df add one positive term to the same sum, so that step is
+    # exact. One more df switches between the even and the odd sum, each
+    # rounded on its own: near a tail of 1 the two may cross by a few ulp.
+    assert chi_square_sf(q, df + 2) >= chi_square_sf(q, df)
+    assert chi_square_sf(q, df + 1) >= chi_square_sf(q, df) * (1.0 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1400.0))
+@example(0.0).via("the tail at zero is 1")
+@example(1400.0).via("a tail near 1e-306")
+def test_df_one_and_two_are_the_closed_forms(q):
+    assert chi_square_sf(q, 2) == math.exp(-q / 2)
+    assert chi_square_sf(q, 1) == pytest.approx(2.0 * normal_sf(math.sqrt(q)), rel=1e-12)
